@@ -315,7 +315,7 @@ def _climb(order: int) -> TruncatedSeries:
     s = (num / 2).shift(-1)
     residual = (s * s).shift(1) \
         - TruncatedSeries.polynomial((1, 1, -1), order) * s + 1
-    _require(residual.is_zero, "climb series fails its quadratic")
+    _require(residual.is_zero(), "climb series fails its quadratic")
     return s
 
 
@@ -773,6 +773,14 @@ def gf_H_bounded(k: int, order: int) -> TruncatedSeries:
     return level
 
 
+def gf_H_exact(k: int, order: int) -> TruncatedSeries:
+    """Special-height members of height exactly k."""
+    if k < 0:
+        raise ValueError("height must be >= 0")
+    level = gf_H_bounded(k, order)
+    return level - gf_H_bounded(k - 1, order) if k > 0 else level
+
+
 # ---------- the catalog surface ----------
 
 @dataclass(frozen=True)
@@ -850,10 +858,8 @@ CATALOG = {
     "B": _Entry((), gf_H, "special-height family by length"),
     "Bk": _Entry(("k",), gf_H_bounded,
                  "special-height members of height at most k"),
-    "Ak": _Entry(("k",), lambda k, order: (
-        gf_H_bounded(k, order) - gf_H_bounded(k - 1, order) if k > 0
-        else gf_H_bounded(0, order)),
-        "special-height members of height exactly k"),
+    "Ak": _Entry(("k",), gf_H_exact,
+                 "special-height members of height exactly k"),
 }
 
 

@@ -16,7 +16,13 @@ import sys
 
 from .bijections import phi, phi_inv, psi, psi_inv
 from .catalog import evaluate, series_names
-from .enumeration import FamilySpec, count_paths, enum_paths, lex_key
+from .enumeration import (
+    FamilySpec,
+    count_motzkin_avoiding,
+    count_paths,
+    enum_motzkin_avoiding,
+    enum_paths,
+)
 from .errors import (
     BadParams,
     ConsecutiveDowns,
@@ -73,7 +79,7 @@ def _csv_rows(rows) -> str:
     return buffer.getvalue()
 
 
-def _render_path(path: LatticePath) -> str:
+def _render_path(path: LatticePath | str) -> str:
     return str(path) if len(path) else "ε"
 
 
@@ -118,11 +124,20 @@ def _cmd_enumerate(args) -> int:
         if value is not None:
             fields[field] = value
     try:
-        spec = FamilySpec(**fields)
-        if args.list:
-            paths = sorted(enum_paths(args.length, spec), key=lex_key)
+        if kind == "motzkin_avoid":
+            if len(fields) > 1:
+                raise InfeasibleSpec(
+                    "the motzkin family takes no window or endpoint flags")
+            if args.list:
+                paths = enum_motzkin_avoiding(args.length)
+            else:
+                total = count_motzkin_avoiding(args.length)
         else:
-            total = count_paths(args.length, spec)
+            spec = FamilySpec(**fields)
+            if args.list:
+                paths = enum_paths(args.length, spec)
+            else:
+                total = count_paths(args.length, spec)
     except InfeasibleSpec as exc:
         return _fail(EXIT_BAD_PARAMS, str(exc))
     except (TypeError, ValueError) as exc:

@@ -1,22 +1,27 @@
 """Brute-force generators and counters: the ground truth everything else is
 checked against.
 
-The path engine walks every admissible step sequence under per-position
-floor/ceiling bounds, an optional final ordinate, and start/end step-kind
+The path engine works position by position under per-position floor and
+ceiling bounds, an optional final ordinate, and start/end step-kind
 filters.  Down-steps are capped either by the floor or, when the walk may
 go arbitrarily deep, by the requirement that the remaining steps (each
 gaining at most one level) can still reach the target ordinate; a spec with
 neither cap describes an infinite family and is rejected.
 
-Enumeration output is ordered lexicographically by step sequence with
-U < D1 < D2 < ...; counting uses the same transitions with memoization on
-(position, ordinate, just-descended) and never materializes paths.  Memo
-tables are per call, so everything here is safe to run concurrently.
+Enumeration walks every admissible step sequence with an explicit stack
+and lists them lexicographically with U < D1 < D2 < ...  Counting never
+materializes paths: one forward sweep carries, per height, the number of
+prefixes ending in an up-step and in a drop (the step-set view of
+Banderier and Flajolet), and the special-height family is counted over
+(length, height) on its arch grammar.  No walker or counter recurses once
+per step, and nothing keeps state between calls, so everything here is
+safe to run concurrently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .errors import InfeasibleSpec
 from .paths import EMPTY, UD, UP, LatticePath, classify, flat, sharp
@@ -87,60 +92,48 @@ def _check_spec(n: int, spec: FamilySpec):
             "enum_motzkin_avoiding or enum_compositions")
 
 
-def _bounds(n: int, spec: FamilySpec):
-    """Per-index floors and ceilings plus the target final ordinate."""
-    lo: list[int | None]
-    hi: list[int | None] = [spec.max_y] * (n + 1)
+def _window(n: int, spec: FamilySpec):
+    """Lowest and highest useful ordinate at each position 0..n, plus the
+    target final ordinate (None for a free end).
+
+    A point below the floor, or too deep to climb back to the target in
+    the steps left (each step gains at most one level), completes nothing;
+    no point lies above the ceiling or above its own position.
+    """
     if spec.kind == "prime":
         # interior strictly above the axis, entered from height >= 2
-        lo = [0] + [1] * (n - 2) + [2, 0]
+        floors = [0] + [1] * (n - 2) + [2, 0]
         target = 0
     elif spec.kind == "dap":
-        floor = 0 if spec.min_y is None else max(spec.min_y, 0)
-        lo = [floor] * (n + 1)
+        floors = [0] * (n + 1)
         target = 0
-    elif spec.kind == "gdap":
-        lo = [spec.min_y] * (n + 1)
-        target = 0
-    else:  # prefix_gdap
-        lo = [spec.min_y] * (n + 1)
-        target = spec.end_ordinate
-    return lo, hi, target
-
-
-def _moves(n, lo, hi, target, start_req, end_req):
-    """Yield-admissible-steps helper shared by the walker and the counter."""
-
-    def moves(i, h, last_down):
-        rem = n - i
-        first, last = i == 0, i == n - 1
-        if not (first and start_req == "down") and \
-           not (last and end_req == "down"):
-            h2 = h + 1
-            if (hi[i + 1] is None or h2 <= hi[i + 1]) and \
-               (lo[i + 1] is None or h2 >= lo[i + 1]) and \
-               not (target is not None and h2 + rem - 1 < target):
-                yield UP, h2
-        if last_down or (first and start_req == "up") or \
-           (last and end_req == "up"):
-            return
-        kmax = None
-        if lo[i + 1] is not None:
-            kmax = h - lo[i + 1]
+    else:
+        floors = [spec.min_y] * (n + 1)
+        target = 0 if spec.kind == "gdap" else spec.end_ordinate
+    low = []
+    for j, floor in enumerate(floors):
         if target is not None:
-            cap = h - target + rem - 1
-            kmax = cap if kmax is None else min(kmax, cap)
-        for k in range(1, kmax + 1):
-            yield -k, h - k
+            reach = target - (n - j)
+            floor = reach if floor is None else max(floor, reach)
+        low.append(floor)
+    high = [j if spec.max_y is None else min(spec.max_y, j)
+            for j in range(n + 1)]
+    return low, high, target
 
-    return moves
+
+def _step_kinds(i: int, n: int, spec: FamilySpec) -> tuple[bool, bool]:
+    """Whether step i may go up, and whether it may drop, under the start
+    and end step filters."""
+    first, last = i == 0, i == n - 1
+    ups = not (first and spec.start_step == "down") and \
+        not (last and spec.end_step == "down")
+    drops = not (first and spec.start_step == "up") and \
+        not (last and spec.end_step == "up")
+    return ups, drops
 
 
-def enum_paths(n: int, spec: FamilySpec) -> list[LatticePath]:
-    """All length-n members of the family, in lexicographic step order."""
-    _check_spec(n, spec)
-    if spec.kind == "special_h":
-        return enum_h(n)
+def _short(n: int, spec: FamilySpec) -> list[LatticePath] | None:
+    """The members at lengths the step rules do not reach, else None."""
     if spec.kind == "prime" and n < 3:
         return []  # the shortest axis-avoiding arch with a deep drop is UUD2
     if n == 0:
@@ -148,48 +141,84 @@ def enum_paths(n: int, spec: FamilySpec) -> list[LatticePath]:
                     and spec.start_step is None and spec.end_step is None
                     and spec.kind in ("gdap", "prefix_gdap"))
         return [EMPTY] if empty_ok else []
-    lo, hi, target = _bounds(n, spec)
-    moves = _moves(n, lo, hi, target, spec.start_step, spec.end_step)
+    return None
+
+
+def enum_paths(n: int, spec: FamilySpec) -> list[LatticePath]:
+    """All length-n members of the family, in lexicographic step order."""
+    _check_spec(n, spec)
+    if spec.kind == "special_h":
+        return enum_h(n)
+    short = _short(n, spec)
+    if short is not None:
+        return short
+    low, high, target = _window(n, spec)
+    kinds = [_step_kinds(i, n, spec) for i in range(n)]
     out: list[LatticePath] = []
-    steps: list[int] = []
+    steps = [0] * n
+    pending: list[tuple[int, int, int, bool]] = []  # index, step, height, drop?
 
-    def walk(i, h, last_down):
-        if i == n:
-            if target is None or h == target:
-                out.append(LatticePath(tuple(steps)))
-            return
-        for step, h2 in moves(i, h, last_down):
-            steps.append(step)
-            walk(i + 1, h2, step < 0)
-            steps.pop()
+    def push(i, h, dropped):
+        # the steps open at index i, pushed so that U, D1, D2, ... pop first
+        ups, drops = kinds[i]
+        if drops and not dropped:
+            pending.extend((i, -k, h - k, True)
+                           for k in range(h - low[i + 1], 0, -1))
+        if ups and low[i + 1] <= h + 1 <= high[i + 1]:
+            pending.append((i, UP, h + 1, False))
 
-    walk(0, 0, False)
+    push(0, 0, False)
+    while pending:
+        i, step, h, dropped = pending.pop()
+        steps[i] = step
+        if i < n - 1:
+            push(i + 1, h, dropped)
+        elif target is None or h == target:
+            out.append(LatticePath(steps))
     return out
 
 
 def count_paths(n: int, spec: FamilySpec) -> int:
-    """|enum_paths(n, spec)| by memoized recursion, without materializing."""
+    """|enum_paths(n, spec)| by one forward sweep, without materializing.
+
+    The state after each position is two vectors indexed by height: the
+    prefixes whose last step went up (or that have no step yet), and those
+    whose last step dropped.  An up-step shifts both by one level; a drop
+    may only follow the first kind and reaches every lower level, so the
+    new drop vector is a suffix sum of the old up vector.
+    """
     _check_spec(n, spec)
     if spec.kind == "special_h":
-        return len(enum_h(n))
-    if (spec.kind == "prime" and n < 3) or n == 0:
-        return len(enum_paths(n, spec))
-    lo, hi, target = _bounds(n, spec)
-    moves = _moves(n, lo, hi, target, spec.start_step, spec.end_step)
-    memo: dict[tuple[int, int, bool], int] = {}
-
-    def tally(i, h, last_down):
-        if i == n:
-            return 1 if (target is None or h == target) else 0
-        key = (i, h, last_down)
-        got = memo.get(key)
-        if got is None:
-            got = sum(tally(i + 1, h2, step < 0)
-                      for step, h2 in moves(i, h, last_down))
-            memo[key] = got
-        return got
-
-    return tally(0, 0, False)
+        return sum(_special_h_table(n)[n])
+    short = _short(n, spec)
+    if short is not None:
+        return len(short)
+    low, high, target = _window(n, spec)
+    base = min(low)
+    size = max(high) - base + 1
+    up = [0] * size
+    down = [0] * size
+    up[-base] = 1
+    for i in range(n):
+        ups, drops = _step_kinds(i, n, spec)
+        new_up = [0] * size
+        if ups:
+            new_up[1:] = [u + d for u, d in zip(up, down)][:-1]
+        new_down = [0] * size
+        if drops:
+            tails = list(accumulate(reversed(up)))  # sums of up[size-1-r:]
+            new_down[:-1] = tails[-2::-1]
+        keep_from = min(low[i + 1] - base, size)
+        keep_to = max(high[i + 1] - base + 1, keep_from)
+        for vec in (new_up, new_down):
+            vec[:keep_from] = [0] * keep_from
+            vec[keep_to:] = [0] * (size - keep_to)
+        up, down = new_up, new_down
+    if target is None:
+        return sum(up) + sum(down)
+    if not base <= target < base + size:
+        return 0
+    return up[target - base] + down[target - base]
 
 
 # ---------- the special-height family ----------
@@ -219,6 +248,30 @@ def enum_h(n: int) -> list[LatticePath]:
         members.sort(key=lex_key)
         table[m] = members
     return table[n]
+
+
+def _special_h_table(n: int) -> list[list[int]]:
+    """rows[m][h]: special-height members of length m and height exactly h.
+
+    enum_h's grammar, counted: an arch of length j is UD (height 1) or the
+    raise of a nonempty member of length j - 1 (one level higher), and it
+    takes every body of length m - j that is no higher than itself.
+    """
+    rows: list[list[int]] = []
+    no_higher: list[list[int]] = []  # running sums of each row over height
+    for m in range(n + 1):
+        row = [1] if m == 0 else [0] * (m + 1)
+        for j in range(2, m + 1):
+            bodies = no_higher[m - j]
+            if j == 2:
+                row[1] += bodies[min(1, m - j)]
+                continue
+            for h, arches in enumerate(rows[j - 1]):
+                if arches:
+                    row[h + 1] += arches * bodies[min(h + 1, m - j)]
+        rows.append(row)
+        no_higher.append(list(accumulate(row)))
+    return rows
 
 
 def is_special_height(path: LatticePath) -> bool:
@@ -259,44 +312,41 @@ def enum_motzkin_avoiding(n: int) -> list[str]:
     """
     if n < 0:
         raise ValueError("length must be nonnegative")
+    if n == 0:
+        return [""]
     out: list[str] = []
-    word: list[str] = []
+    word = [""] * n
+    pending: list[tuple[int, str, int]] = []  # index, step, height after
 
-    def walk(i, h, last):
-        if h > n - i:  # cannot come back down in time
-            return
-        if i == n:
-            if h == 0:
-                out.append("".join(word))
-            return
-        for step, h2 in _motzkin_moves(h, last):
-            word.append(step)
-            walk(i + 1, h2, step)
-            word.pop()
+    def push(i, h, last):
+        for step, h2 in reversed(list(_motzkin_moves(h, last))):
+            if h2 < n - i:  # can still come back down in time
+                pending.append((i, step, h2))
 
-    walk(0, 0, "")
+    push(0, 0, "")
+    while pending:
+        i, step, h = pending.pop()
+        word[i] = step
+        if i < n - 1:
+            push(i + 1, h, step)
+        else:  # the last step can only land on the axis
+            out.append("".join(word))
     return out
 
 
 def count_motzkin_avoiding(n: int) -> int:
+    """|enum_motzkin_avoiding(n)| by a forward sweep over heights 0..n//2,
+    one vector per kind of last step (no step yet counts as an up-step)."""
     if n < 0:
         raise ValueError("length must be nonnegative")
-    memo: dict[tuple[int, int, str], int] = {}
-
-    def tally(i, h, last):
-        if h > n - i:
-            return 0
-        if i == n:
-            return 1 if h == 0 else 0
-        key = (i, h, last)
-        got = memo.get(key)
-        if got is None:
-            got = sum(tally(i + 1, h2, step)
-                      for step, h2 in _motzkin_moves(h, last))
-            memo[key] = got
-        return got
-
-    return tally(0, 0, "")
+    top = n // 2  # anything higher cannot come back down in time
+    up, down, level = [1] + [0] * top, [0] * (top + 1), [0] * (top + 1)
+    for _ in range(n):
+        free = [u + d for u, d in zip(up, down)]  # may go up or drop
+        up, down, level = ([0] + free[:-1],
+                           [f + h for f, h in zip(free[1:], level[1:])] + [0],
+                           down)
+    return up[0] + down[0] + level[0]
 
 
 # ---------- compositions with parity constraints ----------

@@ -20,8 +20,6 @@ import os
 import re
 import tempfile
 import threading
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 from importlib import resources
 
@@ -154,6 +152,11 @@ def _write_cache(seq_id: str, terms: tuple[int, ...]) -> None:
 
 def _http_get(url: str, timeout: float) -> str:
     """GET the url; UnknownSequence on 404, OSError on anything else."""
+    # imported here: urllib costs every launch tens of milliseconds, and
+    # only a network fetch needs it
+    import urllib.error
+    import urllib.request
+
     try:
         with urllib.request.urlopen(url, timeout=timeout) as response:
             return response.read().decode("utf-8")

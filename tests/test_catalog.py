@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airpockets import catalog
 from airpockets import reference as ref
 from airpockets.catalog import (
     GDAP_NAMES,
@@ -37,6 +38,7 @@ from airpockets.catalog import (
 from airpockets.enumeration import FamilySpec, count_paths, enum_h
 from airpockets.errors import (
     BadParams,
+    ConsistencyError,
     IndexOutOfRange,
     InfeasibleSpec,
     OrderMismatch,
@@ -327,6 +329,17 @@ def test_climb_quadratic():
     x = TruncatedSeries.monomial(1, 30)
     kernel = TruncatedSeries.polynomial((1, 1, -1), 30)
     assert x * (s * s) - kernel * s + 1 == TruncatedSeries.zero(30)
+
+
+def test_climb_quadratic_check_executes(monkeypatch):
+    # a residual that never reads as zero must stop the climb series
+    monkeypatch.setattr(TruncatedSeries, "is_zero", lambda self: False)
+    catalog._climb.cache_clear()
+    try:
+        with pytest.raises(ConsistencyError, match="quadratic"):
+            catalog._climb(12)
+    finally:
+        catalog._climb.cache_clear()
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from airpockets import reference as ref
 from airpockets import verify
 from airpockets.cli import main
 
@@ -53,6 +54,16 @@ def test_series_bad_params(capsys):
 def test_series_negative_order(capsys):
     code, _, _ = run(capsys, "series", "G", "--order", "-1")
     assert code == 3
+
+
+def test_series_exact_height_rejects_negative_k(capsys):
+    code, out, err = run(capsys, "series", "Ak", "--k", "-1", "--order", "5")
+    assert code == 3
+    assert out == ""
+    assert err != ""
+    code, out, _ = run(capsys, "series", "Ak", "--k", "0", "--order", "5")
+    assert code == 0
+    assert out == "1 0 0 0 0 0\n"
 
 
 def test_series_json_roundtrip_is_byte_identical(capsys):
@@ -117,6 +128,91 @@ def test_enumerate_count_matches_list_length(capsys):
                        "--end-ordinate", "1", "--length", "5", "--count")
     assert code == 0
     assert int(out) == len(listed)
+
+
+def _band_count(floor, ceiling, length):
+    """Axis-to-axis paths in [floor, ceiling]: a transfer-matrix power over
+    (height, whether the last step dropped)."""
+    states = [(h, dropped) for h in range(floor, ceiling + 1)
+              for dropped in (False, True)]
+    index = {state: i for i, state in enumerate(states)}
+    size = len(states)
+    step = [[0] * size for _ in range(size)]
+    for (h, dropped), i in index.items():
+        if h < ceiling:
+            step[i][index[h + 1, False]] = 1
+        if not dropped:
+            for lower in range(floor, h):
+                step[i][index[lower, True]] = 1
+
+    def times(a, b):
+        return [[sum(a[i][k] * b[k][j] for k in range(size))
+                 for j in range(size)] for i in range(size)]
+
+    power = [[int(i == j) for j in range(size)] for i in range(size)]
+    while length:
+        if length & 1:
+            power = times(power, step)
+        step = times(step, step)
+        length >>= 1
+    start = index[0, False]
+    return power[start][index[0, False]] + power[start][index[0, True]]
+
+
+def test_enumerate_band_count_at_length_600(capsys):
+    code, out, err = run(capsys, "enumerate", "--family", "gdap",
+                         "--min-y", "-2", "--max-y", "2",
+                         "--length", "600", "--count")
+    assert (code, err) == (0, "")
+    assert int(out) == _band_count(-2, 2, 600)
+    assert _band_count(-2, 2, 7) == ref.BAND_SYM_COUNTS[2][7]
+
+
+def test_enumerate_dap_count_at_length_1200(capsys):
+    code, out, err = run(capsys, "enumerate", "--family", "dap",
+                         "--length", "1200", "--count")
+    assert (code, err) == (0, "")
+    # first-return decomposition: a = x^2 + x^2 a + x a + x a^2
+    a = [0] * 1201
+    for n in range(2, 1201):
+        a[n] = int(n == 2) + a[n - 2] + a[n - 1] + sum(
+            a[i] * a[n - 1 - i] for i in range(2, n - 2))
+    assert a[:11] == list(ref.DAP_COUNTS)
+    assert int(out) == a[1200]
+
+
+def test_enumerate_long_band_listing(capsys):
+    code, out, err = run(capsys, "enumerate", "--family", "gdap",
+                         "--min-y", "0", "--max-y", "1",
+                         "--length", "2000", "--list")
+    assert (code, err) == (0, "")
+    assert out == "UD" * 1000 + "\n"
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_enumerate_motzkin(capsys, n):
+    code, out, _ = run(capsys, "enumerate", "--family", "motzkin",
+                       "--length", str(n), "--count")
+    assert code == 0
+    assert int(out) == ref.SPECIAL_H_COUNTS[n]
+    code, out, _ = run(capsys, "enumerate", "--family", "motzkin",
+                       "--length", str(n), "--list", "--format", "json")
+    assert code == 0
+    words = json.loads(out)["paths"]
+    assert len(words) == len(set(words)) == ref.SPECIAL_H_COUNTS[n]
+    assert all(len(w) == n for w in words if w != "ε")
+
+
+@pytest.mark.parametrize("flag", [["--min-y", "0"], ["--max-y", "2"],
+                                  ["--end-ordinate", "0"],
+                                  ["--end-step", "down"],
+                                  ["--start-step", "up"]])
+def test_enumerate_motzkin_rejects_window_flags(capsys, flag):
+    code, out, err = run(capsys, "enumerate", "--family", "motzkin",
+                         "--length", "6", "--count", *flag)
+    assert code == 3
+    assert out == ""
+    assert err != ""
 
 
 def test_enumerate_infeasible_spec(capsys):

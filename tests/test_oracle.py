@@ -2,6 +2,8 @@
 against exhaustive slices, and the composition/Motzkin side families."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airpockets import reference as ref
 from airpockets.enumeration import (
@@ -54,6 +56,54 @@ def test_counts_match_printed_examples():
     assert count_paths(5, FamilySpec("gdap", min_y=0, max_y=2)) == 3
     assert count_paths(7, FamilySpec("gdap", min_y=-1, max_y=1)) == 10
     assert count_paths(6, FamilySpec("prefix_gdap", min_y=-1)) == 82
+
+
+# ---------- the counting sweep against the walker ----------
+
+@st.composite
+def family_specs(draw):
+    kind = draw(st.sampled_from(["gdap", "dap", "prime", "prefix_gdap"]))
+    maybe = lambda values: draw(st.one_of(st.none(), values))
+    return FamilySpec(kind,
+                      min_y=maybe(st.integers(-4, 1)),
+                      max_y=maybe(st.integers(-1, 5)),
+                      end_ordinate=maybe(st.integers(-4, 6)),
+                      start_step=maybe(st.sampled_from(["up", "down"])),
+                      end_step=maybe(st.sampled_from(["up", "down"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 10), spec=family_specs())
+def test_count_is_number_listed(n, spec):
+    try:
+        listed = enum_paths(n, spec)
+    except InfeasibleSpec:
+        with pytest.raises(InfeasibleSpec):
+            count_paths(n, spec)
+        return
+    assert count_paths(n, spec) == len(listed)
+    assert [lex_key(p) for p in listed] == sorted(lex_key(p) for p in listed)
+
+
+def test_special_h_count_is_number_built():
+    for n in range(17):
+        assert count_paths(n, FamilySpec("special_h")) == len(enum_h(n))
+
+
+def test_motzkin_count_past_the_recursion_limit():
+    # heights bounded by the steps left, states keyed by the last letter,
+    # each word checked against the forbidden factors as it grows
+    n = 1100
+    states = {(0, ""): 1}
+    for i in range(n):
+        grown: dict[tuple[int, str], int] = {}
+        for (h, last), ways in states.items():
+            for letter, h2 in (("U", h + 1), ("D", h - 1), ("H", h)):
+                if 0 <= h2 <= n - i - 1 and last + letter not in \
+                        ("UH", "HU", "HH", "H"):
+                    grown[h2, letter] = grown.get((h2, letter), 0) + ways
+        states = grown
+    assert count_motzkin_avoiding(n) == sum(states.values())
 
 
 # ---------- frozen sequences, counted two ways ----------
