@@ -19,10 +19,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    ConsistencyError,
     NotAlternating,
     NotInCPrime,
     NotInFamily,
+    _require,
 )
 from .paths import UD, UP, LatticePath, classify
 
@@ -30,11 +30,6 @@ Composition = tuple[int, ...]
 
 _D1 = -1
 _D2 = -2
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConsistencyError(message)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ from .errors import (
     OrderMismatch,
     SingularToOrder,
     UnknownName,
+    _require,
 )
 from .series import TruncatedSeries
 
@@ -51,11 +52,6 @@ Poly = tuple[int, ...]
 P_ZERO: Poly = ()
 P_ONE: Poly = (1,)
 P_X: Poly = (0, 1)
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ConsistencyError(message)
 
 
 # ---------- integer polynomial arithmetic ----------
@@ -338,9 +334,7 @@ def _dap_fixed_point(order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def _dap(order: int) -> TruncatedSeries:
-    big = order + 1
-    num = TruncatedSeries.polynomial((1, -1, -1), big) - _root(big)
-    closed = (num / 2).shift(-1)
+    closed = _climb(order) - 1   # the climb root less its constant term
     _require(closed == _dap_fixed_point(order),
              "dap series: closed form and fixed point disagree")
     return closed
@@ -479,11 +473,8 @@ def gf_prefix_negative(k: int, order: int) -> TruncatedSeries:
     """
     if k > -1:
         raise ValueError("ordinate must be <= -1")
-    big = order + 1
-    s = _climb(big)
-    drop = ((s - 1) * s ** (-k - 1)).shift(-1)
-    g0 = _gdap_bundle(big)["g0"]
-    result = drop * (1 + g0.shift(-1))
+    g0 = _gdap_bundle(order + 1)["g0"]
+    result = _drop_factor(k, order) * (1 + g0.shift(-1))
     if k == -1:
         _require(result.shift(1) == _gdap_bundle(order)["Gp"] - 1,
                  "ordinate -1 prefixes must shift onto the nonempty up-starters")
@@ -646,11 +637,11 @@ def _axis_gate_closed(t: int, order: int) -> TruncatedSeries:
 @lru_cache(maxsize=None)
 def _bounded_table(t: int, order: int) -> dict:
     solved = solve_series_system(band_series_system(0, t, order))
-    den = TruncatedSeries.polynomial(_det_checked(t, max(order, 2 * t) + 1), order)
+    den = poly_D(t, order)
     table = {}
     for k in range(t + 1):
-        fk = TruncatedSeries.polynomial(_num_checked(k, t), order) / den
-        gk = TruncatedSeries.polynomial(_num_checked(t + 1 + k, t), order) / den
+        fk = poly_N(k, t, order) / den
+        gk = poly_N(t + 1 + k, t, order) / den
         _require(fk == solved[k] and gk == solved[t + 1 + k],
                  f"band (0, {t}) ordinate {k}: Cramer and elimination disagree")
         table[("f", k)] = fk
@@ -685,9 +676,7 @@ def _sym_table(t: int, order: int) -> dict:
         table[("f", k)] = solved[k + t]
         table[("g", k)] = solved[span + k + t]
     num = _pmul(_det_rec(t - 1), _padd(_det_rec(t), _num_checked(t + 1, t)))
-    probe = max(order, 4 * t) + 1
-    closed = (TruncatedSeries.polynomial(num, order)
-              / TruncatedSeries.polynomial(_det_checked(2 * t, probe), order))
+    closed = TruncatedSeries.polynomial(num, order) / poly_D(2 * t, order)
     _require(table[("f", 0)] + table[("g", 0)] == closed,
              f"band (-{t}, {t}): axis total disagrees with its closed form")
     table[("total", 0)] = closed

@@ -213,8 +213,7 @@ def _cmd_map(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         report = run_suite(args.suite, max_n=args.max_n, order=args.order,
-                           offline=args.offline, refresh=args.refresh,
-                           threads=args.threads)
+                           offline=args.offline, refresh=args.refresh)
     except ValueError as exc:
         return _fail(EXIT_BAD_PARAMS, str(exc))
     passed = sum(1 for c in report.checks if c.status == "pass")
@@ -304,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--order", type=int, default=20)
     p_verify.add_argument("--offline", action="store_true")
     p_verify.add_argument("--refresh", action="store_true")
-    p_verify.add_argument("--threads", type=int, default=None)
     p_verify.add_argument("--format", choices=("plain", "json", "csv"),
                           default="plain")
     p_verify.set_defaults(handler=_cmd_verify)

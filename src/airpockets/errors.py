@@ -67,6 +67,11 @@ class ConsistencyError(AirpocketsError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise ConsistencyError(message)
+
+
 # ---------- series catalog ----------
 
 class UnknownName(AirpocketsError):

@@ -337,6 +337,26 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert info.value.code == 3
 
 
+def test_verify_has_no_threads_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--suite", "paper-series", "--threads", "2"])
+    assert info.value.code == 3
+
+
+def test_verify_order_floor_fits_every_cited_run(capsys):
+    # Gm1 has four leading zeros: a 9-term run against A110320 needs
+    # order 12, so order 11 is refused instead of failing the alignment
+    code, out, err = run(capsys, "verify", "--suite", "oeis", "--offline",
+                         "--order", "11")
+    assert code == 3
+    assert out == ""
+    assert "at least 12" in err
+    code, out, _ = run(capsys, "verify", "--suite", "oeis", "--offline",
+                       "--order", "12")
+    assert code == 0
+    assert "18/18 checks passed" in out
+
+
 # ------------------------------------------------------------ entry point
 
 def test_module_entry_point():

@@ -73,10 +73,9 @@ def test_report_is_deterministic_across_runs():
     assert first == second
 
 
-def test_single_thread_matches_fanout():
-    pooled = run_suite("paper-series")
-    serial = run_suite("paper-series", threads=1)
-    assert pooled == serial
+def test_run_suite_takes_no_threads():
+    with pytest.raises(TypeError):
+        run_suite("paper-series", threads=1)
 
 
 @pytest.mark.parametrize("kwargs", [
