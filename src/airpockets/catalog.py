@@ -5,33 +5,24 @@ exact at the requested order: intermediate steps that shrink the order
 (division by x, x^2 or x^3) are padded internally and truncated back down
 at the end, so callers never receive fewer coefficients than asked for.
 
-Wherever two independent derivations exist, both are computed and compared
-inside the call.  The pairings are:
+Each catalog name has one route, and a call runs that route alone.  The
+independent derivations that tie a family to a second route (fixed
+points, first-return systems, band eliminations, radical closed forms,
+Bareiss determinants, the ceiling recurrence run backward) live in
+verify.DUAL_PATHS and run in `verify --suite paper-series` and the tests.
+Three checks on an algorithm's own output stay in the call: the series
+solver substitutes its solution back into the system, and the climb and
+special-height roots are checked against their quadratics.  A failed
+check raises ConsistencyError and always means a bug in this package,
+never bad input.
 
-* dap series: radical closed form vs. fixed point of the first-return
-  equation,
-* whole-path series: closed forms vs. Gaussian elimination on the
-  first-return systems,
-* minorized prefixes: kernel closed form vs. a banded ordinate system
-  solved by substitution sweeps,
-* band determinants: linear recurrence vs. radical closed form vs. a
-  fraction-free determinant of the assembled matrix,
-* band numerators: recurrence vs. the column-replaced determinant,
-* bounded-height tables: determinant quotients vs. elimination on the
-  band system, with the extra radical closed forms asserted on the axis
-  entries,
-* ceiling-limited special-height series: forward recurrence with the
-  backward one-step relation asserted on every consecutive pair.
-
-A mismatch raises ConsistencyError and always means a bug in this package,
-never bad input.  Evaluations are pure; results are memoized per
-(parameters, order) with lru_cache, which is safe under concurrent lookup.
+Evaluations are pure; results are memoized per (parameters, order) with
+lru_cache, which is safe under concurrent lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (
@@ -301,11 +292,8 @@ def _root(order: int) -> TruncatedSeries:
 
 @lru_cache(maxsize=None)
 def _climb(order: int) -> TruncatedSeries:
-    """The power-series root s of x·s^2 - (1+x-x^2)·s + 1 = 0.
-
-    Coefficient n counts the axis-to-ordinate-1... more usefully: s drives
-    every prefix family below; the quadratic residual is asserted here.
-    """
+    """The power-series root s of x·s^2 - (1+x-x^2)·s + 1 = 0, checked
+    against that quadratic; s drives every prefix family below."""
     big = order + 1
     num = TruncatedSeries.polynomial((1, 1, -1), big) - _root(big)
     s = (num / 2).shift(-1)
@@ -317,36 +305,12 @@ def _climb(order: int) -> TruncatedSeries:
 
 # ---------- the dap series and the whole-path family ----------
 
-def _dap_fixed_point(order: int) -> TruncatedSeries:
-    # iterate the first-return equation a = x^2 + x^2 a + x a + x a^2;
-    # every right-hand term carries a factor x or x^2, so each pass pins
-    # at least one more coefficient
-    x = TruncatedSeries.monomial(1, order)
-    x2 = TruncatedSeries.monomial(2, order)
-    a = TruncatedSeries.zero(order)
-    for _ in range(order + 2):
-        nxt = x2 + x2 * a + x * a + x * (a * a)
-        if nxt == a:
-            return a
-        a = nxt
-    raise ConsistencyError("first-return fixed point did not stabilize")
-
-
-@lru_cache(maxsize=None)
-def _dap(order: int) -> TruncatedSeries:
-    closed = _climb(order) - 1   # the climb root less its constant term
-    _require(closed == _dap_fixed_point(order),
-             "dap series: closed form and fixed point disagree")
-    return closed
-
-
 def gf_dap(order: int) -> TruncatedSeries:
     """Nonempty axis-to-axis path counts, one coefficient per length.
 
-    Computed from the radical closed form and cross-checked against the
-    fixed point of the first-return equation.
+    The climb root less its constant term.
     """
-    return _dap(order)
+    return _climb(order) - 1
 
 
 GDAP_NAMES = ("Gp1", "Gp2", "Gp", "Gm", "G", "Gm1", "Gm2", "f0", "g0")
@@ -367,32 +331,6 @@ def _gdap_bundle(order: int) -> dict:
     g = (rad + up_front * r) / ((down_front + r) * rad)
     f0 = (up_front + r) / (2 * r) - 1
     g0 = (down_front - r).shift(1) / (2 * r)
-
-    # independent route: solve the first-return systems, with the step
-    # weights built from the fixed-point dap series (no radical involved)
-    a = _dap_fixed_point(big)
-    arch = TruncatedSeries.monomial(2, big) + a.shift(1)   # x^2 + x·a
-    x = TruncatedSeries.monomial(1, big)
-    one = TruncatedSeries.one(big)
-    zero = TruncatedSeries.zero(big)
-    upper = SeriesSystem.build(
-        ((one, zero, -arch),
-         (-(x + a), one - arch, zero),
-         (-one, -one, one)),
-        (zero, zero, one))
-    s_gp1, s_gp2, s_gp = solve_series_system(upper)
-    lower = SeriesSystem.build(
-        ((one, -arch),
-         (zero, one - arch)),
-        (zero, s_gp))
-    s_gm, s_g = solve_series_system(lower)
-    for label, closed, solved in (("Gp1", gp1, s_gp1), ("Gp2", gp2, s_gp2),
-                                  ("Gp", gp, s_gp), ("Gm", gm, s_gm),
-                                  ("G", g, s_g)):
-        _require(closed == solved,
-                 f"{label}: closed form and system solve disagree")
-    _require(g == gp + gm, "G must split into up-starting and down-starting")
-    _require(g == 1 + f0 + g0, "G must split into empty, up-ending, down-ending")
     gm2 = gp1                 # mirror-and-merge pairing
     gm1 = gm - gm2
     table = {"Gp1": gp1, "Gp2": gp2, "Gp": gp, "Gm": gm, "G": g,
@@ -444,219 +382,88 @@ def gf_prefix_positive(k: int, order: int) -> TruncatedSeries:
 def gf_prefix_positive_total(order: int) -> TruncatedSeries:
     """Prefixes ending strictly above the axis, all ordinates pooled.
 
-    The radical closed form is asserted against the sum of the per-ordinate
-    series (ordinates beyond the order cannot contribute).
+    The radical closed form.
     """
     big = order + 1
     r = _root(big)
     num = (TruncatedSeries.polynomial((-1, -1, 1), big) + r) ** 2
-    closed = (num / (4 * r)).shift(-1)
-    f0 = _gdap_bundle(order)["f0"]
-    s = _climb(order)
-    riser = TruncatedSeries.monomial(1, order) * s
-    term = riser * s                      # ordinate-1 factor
-    acc = TruncatedSeries.zero(order)
-    for _ in range(1, order + 1):
-        acc = acc + term
-        term = term * riser
-    _require(closed == (1 + f0) * acc,
-             "positive-prefix total: closed form and ordinate sum disagree")
-    return closed
+    return (num / (4 * r)).shift(-1)
 
 
 @lru_cache(maxsize=None)
 def gf_prefix_negative(k: int, order: int) -> TruncatedSeries:
-    """Prefixes ending at negative ordinate k (both final-step kinds).
-
-    The two shift correspondences tie the family back to the whole-path
-    series and are asserted here for k = -1 and k = -2.
-    """
+    """Prefixes ending at negative ordinate k (both final-step kinds)."""
     if k > -1:
         raise ValueError("ordinate must be <= -1")
     g0 = _gdap_bundle(order + 1)["g0"]
-    result = _drop_factor(k, order) * (1 + g0.shift(-1))
-    if k == -1:
-        _require(result.shift(1) == _gdap_bundle(order)["Gp"] - 1,
-                 "ordinate -1 prefixes must shift onto the nonempty up-starters")
-    if k == -2:
-        _require(result.shift(2) == _gdap_bundle(order)["Gp2"],
-                 "ordinate -2 prefixes must shift onto the up-enders")
-    return result
-
-
-@lru_cache(maxsize=None)
-def _minorized_band_total(m: int, order: int) -> TruncatedSeries:
-    # substitution sweeps over the [m, order] band: a length-n prefix
-    # cannot climb above n, so a ceiling at the order is exact
-    hi = order
-    zero = TruncatedSeries.zero(order)
-    one = TruncatedSeries.one(order)
-    f = {k: zero for k in range(m, hi + 1)}
-    g = dict(f)
-    for _ in range(order + 2):
-        changed = False
-        for k in range(m, hi + 1):
-            val = one if k == 0 else zero
-            if k - 1 >= m:
-                val = val + (f[k - 1] + g[k - 1]).shift(1)
-            if val != f[k]:
-                f[k] = val
-                changed = True
-        suffix = zero
-        for k in range(hi, m - 1, -1):
-            val = suffix.shift(1)
-            if val != g[k]:
-                g[k] = val
-                changed = True
-            suffix = suffix + f[k]
-        if not changed:
-            total = zero
-            for k in range(m, hi + 1):
-                total = total + f[k] + g[k]
-            return total
-    raise ConsistencyError("band substitution did not reach a fixed point")
+    return _drop_factor(k, order) * (1 + g0.shift(-1))
 
 
 @lru_cache(maxsize=None)
 def gf_minorized(m: int, order: int) -> TruncatedSeries:
     """Prefixes that never dip below the floor y = m (empty path included).
 
-    Kernel closed form, asserted against the banded substitution solve.
+    The kernel closed form.
     """
     if m > 0:
         raise ValueError("floor must be <= 0")
     big = order + 3
     s = _climb(big)
     num = s ** (-m) - s ** (-1 - m) - TruncatedSeries.monomial(2, big)
-    closed = num.shift(-3)
-    _require(closed == _minorized_band_total(m, order),
-             "minorized total: closed form and band solve disagree")
-    return closed
+    return num.shift(-3)
 
 
 # ---------- band determinants and numerators ----------
 
-@lru_cache(maxsize=None)
-def _det_rec(t: int) -> Poly:
-    if t == 0:
-        return (1,)
-    if t == 1:
-        return (1, 0, -1)
-    return _psub(_pmul((1, 1, -1), _det_rec(t - 1)),
-                 _pmul(P_X, _det_rec(t - 2)))
+def _pshift(a: Poly, j: int) -> Poly:
+    return (0,) * j + a if a else P_ZERO
 
 
 @lru_cache(maxsize=None)
-def _det_closed_series(t: int, order: int) -> TruncatedSeries:
-    # pole-free rearrangement of the radical closed form: the two
-    # conjugate denominators multiply to -4x, so clearing them leaves a
-    # polynomial numerator over the square root alone
-    w = _root(order)
-    d1 = w + TruncatedSeries.polynomial((1, 1, -1), order)
-    d2 = w + TruncatedSeries.polynomial((-1, -1, 1), order)
-    n1 = w + TruncatedSeries.polynomial((-1, 1, -1), order)
-    n2 = w + TruncatedSeries.polynomial((1, -1, 1), order)
-    num = n1 * d2 ** (t + 1) + (-1) ** (t + 1) * (n2 * d1 ** (t + 1))
-    return (num / w) * Fraction(2 ** t, (-4) ** (t + 1))
-
-
-@lru_cache(maxsize=None)
-def _det_direct(t: int) -> Poly:
-    return poly_det(band_poly_matrix(0, t)[0])
-
-
-@lru_cache(maxsize=None)
-def _det_checked(t: int, probe: int) -> Poly:
-    rec = _det_rec(t)
-    _require(TruncatedSeries.polynomial(rec, probe) == _det_closed_series(t, probe),
-             f"band determinant {t}: recurrence and closed form disagree")
-    _require(_det_direct(t) == rec,
-             f"band determinant {t}: recurrence and direct determinant disagree")
-    return rec
+def _det_and_gate(t: int) -> tuple[Poly, Poly]:
+    # one sweep of D_t = (1+x-x^2)·D_{t-1} - x·D_{t-2} from D_{-1} = D_0 = 1,
+    # carrying the gate numerator N_{t+1}^t = x^2·D_{t-1} + x·N_t^{t-1}
+    before, det, gate = P_ONE, P_ONE, P_ZERO
+    for _ in range(t):
+        gate = _padd(_pshift(det, 2), _pshift(gate, 1))
+        before, det = det, _psub(_pmul((1, 1, -1), det), _pshift(before, 1))
+    return det, gate
 
 
 def poly_D(t: int, order: int) -> TruncatedSeries:
     """Determinant polynomial of the height-(0..t) band system.
 
-    Computed by the linear recurrence and asserted equal to both the
-    radical closed form (through the given order) and the fraction-free
-    determinant of the assembled matrix.
+    Computed by its three-term linear recurrence.
     """
     if t < 0:
         raise ValueError("band height must be >= 0")
-    probe = max(order, 2 * t) + 1
-    return TruncatedSeries.polynomial(_det_checked(t, probe), order)
-
-
-@lru_cache(maxsize=None)
-def _num_rec(k: int, t: int) -> Poly:
-    if k == 0:
-        return _det_rec(t)
-    if k == 2 * t + 1:
-        return P_ZERO
-    if 1 <= k <= t:
-        return _pmul(P_X, _num_rec(k - 1, t - 1))
-    if k == t + 1:
-        return _padd(_pmul((0, 0, 1), _det_rec(t - 1)),
-                     _pmul(P_X, _num_rec(t, t - 1)))
-    return _pmul(P_X, _num_rec(k - 2, t - 1))   # t+2 <= k <= 2t
-
-
-@lru_cache(maxsize=None)
-def _num_checked(k: int, t: int) -> Poly:
-    rec = _num_rec(k, t)
-    _require(band_cramer_numerator(0, t, k) == rec,
-             f"band numerator ({k}, {t}): recurrence and determinant disagree")
-    return rec
+    return TruncatedSeries.polynomial(_det_and_gate(t)[0], order)
 
 
 def poly_N(k: int, t: int, order: int) -> TruncatedSeries:
     """Cramer numerator polynomial for unknown k of the height-(0..t) band.
 
     Unknowns 0..t are the f ordinates, t+1..2t+1 the g ordinates.  Built
-    by the index recurrences and asserted against the column-replaced
-    determinant.
+    from the determinant sweep: x^k·D_{t-k} for an f ordinate, and
+    x^(k-t-1)·N_{s+1}^s with s = 2t+1-k for a g ordinate.
     """
     if t < 0 or not 0 <= k <= 2 * t + 1:
         raise IndexOutOfRange(f"numerator index ({k}, {t}) outside 0..{2 * t + 1}")
-    return TruncatedSeries.polynomial(_num_checked(k, t), order)
+    if k <= t:
+        return TruncatedSeries.polynomial(_pshift(_det_and_gate(t - k)[0], k), order)
+    gate = _det_and_gate(2 * t + 1 - k)[1]
+    return TruncatedSeries.polynomial(_pshift(gate, k - t - 1), order)
 
 
 # ---------- bounded-height tables ----------
 
 @lru_cache(maxsize=None)
-def _axis_gate_closed(t: int, order: int) -> TruncatedSeries:
-    # radical closed form for the numerator of the axis down-ending entry
-    w = _root(order)
-    d1 = w + TruncatedSeries.polynomial((1, 1, -1), order)
-    d2 = w + TruncatedSeries.polynomial((-1, -1, 1), order)
-    num = d1 ** t - (-1) ** t * (d2 ** t)
-    return (num / w).shift(2) * Fraction(1, 2 ** t)
-
-
-@lru_cache(maxsize=None)
-def _bounded_table(t: int, order: int) -> dict:
-    solved = solve_series_system(band_series_system(0, t, order))
-    den = poly_D(t, order)
-    table = {}
-    for k in range(t + 1):
-        fk = poly_N(k, t, order) / den
-        gk = poly_N(t + 1 + k, t, order) / den
-        _require(fk == solved[k] and gk == solved[t + 1 + k],
-                 f"band (0, {t}) ordinate {k}: Cramer and elimination disagree")
-        table[("f", k)] = fk
-        table[("g", k)] = gk
-    _require(table[("g", 0)] == _axis_gate_closed(t, order) / den,
-             f"band (0, {t}): axis series disagrees with its closed form")
-    return table
-
-
 def gf_bounded_0t(k: int, t: int, kind: str, order: int) -> TruncatedSeries:
     """Prefixes confined to 0 <= y <= t ending at ordinate k.
 
     kind "f" selects the up-ending series (empty path included at k = 0),
     kind "g" the down-ending series; g at k = 0 counts the nonempty
-    confined paths that return to the axis.
+    confined paths that return to the axis.  Each is its Cramer quotient.
     """
     if t < 1:
         raise ValueError("band height must be >= 1")
@@ -664,34 +471,27 @@ def gf_bounded_0t(k: int, t: int, kind: str, order: int) -> TruncatedSeries:
         raise ValueError('kind must be "f" or "g"')
     if not 0 <= k <= t:
         raise IndexOutOfRange(f"ordinate {k} outside 0..{t}")
-    return _bounded_table(t, order)[(kind, k)]
+    column = k if kind == "f" else t + 1 + k
+    return poly_N(column, t, order) / poly_D(t, order)
 
 
 @lru_cache(maxsize=None)
-def _sym_table(t: int, order: int) -> dict:
-    solved = solve_series_system(band_series_system(-t, t, order))
-    span = 2 * t + 1
-    table = {}
-    for k in range(-t, t + 1):
-        table[("f", k)] = solved[k + t]
-        table[("g", k)] = solved[span + k + t]
-    num = _pmul(_det_rec(t - 1), _padd(_det_rec(t), _num_checked(t + 1, t)))
-    closed = TruncatedSeries.polynomial(num, order) / poly_D(2 * t, order)
-    _require(table[("f", 0)] + table[("g", 0)] == closed,
-             f"band (-{t}, {t}): axis total disagrees with its closed form")
-    table[("total", 0)] = closed
-    return table
-
-
 def gf_bounded_sym(t: int, order: int) -> TruncatedSeries:
     """Paths confined to -t <= y <= t that end on the axis (empty included).
 
-    Closed form over the doubled-band determinant, asserted against the
-    elimination solve of the centered band system.
+    Closed form over the doubled-band determinant:
+    D_{t-1}·(D_t + N_{t+1}^t) / D_{2t}.
     """
     if t < 1:
         raise ValueError("band half-height must be >= 1")
-    return _sym_table(t, order)[("total", 0)]
+    det, gate = _det_and_gate(t)
+    num = _pmul(_det_and_gate(t - 1)[0], _padd(det, gate))
+    return TruncatedSeries.polynomial(num, order) / poly_D(2 * t, order)
+
+
+@lru_cache(maxsize=None)
+def _sym_solved(t: int, order: int) -> tuple[TruncatedSeries, ...]:
+    return tuple(solve_series_system(band_series_system(-t, t, order)))
 
 
 def gf_bounded_sym_ordinate(k: int, t: int, kind: str, order: int) -> TruncatedSeries:
@@ -702,7 +502,8 @@ def gf_bounded_sym_ordinate(k: int, t: int, kind: str, order: int) -> TruncatedS
         raise ValueError('kind must be "f" or "g"')
     if not -t <= k <= t:
         raise IndexOutOfRange(f"ordinate {k} outside -{t}..{t}")
-    return _sym_table(t, order)[(kind, k)]
+    column = k + t if kind == "f" else 3 * t + 1 + k
+    return _sym_solved(t, order)[column]
 
 
 # ---------- the special-height family ----------
@@ -711,7 +512,8 @@ _CEILING_RADICAND: Poly = (1, 0, -4, -2, 0, 0, 1)
 
 
 @lru_cache(maxsize=None)
-def _special_height(order: int) -> TruncatedSeries:
+def gf_H(order: int) -> TruncatedSeries:
+    """Length counts of the special-height family (dominating-arch rule)."""
     big = order + 2
     num = TruncatedSeries.polynomial((1, 0, 0, -1), big) \
         - TruncatedSeries.polynomial(_CEILING_RADICAND, big).sqrt()
@@ -722,52 +524,37 @@ def _special_height(order: int) -> TruncatedSeries:
     return b
 
 
-def gf_H(order: int) -> TruncatedSeries:
-    """Length counts of the special-height family (dominating-arch rule)."""
-    return _special_height(order)
-
-
 @lru_cache(maxsize=None)
-def _ceiling_table(kmax: int, order: int) -> tuple:
-    # forward recurrence; each new level is a linear solve, and the
-    # backward one-step relation is asserted on every consecutive pair
-    big = order + 1
-    one = TruncatedSeries.one(big)
-    x = TruncatedSeries.monomial(1, big)
+def _ceiling_table(kmax: int, order: int) -> tuple[TruncatedSeries, ...]:
+    # forward recurrence: each new level is one series division
+    one = TruncatedSeries.one(order)
     levels = [one]
     arch = one
     for i in range(1, kmax + 1):
-        weight = TruncatedSeries.monomial(2 if i == 1 else 1, big)
+        weight = TruncatedSeries.monomial(2 if i == 1 else 1, order)
         level = levels[-1] / (one - weight * arch)
         arch = level - levels[-1]
-        back = (TruncatedSeries.polynomial((1, 1, 0, -1), big) * level - one) \
-            / (x.shift(1) * level + x)
-        _require(back == levels[-1].truncate(order),
-                 f"ceiling {i}: backward relation fails")
         levels.append(level)
-    return tuple(level.truncate(order) for level in levels)
+    return tuple(levels)
 
 
 def gf_H_bounded(k: int, order: int) -> TruncatedSeries:
     """Special-height members of height at most k.
 
     Heights above the length are unreachable, so the result agrees with
-    the full series through min(order, k+1); that agreement is asserted.
+    the full series through min(order, k+1).
     """
     if k < 0:
         raise ValueError("height ceiling must be >= 0")
-    level = _ceiling_table(k, order)[k]
-    _require(level.agrees_through(_special_height(order), min(order, k + 1)),
-             f"ceiling {k} must agree with the full series through {k + 1}")
-    return level
+    return _ceiling_table(k, order)[k]
 
 
 def gf_H_exact(k: int, order: int) -> TruncatedSeries:
     """Special-height members of height exactly k."""
     if k < 0:
         raise ValueError("height must be >= 0")
-    level = gf_H_bounded(k, order)
-    return level - gf_H_bounded(k - 1, order) if k > 0 else level
+    levels = _ceiling_table(k, order)
+    return levels[k] - levels[k - 1] if k > 0 else levels[0]
 
 
 # ---------- the catalog surface ----------

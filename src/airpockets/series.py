@@ -287,7 +287,9 @@ class TruncatedSeries:
         >= -j and the result has order + j.
         """
         if j >= 0:
-            return TruncatedSeries([0] * j + list(self.coeffs), self.order)
+            # past the order every coefficient drops off the window
+            pad = min(j, self.order + 1)
+            return TruncatedSeries([0] * pad + list(self.coeffs), self.order)
         m = -j
         if self.valuation < m:
             raise ValuationUnderflow(

@@ -3,7 +3,8 @@
 Four suites, four check kinds:
 
 - paper-series: every catalog series against its frozen reference
-  expansion (dual_path: closed form vs independently derived counts);
+  expansion and against each independent derivation that DUAL_PATHS
+  lists for its name (dual_path); evaluate itself runs one route only;
 - oracle: catalog coefficients against live exhaustive enumeration
   (oracle_vs_gf), height-bounded families two lengths further;
 - bijections: exhaustive round trips plus image discipline and the
@@ -18,14 +19,24 @@ than aborting the suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import reference as ref
 from .bijections import phi, phi_inv, psi, psi_inv
-from .catalog import evaluate
+from .catalog import (
+    SeriesSystem,
+    band_cramer_numerator,
+    band_poly_matrix,
+    band_series_system,
+    evaluate,
+    poly_det,
+    solve_series_system,
+)
 from .enumeration import FamilySpec, count_paths, enum_compositions, enum_paths
-from .errors import InfeasibleSpec
+from .errors import ConsistencyError, InfeasibleSpec
 from .oeis import CITED_PAIRS, align_and_compare, fetch_sequence
 from .paths import parse_path
+from .series import TruncatedSeries
 
 CHECK_KINDS = ("oracle_vs_gf", "gf_vs_oeis", "bijection_roundtrip",
                "dual_path")
@@ -95,13 +106,254 @@ SERIES_TABLE = (
 )
 
 
-def _check_series_frozen(name, params, expected):
-    got = evaluate(name, len(expected) - 1, **params).series
-    for n, want in enumerate(expected):
-        have = got.coefficient(n)
-        if have != want:
-            return f"n={n}: series {have} != reference {want}"
+def _first_difference(have, want):
+    return next((n for n, (a, b) in enumerate(zip(have, want)) if a != b),
+                None)
+
+
+def _check_duals(name, params, order):
+    for label, derive in DUAL_PATHS.get(name, ()):
+        for claimed, claimed_params, derived in derive(order, **params):
+            have = _series(claimed, derived.order, **claimed_params)
+            n = _first_difference(have.coeffs, derived.coeffs)
+            if n is not None:
+                return (f"{label}: {_subject(claimed, claimed_params)} n={n}: "
+                        f"series {have.coeffs[n]} != derived {derived.coeffs[n]}")
     return None
+
+
+def _check_series_frozen(name, params, expected):
+    order = len(expected) - 1
+    got = evaluate(name, order, **params).series
+    n = _first_difference(got.coeffs, expected)
+    if n is not None:
+        return f"n={n}: series {got.coeffs[n]} != reference {expected[n]}"
+    return _check_duals(name, params, order)
+
+
+# ------------------------------------------------------------ dual paths
+
+# A derivation maps a paper-series row's order and params to claims
+# (catalog name, params, series): evaluating that name at the series' own
+# order must give the series.  Each one reaches the claimed series by a
+# route other than the one evaluate takes, and evaluate never runs it.
+
+def _series(name, order, **params):
+    return evaluate(name, order, **params).series
+
+
+def _whole(poly, order):
+    # a polynomial kept whole, however low the row's order
+    return TruncatedSeries.polynomial(poly, max(order, len(poly) - 1))
+
+
+def _dap_fixed_point(order):
+    # iterate the first-return equation a = x^2 + x^2 a + x a + x a^2;
+    # every right-hand term carries a factor x or x^2, so each pass pins
+    # at least one more coefficient
+    x = TruncatedSeries.monomial(1, order)
+    x2 = TruncatedSeries.monomial(2, order)
+    a = TruncatedSeries.zero(order)
+    for _ in range(order + 2):
+        nxt = x2 + x2 * a + x * a + x * (a * a)
+        if nxt == a:
+            return a
+        a = nxt
+    raise ConsistencyError("first-return fixed point did not stabilize")
+
+
+def _by_fixed_point(order):
+    return [("dap", {}, _dap_fixed_point(order))]
+
+
+def _by_first_return_systems(order):
+    # the step weights come from the fixed-point dap series, no radical
+    a = _dap_fixed_point(order)
+    arch = TruncatedSeries.monomial(2, order) + a.shift(1)   # x^2 + x·a
+    x = TruncatedSeries.monomial(1, order)
+    one = TruncatedSeries.one(order)
+    zero = TruncatedSeries.zero(order)
+    upper = SeriesSystem.build(
+        ((one, zero, -arch),
+         (-(x + a), one - arch, zero),
+         (-one, -one, one)),
+        (zero, zero, one))
+    gp1, gp2, gp = solve_series_system(upper)
+    lower = SeriesSystem.build(
+        ((one, -arch),
+         (zero, one - arch)),
+        (zero, gp))
+    gm, g = solve_series_system(lower)
+    return [("Gp1", {}, gp1), ("Gp2", {}, gp2), ("Gp", {}, gp),
+            ("Gm", {}, gm), ("G", {}, g)]
+
+
+def _by_first_step(order):
+    return [("G", {}, _series("Gp", order) + _series("Gm", order))]
+
+
+def _by_last_step(order):
+    return [("G", {}, 1 + _series("f0", order) + _series("g0", order))]
+
+
+def _by_ordinate_sum(order):
+    # ordinates above the order cannot contribute
+    total = TruncatedSeries.zero(order)
+    for k in range(1, order + 1):
+        total = total + _series("prefix_pos", order, k=k)
+    return [("prefix_pos_total", {}, total)]
+
+
+def _by_shift_correspondence(order, k):
+    # x·P_{-1} = Gp - 1 and x^2·P_{-2} = Gp2
+    whole = (_series("Gp", order + 1) - 1 if k == -1
+             else _series("Gp2", order + 2))
+    return [("prefix_neg", {"k": k}, whole.shift(k))]
+
+
+def _minorized_band_total(m, order):
+    # substitution sweeps over the [m, order] band: a length-n prefix
+    # cannot climb above n, so a ceiling at the order is exact
+    hi = order
+    zero = TruncatedSeries.zero(order)
+    one = TruncatedSeries.one(order)
+    f = {k: zero for k in range(m, hi + 1)}
+    g = dict(f)
+    for _ in range(order + 2):
+        changed = False
+        for k in range(m, hi + 1):
+            val = one if k == 0 else zero
+            if k - 1 >= m:
+                val = val + (f[k - 1] + g[k - 1]).shift(1)
+            if val != f[k]:
+                f[k] = val
+                changed = True
+        suffix = zero
+        for k in range(hi, m - 1, -1):
+            val = suffix.shift(1)
+            if val != g[k]:
+                g[k] = val
+                changed = True
+            suffix = suffix + f[k]
+        if not changed:
+            total = zero
+            for k in range(m, hi + 1):
+                total = total + f[k] + g[k]
+            return total
+    raise ConsistencyError("band substitution did not reach a fixed point")
+
+
+def _by_band_substitution(order, m):
+    return [("minorized", {"m": m}, _minorized_band_total(m, order))]
+
+
+def _by_band_elimination(order, t):
+    solved = solve_series_system(band_series_system(0, t, order))
+    claims = []
+    for k in range(t + 1):
+        claims.append(("fkt", {"k": k, "t": t}, solved[k]))
+        claims.append(("gkt", {"k": k, "t": t}, solved[t + 1 + k]))
+    return claims
+
+
+def _radical_parts(order):
+    # the kernel square root w and the conjugate denominators w ± (1+x-x^2)
+    w = _series("W", order)
+    return (w, w + TruncatedSeries.polynomial((1, 1, -1), order),
+            w + TruncatedSeries.polynomial((-1, -1, 1), order))
+
+
+def _by_axis_radical(order, t):
+    # radical closed form for the numerator of the axis down-ending entry
+    w, d1, d2 = _radical_parts(order)
+    num = d1 ** t - (-1) ** t * (d2 ** t)
+    gate = (num / w).shift(2) * Fraction(1, 2 ** t)
+    return [("g0t", {"t": t}, gate / _series("D", order, t=t))]
+
+
+def _by_det_radical(order, t):
+    # pole-free rearrangement of the radical closed form: the two
+    # conjugate denominators multiply to -4x, so clearing them leaves a
+    # polynomial numerator over the square root alone
+    order = max(order, 2 * t)   # D_t has degree 2t
+    w, d1, d2 = _radical_parts(order)
+    n1 = w + TruncatedSeries.polynomial((-1, 1, -1), order)
+    n2 = w + TruncatedSeries.polynomial((1, -1, 1), order)
+    num = n1 * d2 ** (t + 1) + (-1) ** (t + 1) * (n2 * d1 ** (t + 1))
+    det = (num / w) * Fraction(2 ** t, (-4) ** (t + 1))
+    return [("D", {"t": t}, det)]
+
+
+def _by_bareiss(order, t):
+    return [("D", {"t": t},
+             _whole(poly_det(band_poly_matrix(0, t)[0]), order))]
+
+
+def _by_cramer(order, t):
+    return [("N", {"k": k, "t": t},
+             _whole(band_cramer_numerator(0, t, k), order))
+            for k in range(2 * t + 2)]
+
+
+def _by_centered_elimination(order, t):
+    axis = (_series("sym_f", order, k=0, t=t)
+            + _series("sym_g", order, k=0, t=t))
+    return [("sym", {"t": t}, axis)]
+
+
+def _by_doubled_radical(order, t):
+    return _by_det_radical(order, 2 * t)
+
+
+def _by_doubled_bareiss(order, t):
+    return _by_bareiss(order, 2 * t)
+
+
+_CEILINGS = range(7)
+
+
+def _by_backward_relation(order):
+    # B_{k-1} = ((1+x-x^3)·B_k - 1) / (x^2·B_k + x); the division costs
+    # one order
+    big = order + 1
+    x = TruncatedSeries.monomial(1, big)
+    claims = []
+    for k in _CEILINGS[1:]:
+        level = _series("Bk", big, k=k)
+        back = (TruncatedSeries.polynomial((1, 1, 0, -1), big) * level - 1) \
+            / (x.shift(1) * level + x)
+        claims.append(("Bk", {"k": k - 1}, back))
+    return claims
+
+
+def _by_full_series(order):
+    # heights above the length are unreachable, so ceiling k agrees with
+    # the full series through k + 1
+    return [("B", {}, _series("Bk", order, k=k).truncate(min(order, k + 1)))
+            for k in _CEILINGS]
+
+
+# catalog name -> (label, derivation) pairs; every name here has a row in
+# SERIES_TABLE, and each of its rows runs all of them at the row's order
+DUAL_PATHS = {
+    "dap": (("first-return fixed point", _by_fixed_point),),
+    "G": (("first-return systems", _by_first_return_systems),
+          ("split by first step", _by_first_step),
+          ("split by last step", _by_last_step)),
+    "prefix_pos_total": (("per-ordinate sum", _by_ordinate_sum),),
+    "prefix_neg": (("shift correspondence", _by_shift_correspondence),),
+    "minorized": (("band substitution", _by_band_substitution),),
+    "g0t": (("band elimination", _by_band_elimination),
+            ("axis radical", _by_axis_radical),
+            ("determinant radical", _by_det_radical),
+            ("Bareiss determinant", _by_bareiss),
+            ("Cramer numerators", _by_cramer)),
+    "sym": (("centered elimination", _by_centered_elimination),
+            ("doubled-band radical", _by_doubled_radical),
+            ("doubled-band Bareiss", _by_doubled_bareiss)),
+    "B": (("backward ceiling relation", _by_backward_relation),
+          ("ceilings against the full series", _by_full_series)),
+}
 
 
 # ---------------------------------------------------------------- oracle

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from airpockets import catalog
 from airpockets import reference as ref
+from airpockets import verify
 from airpockets.catalog import (
     GDAP_NAMES,
     NamedSeries,
@@ -348,6 +349,11 @@ def test_prefix_positive_against_oracle(k):
         10, kind="prefix_gdap", end_ordinate=k)
 
 
+@pytest.mark.parametrize("name", ["Tk", "prefix_pos"])
+def test_ordinate_far_above_the_order_is_zero(name):
+    assert evaluate(name, 3, k=10**6).series == TruncatedSeries.zero(3)
+
+
 def test_prefix_positive_first_climb():
     assert gf_prefix_positive(1, 6).coefficient(1) == 1
 
@@ -473,10 +479,11 @@ def test_bounded_per_ordinate_against_oracle(t):
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_bounded_matches_cramer_quotients(t):
-    den = poly_D(t, 30)
+    # the catalog's Cramer quotients against the band elimination
+    solved = solve_series_system(band_series_system(0, t, 30))
     for k in range(t + 1):
-        assert gf_bounded_0t(k, t, "f", 30) == poly_N(k, t, 30) / den
-        assert gf_bounded_0t(k, t, "g", 30) == poly_N(t + 1 + k, t, 30) / den
+        assert gf_bounded_0t(k, t, "f", 30) == solved[k]
+        assert gf_bounded_0t(k, t, "g", 30) == solved[t + 1 + k]
 
 
 def test_bounded_rejects_bad_params():
@@ -671,3 +678,40 @@ def test_evaluate_concurrent_consistency():
         results = [f.result() for f in futures]
     for i in range(len(results)):
         assert results[i] == results[i % len(jobs)]
+
+
+# one parameter set for every catalog name
+REPRESENTATIVE_PARAMS = {
+    "dap": {}, "P": {}, "W": {}, "G": {}, "Gp": {}, "Gp1": {}, "Gp2": {},
+    "Gm": {}, "Gm1": {}, "Gm2": {}, "f0": {}, "g0": {}, "s2": {}, "r2": {},
+    "Tk": {"k": 2}, "Rk": {"k": -2}, "prefix_pos": {"k": 1},
+    "prefix_pos_total": {}, "prefix_neg": {"k": -2}, "minorized": {"m": -2},
+    "D": {"t": 3}, "N": {"k": 5, "t": 2}, "fkt": {"k": 1, "t": 2},
+    "gkt": {"k": 2, "t": 3}, "f0t": {"t": 2}, "g0t": {"t": 3},
+    "sym": {"t": 2}, "sym_f": {"k": 1, "t": 2}, "sym_g": {"k": -1, "t": 1},
+    "B": {}, "Bk": {"k": 3}, "Ak": {"k": 2},
+}
+
+
+def test_evaluate_runs_no_dual_derivation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dual derivation ran inside evaluate")
+
+    for pairs in verify.DUAL_PATHS.values():
+        for _, derive in pairs:
+            monkeypatch.setattr(verify, derive.__name__, refuse)
+    # the Bareiss determinant serves the dual paths alone
+    monkeypatch.setattr(catalog, "poly_det", refuse)
+    for name in dir(catalog):
+        clear = getattr(getattr(catalog, name), "cache_clear", None)
+        if callable(clear):
+            clear()
+    assert set(REPRESENTATIVE_PARAMS) == set(catalog.CATALOG)
+    centered = ("sym_f", "sym_g")   # their route is the band elimination
+    with monkeypatch.context() as patch:
+        patch.setattr(catalog, "solve_series_system", refuse)
+        for name, params in REPRESENTATIVE_PARAMS.items():
+            if name not in centered:
+                evaluate(name, 12, **params)
+    for name in centered:
+        evaluate(name, 12, **REPRESENTATIVE_PARAMS[name])

@@ -66,6 +66,29 @@ def test_series_exact_height_rejects_negative_k(capsys):
     assert out == "1 0 0 0 0 0\n"
 
 
+def _det_through_x3(t):
+    # D_t = (1+x-x^2)·D_{t-1} - x·D_{t-2}, D_0 = 1, D_1 = 1 - x^2, mod x^4
+    prev, cur = [1, 0, 0, 0], [1, 0, -1, 0]
+    for _ in range(t - 1):
+        nxt = [cur[n] + (cur[n - 1] if n else 0) - (cur[n - 2] if n > 1 else 0)
+               - (prev[n - 1] if n else 0) for n in range(4)]
+        prev, cur = cur, nxt
+    return cur
+
+
+# N_1^t = x·D_{t-1}
+@pytest.mark.parametrize("argv,height,shift", [
+    (["D", "--t", "1000"], 1000, 0),
+    (["N", "--k", "1", "--t", "1000"], 999, 1),
+])
+def test_series_band_polynomials_at_height_1000(capsys, argv, height, shift):
+    code, out, err = run(capsys, "series", *argv, "--order", "3")
+    assert (code, err) == (0, "")
+    assert _det_through_x3(2) == [1, 0, -2, -1]
+    want = ([0] * shift + _det_through_x3(height))[:4]
+    assert [int(tok) for tok in out.split()] == want
+
+
 def test_series_json_roundtrip_is_byte_identical(capsys):
     code, out, _ = run(capsys, "series", "minorized", "--m", "-1",
                        "--order", "10", "--format", "json")

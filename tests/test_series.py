@@ -1,6 +1,7 @@
 """Exercises exact truncated-series arithmetic, including the order-shrinking
 semantics of division and negative shifts."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,18 @@ def test_shift_up_preserves_order():
     s = S([1, 2, 3], 4)
     assert s.shift(2).coeffs == (0, 0, 1, 2, 3)
     assert s.shift(2).order == 4
+
+
+def test_shift_past_the_order_pads_no_further():
+    s = S([1, 2, 3], 4)
+    assert s.shift(5) == S([], 4)
+    tracemalloc.start()
+    try:
+        assert s.shift(10**6) == S([], 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, f"shift allocated {peak} bytes"
 
 
 def test_shift_down_shrinks_order():

@@ -3,6 +3,7 @@
 import pytest
 
 from airpockets import verify
+from airpockets.series import TruncatedSeries
 from airpockets.verify import (
     CHECK_KINDS,
     SUITES,
@@ -131,3 +132,41 @@ def test_report_ok_property():
     failing = CheckResult("b", "dual_path", "n", "fail", "n=0: off by one")
     assert VerificationReport("paper-series", (passing,)).ok
     assert not VerificationReport("paper-series", (passing, failing)).ok
+
+
+DUAL_ROWS = [(name, params) for name, params, _ in verify.SERIES_TABLE
+             if name in verify.DUAL_PATHS]
+
+
+def test_every_dual_path_runs_in_paper_series():
+    assert {name for name, _ in DUAL_ROWS} == set(verify.DUAL_PATHS)
+
+
+@pytest.mark.parametrize("name,params", DUAL_ROWS,
+                         ids=[verify._subject(*row) for row in DUAL_ROWS])
+def test_dual_paths_agree_at_order_30(name, params):
+    assert verify._check_duals(name, params, 30) is None
+
+
+def _perturbed(derive):
+    def derive_off_by_x_to_the_order(order, **params):
+        return [(name, claimed, series
+                 + TruncatedSeries.monomial(series.order, series.order))
+                for name, claimed, series in derive(order, **params)]
+    return derive_off_by_x_to_the_order
+
+
+@pytest.mark.parametrize("name,label", [
+    (name, label) for name, pairs in verify.DUAL_PATHS.items()
+    for label, _ in pairs])
+def test_perturbed_dual_fails_its_rows(monkeypatch, name, label):
+    pairs = tuple((each, _perturbed(derive) if each == label else derive)
+                  for each, derive in verify.DUAL_PATHS[name])
+    monkeypatch.setitem(verify.DUAL_PATHS, name, pairs)
+    rows = tuple(row for row in verify.SERIES_TABLE if row[0] == name)
+    monkeypatch.setattr(verify, "SERIES_TABLE", rows)
+    report = run_suite("paper-series")
+    assert len(report.checks) == len(rows)
+    for check in report.checks:
+        assert check.status == "fail"
+        assert check.first_mismatch.startswith(f"{label}: ")
