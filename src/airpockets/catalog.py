@@ -2,28 +2,40 @@
 
 Each evaluator returns a TruncatedSeries all of whose coefficients are
 exact at the requested order: intermediate steps that shrink the order
-(division by x, x^2 or x^3) are padded internally and truncated back down
-at the end, so callers never receive fewer coefficients than asked for.
+(division by x, x^2 or x^3) are padded internally and cut back down at
+the end, so callers never receive fewer coefficients than asked for.
 
-Each catalog name has one route, and a call runs that route alone.  The
-independent derivations that tie a family to a second route (fixed
+Each catalog name has one route, and a call runs that route alone, in
+integer arithmetic: every family is a rational function of x, of one of
+two algebraic roots (the climb root s, the special-height root b) and of
+the band determinants D_t, whose denominators all have constant term ±1
+once a power of 2 is cleared.  Routes work on lists of Python ints, and
+each public evaluator builds a single TruncatedSeries at its boundary.
+The independent derivations that tie a family to a second route (fixed
 points, first-return systems, band eliminations, radical closed forms,
 Bareiss determinants, the ceiling recurrence run backward) live in
 verify.DUAL_PATHS and run in `verify --suite paper-series` and the tests.
-Three checks on an algorithm's own output stay in the call: the series
-solver substitutes its solution back into the system, and the climb and
-special-height roots are checked against their quadratics.  A failed
-check raises ConsistencyError and always means a bug in this package,
-never bad input.
+The checks that stay in the call are exactness checks: each new root
+coefficient must zero its quadratic, and every division and halving must
+leave no remainder.  A failed check raises ConsistencyError and always
+means a bug in this package, never bad input.
 
-Evaluations are pure; results are memoized per (parameters, order) with
-lru_cache, which is safe under concurrent lookup.
+The two roots are computed online, each coefficient from the ones below
+it, and live in two order-monotone caches (_climb and _special, each with
+a cache_clear): one held prefix serves every lower order and is extended
+to a higher one by building a longer tuple and rebinding it, so threads
+may share them.  They are the only state that outlives a call; every
+other quantity is recomputed from them per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
+from inspect import signature
+from itertools import accumulate
+from operator import mul
+from threading import Lock
 
 from .errors import (
     BadParams,
@@ -278,169 +290,337 @@ def band_cramer_numerator(lo: int, hi: int, column: int) -> Poly:
     return poly_det(rows)
 
 
-# ---------- radical primitives ----------
+# ---------- the integer series kernel ----------
 
-# discriminant of the kernel quadratic; its square root drives every
-# closed form for the unbounded families
-_KERNEL_RADICAND: Poly = (1, -2, -1, -2, 1)
+# A series here is a sequence of ints, coefficient n at index n, known
+# through the order it was built at; a shorter sequence (a polynomial) has
+# zeros above its end.  Products are cut at the order, and the only
+# divisions are by a series with constant term ±1, by 2 and by a power of
+# x, each checked for exactness: every family below is a rational
+# function of x, one algebraic root and band determinants, with such
+# denominators only.
+
+KERNEL_RADICAND: Poly = (1, -2, -1, -2, 1)    # W^2 for the climb root
+CEILING_RADICAND: Poly = (1, 0, -4, -2, 0, 0, 1)
 
 
-@lru_cache(maxsize=None)
-def _root(order: int) -> TruncatedSeries:
-    return TruncatedSeries.polynomial(_KERNEL_RADICAND, order).sqrt()
+def _at(a, n: int) -> int:
+    return a[n] if n < len(a) else 0
 
 
-@lru_cache(maxsize=None)
-def _climb(order: int) -> TruncatedSeries:
-    """The power-series root s of x·s^2 - (1+x-x^2)·s + 1 = 0, checked
-    against that quadratic; s drives every prefix family below."""
-    big = order + 1
-    num = TruncatedSeries.polynomial((1, 1, -1), big) - _root(big)
-    s = (num / 2).shift(-1)
-    residual = (s * s).shift(1) \
-        - TruncatedSeries.polynomial((1, 1, -1), order) * s + 1
-    _require(residual.is_zero(), "climb series fails its quadratic")
-    return s
+def _add(a, b, order: int) -> list[int]:
+    return [_at(a, n) + _at(b, n) for n in range(order + 1)]
+
+
+def _sub(a, b, order: int) -> list[int]:
+    return [_at(a, n) - _at(b, n) for n in range(order + 1)]
+
+
+def _mul(a, b, order: int) -> list[int]:
+    last = len(b) - 1
+    rev = b[::-1]
+    out = []
+    for n in range(order + 1):
+        lo, hi = max(0, n - last), min(n, len(a) - 1)
+        out.append(sum(map(mul, a[lo:hi + 1],
+                           rev[last - n + lo:last - n + hi + 1])))
+    return out
+
+
+def _div(a, b, order: int) -> list[int]:
+    # long division; dividing by a unit constant term keeps every
+    # coefficient an integer
+    unit = b[0]
+    _require(unit in (1, -1), f"division by a series with constant term {unit}")
+    rev = b[:0:-1]     # b_{len-1} .. b_1
+    q: list[int] = []
+    for n in range(order + 1):
+        lo = max(0, n - len(rev))
+        acc = _at(a, n) - sum(map(mul, q[lo:n], rev[len(rev) - n + lo:]))
+        q.append(acc * unit)
+    return q
+
+
+def _half(a) -> list[int]:
+    _require(not any(c & 1 for c in a), "odd coefficient in an exact halving")
+    return [c >> 1 for c in a]
+
+
+def _pow(a, e: int, order: int) -> list[int]:
+    result: list[int] = [1]
+    while e:
+        if e & 1:
+            result = _mul(result, a, order)
+        e >>= 1
+        if e:
+            a = _mul(a, a, order)
+    return _add(result, (), order)
+
+
+def _times_x(a, j: int, order: int) -> list[int]:
+    return _add((0,) * j + tuple(a), (), order)
+
+
+def _over_x(a, j: int) -> list[int]:
+    _require(not any(a[:j]), f"division by x^{j} leaves a remainder")
+    return list(a[j:])
+
+
+# ---------- the two roots ----------
+
+def _folded_square(a, m: int) -> int:
+    # coefficient m of a^2, each symmetric pair of terms taken once
+    total = 2 * sum(map(mul, a[:(m + 1) // 2], a[m:m // 2:-1]))
+    return total + a[m // 2] ** 2 if m % 2 == 0 else total
+
+
+def _square(a, m: int) -> int:
+    # coefficient m of a^2, term by term
+    return sum(map(mul, a[:m + 1], a[m::-1])) if m >= 0 else 0
+
+
+def _online_root(what, step, residual):
+    """An order-monotone cache of one power-series root.
+
+    step(cs, n) is coefficient n from coefficients 0..n-1; residual(cs, n)
+    is coefficient n of the root's quadratic, and each new coefficient must
+    make it vanish.  A call extends a copy of the held prefix and rebinds
+    it whole, so a concurrent caller reads either the old prefix or a
+    longer one, never a half-built list; a lower order is a slice of it.
+    Only the rebind is locked, so a shorter prefix never replaces a longer
+    one.
+    """
+    rebind = Lock()
+
+    def coeffs(order: int) -> tuple[int, ...]:
+        held = coeffs.held
+        if len(held) <= order:
+            cs = list(held)
+            for n in range(len(cs), order + 1):
+                cs.append(coeffs.step(cs, n))
+                _require(residual(cs, n) == 0, f"{what} fails its quadratic")
+            held = tuple(cs)
+            with rebind:
+                if len(held) > len(coeffs.held):
+                    coeffs.held = held
+        return held[:order + 1]
+
+    def cache_clear() -> None:
+        coeffs.held = ()
+
+    coeffs.held = ()
+    coeffs.step = step
+    coeffs.cache_clear = cache_clear
+    return coeffs
+
+
+def _climb_step(s, n: int) -> int:
+    # s = 1 - x·s + x^2·s + x·s^2 read at x^n
+    if n == 0:
+        return 1
+    return _folded_square(s, n - 1) - s[n - 1] + (s[n - 2] if n > 1 else 0)
+
+
+def _climb_residual(s, n: int) -> int:
+    # x·s^2 - (1+x-x^2)·s + 1 at x^n
+    return (_square(s, n - 1) - s[n] - (s[n - 1] if n else 0)
+            + (s[n - 2] if n > 1 else 0) + (n == 0))
+
+
+def _special_step(b, n: int) -> int:
+    # b = 1 + x^3·b + x^2·b^2 read at x^n
+    if n == 0:
+        return 1
+    square = _folded_square(b, n - 2) if n > 1 else 0
+    return square + (b[n - 3] if n > 2 else 0)
+
+
+def _special_residual(b, n: int) -> int:
+    # x^2·b^2 - (1-x^3)·b + 1 at x^n
+    return (_square(b, n - 2) - b[n] + (b[n - 3] if n > 2 else 0)
+            + (n == 0))
+
+
+# the power-series root s of x·s^2 - (1+x-x^2)·s + 1 = 0; s drives every
+# whole-path and prefix family
+_climb = _online_root("climb series", _climb_step, _climb_residual)
+# the special-height root b of x^2·b^2 - (1-x^3)·b + 1 = 0
+_special = _online_root("special-height series", _special_step,
+                        _special_residual)
+
+
+def _series_route(route):
+    """The public face of an integer route: the same arguments, order
+    last, and one TruncatedSeries built from the coefficients.  The route
+    itself stays reachable as .ints for the catalog and the other routes."""
+
+    @wraps(route)
+    def series(*args) -> TruncatedSeries:
+        return TruncatedSeries(route(*args), args[-1])
+
+    series.__signature__ = signature(route).replace(
+        return_annotation="TruncatedSeries")
+    series.ints = route
+    return series
 
 
 # ---------- the dap series and the whole-path family ----------
 
-def gf_dap(order: int) -> TruncatedSeries:
+def _kernel_root(order: int) -> list[int]:
+    # W = 1 + x - x^2 - 2x·s, the square root of the kernel radicand
+    return _sub((1, 1, -1), _times_x([2 * c for c in _climb(order)], 1, order),
+                order)
+
+
+@_series_route
+def gf_dap(order: int) -> list[int]:
     """Nonempty axis-to-axis path counts, one coefficient per length.
 
     The climb root less its constant term.
     """
-    return _climb(order) - 1
+    return _sub(_climb(order), (1,), order)
 
 
 GDAP_NAMES = ("Gp1", "Gp2", "Gp", "Gm", "G", "Gm1", "Gm2", "f0", "g0")
 
-
-@lru_cache(maxsize=None)
-def _gdap_bundle(order: int) -> dict:
-    big = order + 2
-    r = _root(big)
-    rad = TruncatedSeries.polynomial(_KERNEL_RADICAND, big)
-    up_front = TruncatedSeries.polynomial((1, -1, 1), big)    # 1 - x + x^2
-    down_front = TruncatedSeries.polynomial((1, 1, -1), big)  # 1 + x - x^2
-    gp1 = TruncatedSeries.monomial(2, big) / r
-    gp2 = (TruncatedSeries.polynomial((1, -1, -1), big) * r
-           + TruncatedSeries.polynomial((-1, 2, 1, 2, -1), big)) / (2 * rad)
-    gp = (up_front * r + rad) / (2 * rad)
-    gm = ((up_front - r) * (rad + up_front * r)) / (2 * (down_front + r) * rad)
-    g = (rad + up_front * r) / ((down_front + r) * rad)
-    f0 = (up_front + r) / (2 * r) - 1
-    g0 = (down_front - r).shift(1) / (2 * r)
-    gm2 = gp1                 # mirror-and-merge pairing
-    gm1 = gm - gm2
-    table = {"Gp1": gp1, "Gp2": gp2, "Gp": gp, "Gm": gm, "G": g,
-             "Gm1": gm1, "Gm2": gm2, "f0": f0, "g0": g0}
-    return {name: series.truncate(order) for name, series in table.items()}
+_UP_FRONT: Poly = (1, -1, 1)      # 1 - x + x^2
+_DOWN_FRONT: Poly = (1, 1, -1)    # 1 + x - x^2
 
 
-def gf_gdap(name: str, order: int) -> TruncatedSeries:
+@_series_route
+def gf_gdap(name: str, order: int) -> list[int]:
     """One of the whole-path family series.
 
     Gp1/Gp2/Gp: paths starting with an up step, split by last step (Gp
     includes the empty path); Gm/Gm1/Gm2: starting with a down step, split
     the same way; G: everything; f0/g0: nonempty paths split by last step
-    instead, so G = 1 + f0 + g0.
+    instead, so G = 1 + f0 + g0.  Each is a closed form in the kernel root
+    W, the radicand R = W^2 and K = (1 + x - x^2 + W)/2.
     """
     if name not in GDAP_NAMES:
         raise UnknownName(
             f"no whole-path series named {name!r}; known: {', '.join(GDAP_NAMES)}")
-    return _gdap_bundle(order)[name]
+    w = _kernel_root(order)
+    rad = KERNEL_RADICAND
+    if name in ("Gp1", "Gm2"):    # mirror-and-merge pairing
+        return _div((0, 0, 1), w, order)
+    if name == "f0":
+        return _sub(_half(_div(_add(_UP_FRONT, w, order), w, order)), (1,),
+                    order)
+    if name == "g0":
+        lift = _times_x(_sub(_DOWN_FRONT, w, order), 1, order)
+        return _half(_div(lift, w, order))
+    if name == "Gp2":
+        num = _sub(_mul(w, (1, -1, -1), order), rad, order)
+        return _half(_div(num, rad, order))
+    mixed = _add(_mul(w, _UP_FRONT, order), rad, order)
+    if name == "Gp":
+        return _half(_div(mixed, rad, order))
+    k = _half(_add(_DOWN_FRONT, w, order))
+    if name == "G":
+        return _half(_div(_div(mixed, k, order), rad, order))
+    gm = _mul(_sub(_UP_FRONT, w, order), mixed, order)
+    gm = _half(_half(_div(_div(gm, k, order), rad, order)))
+    if name == "Gm":
+        return gm
+    return _sub(gm, gf_gdap.ints("Gp1", order), order)
 
 
 # ---------- prefix families ----------
 
-def _ordinate_factor(k: int, order: int) -> TruncatedSeries:
+def _ordinate_factor(k: int, order: int) -> list[int]:
     # x^k s^{k+1}: prefixes that climb to ordinate k and never return
     if k < 0:
         raise ValueError("ordinate must be >= 0")
-    s = _climb(order)
-    return (s ** (k + 1)).shift(k)
+    if k > order:
+        return [0] * (order + 1)
+    return _times_x(_pow(_climb(order - k), k + 1, order - k), k, order)
 
 
-def _drop_factor(k: int, order: int) -> TruncatedSeries:
+def _drop_factor(k: int, order: int) -> list[int]:
     # the mirror factor below the axis, weighted down by one x
     if k > -1:
         raise ValueError("ordinate must be <= -1")
     s = _climb(order + 1)
-    return ((s - 1) * s ** (-k - 1)).shift(-1)
+    return _over_x(_mul(_sub(s, (1,), order + 1), _pow(s, -k - 1, order + 1),
+                        order + 1), 1)
 
 
-def gf_prefix_positive(k: int, order: int) -> TruncatedSeries:
+@_series_route
+def gf_prefix_positive(k: int, order: int) -> list[int]:
     """Prefixes ending at positive ordinate k (both final-step kinds)."""
     if k < 1:
         raise ValueError("ordinate must be >= 1")
-    f0 = _gdap_bundle(order)["f0"]
-    return (1 + f0) * _ordinate_factor(k, order)
+    f0 = gf_gdap.ints("f0", order)
+    return _mul(_add(f0, (1,), order), _ordinate_factor(k, order), order)
 
 
-@lru_cache(maxsize=None)
-def gf_prefix_positive_total(order: int) -> TruncatedSeries:
+@_series_route
+def gf_prefix_positive_total(order: int) -> list[int]:
     """Prefixes ending strictly above the axis, all ordinates pooled.
 
-    The radical closed form.
+    The radical closed form (W - 1 - x + x^2)^2 / (4x·W).
     """
     big = order + 1
-    r = _root(big)
-    num = (TruncatedSeries.polynomial((-1, -1, 1), big) + r) ** 2
-    return (num / (4 * r)).shift(-1)
+    w = _kernel_root(big)
+    num = _sub(w, _DOWN_FRONT, big)
+    return _over_x(_half(_half(_div(_mul(num, num, big), w, big))), 1)
 
 
-@lru_cache(maxsize=None)
-def gf_prefix_negative(k: int, order: int) -> TruncatedSeries:
+@_series_route
+def gf_prefix_negative(k: int, order: int) -> list[int]:
     """Prefixes ending at negative ordinate k (both final-step kinds)."""
     if k > -1:
         raise ValueError("ordinate must be <= -1")
-    g0 = _gdap_bundle(order + 1)["g0"]
-    return _drop_factor(k, order) * (1 + g0.shift(-1))
+    g0 = _over_x(gf_gdap.ints("g0", order + 1), 1)
+    return _mul(_drop_factor(k, order), _add(g0, (1,), order), order)
 
 
-@lru_cache(maxsize=None)
-def gf_minorized(m: int, order: int) -> TruncatedSeries:
+@_series_route
+def gf_minorized(m: int, order: int) -> list[int]:
     """Prefixes that never dip below the floor y = m (empty path included).
 
-    The kernel closed form.
+    The kernel closed form (s^(-m) - s^(-1-m) - x^2) / x^3.
     """
     if m > 0:
         raise ValueError("floor must be <= 0")
     big = order + 3
     s = _climb(big)
-    num = s ** (-m) - s ** (-1 - m) - TruncatedSeries.monomial(2, big)
-    return num.shift(-3)
+    below = _pow(s, -1 - m, big) if m < 0 else _div((1,), s, big)
+    return _over_x(_sub(_sub(_pow(s, -m, big), below, big), (0, 0, 1), big), 3)
 
 
 # ---------- band determinants and numerators ----------
 
-def _pshift(a: Poly, j: int) -> Poly:
-    return (0,) * j + a if a else P_ZERO
-
-
-@lru_cache(maxsize=None)
-def _det_and_gate(t: int) -> tuple[Poly, Poly]:
+def _det_and_gate(t: int, order: int) -> tuple[list[int], list[int]]:
     # one sweep of D_t = (1+x-x^2)·D_{t-1} - x·D_{t-2} from D_{-1} = D_0 = 1,
-    # carrying the gate numerator N_{t+1}^t = x^2·D_{t-1} + x·N_t^{t-1}
-    before, det, gate = P_ONE, P_ONE, P_ZERO
+    # carrying the gate numerator N_{t+1}^t = x^2·D_{t-1} + x·N_t^{t-1}.
+    # Both have degree 2t, so cutting every step at min(order, 2t) costs
+    # O(t·order) and still returns them whole once order >= 2t.
+    size = min(order, 2 * t) + 1
+    before = det = [1] + [0] * (size - 1)
+    gate = [0] * size
     for _ in range(t):
-        gate = _padd(_pshift(det, 2), _pshift(gate, 1))
-        before, det = det, _psub(_pmul((1, 1, -1), det), _pshift(before, 1))
+        gate = [a + b for a, b in zip([0, 0, *det[:-2]], [0, *gate[:-1]])]
+        before, det = det, [
+            c + c1 - c2 - b1 for c, c1, c2, b1 in
+            zip(det, [0, *det], [0, 0, *det], [0, *before])]
     return det, gate
 
 
-def poly_D(t: int, order: int) -> TruncatedSeries:
+@_series_route
+def poly_D(t: int, order: int) -> list[int]:
     """Determinant polynomial of the height-(0..t) band system.
 
     Computed by its three-term linear recurrence.
     """
     if t < 0:
         raise ValueError("band height must be >= 0")
-    return TruncatedSeries.polynomial(_det_and_gate(t)[0], order)
+    return _det_and_gate(t, order)[0]
 
 
-def poly_N(k: int, t: int, order: int) -> TruncatedSeries:
+@_series_route
+def poly_N(k: int, t: int, order: int) -> list[int]:
     """Cramer numerator polynomial for unknown k of the height-(0..t) band.
 
     Unknowns 0..t are the f ordinates, t+1..2t+1 the g ordinates.  Built
@@ -449,16 +629,18 @@ def poly_N(k: int, t: int, order: int) -> TruncatedSeries:
     """
     if t < 0 or not 0 <= k <= 2 * t + 1:
         raise IndexOutOfRange(f"numerator index ({k}, {t}) outside 0..{2 * t + 1}")
+    lift = k if k <= t else k - t - 1
+    if lift > order:
+        return []
     if k <= t:
-        return TruncatedSeries.polynomial(_pshift(_det_and_gate(t - k)[0], k), order)
-    gate = _det_and_gate(2 * t + 1 - k)[1]
-    return TruncatedSeries.polynomial(_pshift(gate, k - t - 1), order)
+        return _times_x(_det_and_gate(t - k, order - lift)[0], lift, order)
+    return _times_x(_det_and_gate(2 * t + 1 - k, order - lift)[1], lift, order)
 
 
 # ---------- bounded-height tables ----------
 
-@lru_cache(maxsize=None)
-def gf_bounded_0t(k: int, t: int, kind: str, order: int) -> TruncatedSeries:
+@_series_route
+def gf_bounded_0t(k: int, t: int, kind: str, order: int) -> list[int]:
     """Prefixes confined to 0 <= y <= t ending at ordinate k.
 
     kind "f" selects the up-ending series (empty path included at k = 0),
@@ -472,11 +654,11 @@ def gf_bounded_0t(k: int, t: int, kind: str, order: int) -> TruncatedSeries:
     if not 0 <= k <= t:
         raise IndexOutOfRange(f"ordinate {k} outside 0..{t}")
     column = k if kind == "f" else t + 1 + k
-    return poly_N(column, t, order) / poly_D(t, order)
+    return _div(poly_N.ints(column, t, order), poly_D.ints(t, order), order)
 
 
-@lru_cache(maxsize=None)
-def gf_bounded_sym(t: int, order: int) -> TruncatedSeries:
+@_series_route
+def gf_bounded_sym(t: int, order: int) -> list[int]:
     """Paths confined to -t <= y <= t that end on the axis (empty included).
 
     Closed form over the doubled-band determinant:
@@ -484,61 +666,63 @@ def gf_bounded_sym(t: int, order: int) -> TruncatedSeries:
     """
     if t < 1:
         raise ValueError("band half-height must be >= 1")
-    det, gate = _det_and_gate(t)
-    num = _pmul(_det_and_gate(t - 1)[0], _padd(det, gate))
-    return TruncatedSeries.polynomial(num, order) / poly_D(2 * t, order)
+    det, gate = _det_and_gate(t, order)
+    num = _mul(_det_and_gate(t - 1, order)[0], _add(det, gate, order), order)
+    return _div(num, poly_D.ints(2 * t, order), order)
 
 
-@lru_cache(maxsize=None)
-def _sym_solved(t: int, order: int) -> tuple[TruncatedSeries, ...]:
-    return tuple(solve_series_system(band_series_system(-t, t, order)))
+@_series_route
+def gf_bounded_sym_ordinate(k: int, t: int, kind: str,
+                            order: int) -> list[int]:
+    """Per-ordinate series of the centered band, by forward substitution.
 
-
-def gf_bounded_sym_ordinate(k: int, t: int, kind: str, order: int) -> TruncatedSeries:
-    """Per-ordinate series of the centered band, from the system solve."""
+    The band system reads -I + x·M on the unknowns f_-t..f_t, g_-t..g_t
+    with right-hand side -1 at f_0, so the coefficients of x^n of every
+    unknown are M applied to those of x^(n-1): f_j gains f_{j-1} + g_{j-1}
+    and g_j the sum of f above j.
+    """
     if t < 1:
         raise ValueError("band half-height must be >= 1")
     if kind not in ("f", "g"):
         raise ValueError('kind must be "f" or "g"')
     if not -t <= k <= t:
         raise IndexOutOfRange(f"ordinate {k} outside -{t}..{t}")
-    column = k + t if kind == "f" else 3 * t + 1 + k
-    return _sym_solved(t, order)[column]
+    f = [0] * (2 * t + 1)
+    f[t] = 1    # the empty path
+    g = [0] * (2 * t + 1)
+    out = []
+    for n in range(order + 1):
+        if n:
+            above = list(accumulate(reversed(f)))[::-1]   # f_j + f_{j+1} + ...
+            f, g = [0] + [a + b for a, b in zip(f, g)][:-1], above[1:] + [0]
+        out.append((f if kind == "f" else g)[k + t])
+    return out
 
 
 # ---------- the special-height family ----------
 
-_CEILING_RADICAND: Poly = (1, 0, -4, -2, 0, 0, 1)
-
-
-@lru_cache(maxsize=None)
-def gf_H(order: int) -> TruncatedSeries:
+@_series_route
+def gf_H(order: int) -> list[int]:
     """Length counts of the special-height family (dominating-arch rule)."""
-    big = order + 2
-    num = TruncatedSeries.polynomial((1, 0, 0, -1), big) \
-        - TruncatedSeries.polynomial(_CEILING_RADICAND, big).sqrt()
-    b = (num / 2).shift(-2)
-    gate = 2 * b.shift(2) - TruncatedSeries.polynomial((1, 0, 0, -1), order)
-    _require(gate * gate == TruncatedSeries.polynomial(_CEILING_RADICAND, order),
-             "special-height series fails its quadratic")
-    return b
+    return _special(order)
 
 
-@lru_cache(maxsize=None)
-def _ceiling_table(kmax: int, order: int) -> tuple[TruncatedSeries, ...]:
-    # forward recurrence: each new level is one series division
-    one = TruncatedSeries.one(order)
-    levels = [one]
-    arch = one
-    for i in range(1, kmax + 1):
-        weight = TruncatedSeries.monomial(2 if i == 1 else 1, order)
-        level = levels[-1] / (one - weight * arch)
-        arch = level - levels[-1]
-        levels.append(level)
-    return tuple(levels)
+def _ceiling_levels(k: int, order: int) -> tuple[list[int], list[int]]:
+    # forward recurrence B_i = B_{i-1} / (1 - w_i·A_i), with arch A_i the
+    # last level's gain and weight w_1 = x^2, w_i = x above; returns
+    # (B_{k-1}, B_k), with B_{-1} = 0
+    previous, level = [0] * (order + 1), _add((1,), (), order)
+    arch = level
+    for i in range(1, k + 1):
+        weight = (0, 0, 1) if i == 1 else (0, 1)
+        previous, level = level, _div(
+            level, _sub((1,), _mul(arch, weight, order), order), order)
+        arch = _sub(level, previous, order)
+    return previous, level
 
 
-def gf_H_bounded(k: int, order: int) -> TruncatedSeries:
+@_series_route
+def gf_H_bounded(k: int, order: int) -> list[int]:
     """Special-height members of height at most k.
 
     Heights above the length are unreachable, so the result agrees with
@@ -546,15 +730,16 @@ def gf_H_bounded(k: int, order: int) -> TruncatedSeries:
     """
     if k < 0:
         raise ValueError("height ceiling must be >= 0")
-    return _ceiling_table(k, order)[k]
+    return _ceiling_levels(k, order)[1]
 
 
-def gf_H_exact(k: int, order: int) -> TruncatedSeries:
+@_series_route
+def gf_H_exact(k: int, order: int) -> list[int]:
     """Special-height members of height exactly k."""
     if k < 0:
         raise ValueError("height must be >= 0")
-    levels = _ceiling_table(k, order)
-    return levels[k] - levels[k - 1] if k > 0 else levels[0]
+    previous, level = _ceiling_levels(k, order)
+    return _sub(level, previous, order)
 
 
 # ---------- the catalog surface ----------
@@ -576,26 +761,26 @@ class _Entry:
 
 
 CATALOG = {
-    "dap": _Entry((), gf_dap, "axis-to-axis paths by length"),
-    "P": _Entry((), lambda order: gf_dap(order).shift(1),
+    "dap": _Entry((), gf_dap.ints, "axis-to-axis paths by length"),
+    "P": _Entry((), lambda order: _times_x(gf_dap.ints(order), 1, order),
                 "axis-to-axis paths, length shifted up by one"),
-    "W": _Entry((), _root, "square root of the kernel discriminant"),
-    "G": _Entry((), lambda order: gf_gdap("G", order), "all whole paths"),
-    "Gp": _Entry((), lambda order: gf_gdap("Gp", order),
+    "W": _Entry((), _kernel_root, "square root of the kernel discriminant"),
+    "G": _Entry((), lambda order: gf_gdap.ints("G", order), "all whole paths"),
+    "Gp": _Entry((), lambda order: gf_gdap.ints("Gp", order),
                  "whole paths starting up, plus the empty path"),
-    "Gp1": _Entry((), lambda order: gf_gdap("Gp1", order),
+    "Gp1": _Entry((), lambda order: gf_gdap.ints("Gp1", order),
                   "whole paths starting up, ending down"),
-    "Gp2": _Entry((), lambda order: gf_gdap("Gp2", order),
+    "Gp2": _Entry((), lambda order: gf_gdap.ints("Gp2", order),
                   "whole paths starting up, ending up"),
-    "Gm": _Entry((), lambda order: gf_gdap("Gm", order),
+    "Gm": _Entry((), lambda order: gf_gdap.ints("Gm", order),
                  "whole paths starting down"),
-    "Gm1": _Entry((), lambda order: gf_gdap("Gm1", order),
+    "Gm1": _Entry((), lambda order: gf_gdap.ints("Gm1", order),
                   "whole paths starting down, ending down"),
-    "Gm2": _Entry((), lambda order: gf_gdap("Gm2", order),
+    "Gm2": _Entry((), lambda order: gf_gdap.ints("Gm2", order),
                   "whole paths starting down, ending up"),
-    "f0": _Entry((), lambda order: gf_gdap("f0", order),
+    "f0": _Entry((), lambda order: gf_gdap.ints("f0", order),
                  "whole paths ending with an up step"),
-    "g0": _Entry((), lambda order: gf_gdap("g0", order),
+    "g0": _Entry((), lambda order: gf_gdap.ints("g0", order),
                  "whole paths ending with a down step"),
     "s2": _Entry((), _climb, "power-series root of the kernel quadratic"),
     "r2": _Entry((), _climb, "power-series root of the kernel quadratic"),
@@ -603,38 +788,42 @@ CATALOG = {
                  "climb factor to ordinate k, never touching down again"),
     "Rk": _Entry(("k",), _drop_factor,
                  "drop factor to negative ordinate k"),
-    "prefix_pos": _Entry(("k",), gf_prefix_positive,
+    "prefix_pos": _Entry(("k",), gf_prefix_positive.ints,
                          "prefixes ending at positive ordinate k"),
-    "prefix_pos_total": _Entry((), gf_prefix_positive_total,
+    "prefix_pos_total": _Entry((), gf_prefix_positive_total.ints,
                                "prefixes ending strictly above the axis"),
-    "prefix_neg": _Entry(("k",), gf_prefix_negative,
+    "prefix_neg": _Entry(("k",), gf_prefix_negative.ints,
                          "prefixes ending at negative ordinate k"),
-    "minorized": _Entry(("m",), gf_minorized,
+    "minorized": _Entry(("m",), gf_minorized.ints,
                         "prefixes floored at y = m, empty included"),
-    "D": _Entry(("t",), poly_D, "band determinant polynomial"),
-    "N": _Entry(("k", "t"), poly_N, "band Cramer numerator polynomial"),
+    "D": _Entry(("t",), poly_D.ints, "band determinant polynomial"),
+    "N": _Entry(("k", "t"), poly_N.ints, "band Cramer numerator polynomial"),
     "fkt": _Entry(("k", "t"),
-                  lambda k, t, order: gf_bounded_0t(k, t, "f", order),
+                  lambda k, t, order: gf_bounded_0t.ints(k, t, "f", order),
                   "confined prefixes ending up at ordinate k"),
     "gkt": _Entry(("k", "t"),
-                  lambda k, t, order: gf_bounded_0t(k, t, "g", order),
+                  lambda k, t, order: gf_bounded_0t.ints(k, t, "g", order),
                   "confined prefixes ending down at ordinate k"),
-    "f0t": _Entry(("t",), lambda t, order: gf_bounded_0t(0, t, "f", order),
+    "f0t": _Entry(("t",),
+                  lambda t, order: gf_bounded_0t.ints(0, t, "f", order),
                   "confined paths ending up on the axis, plus empty"),
-    "g0t": _Entry(("t",), lambda t, order: gf_bounded_0t(0, t, "g", order),
+    "g0t": _Entry(("t",),
+                  lambda t, order: gf_bounded_0t.ints(0, t, "g", order),
                   "confined paths returning to the axis with a down step"),
-    "sym": _Entry(("t",), gf_bounded_sym,
+    "sym": _Entry(("t",), gf_bounded_sym.ints,
                   "paths confined to |y| <= t ending on the axis"),
     "sym_f": _Entry(("k", "t"),
-                    lambda k, t, order: gf_bounded_sym_ordinate(k, t, "f", order),
+                    lambda k, t, order:
+                        gf_bounded_sym_ordinate.ints(k, t, "f", order),
                     "centered-band prefixes ending up at ordinate k"),
     "sym_g": _Entry(("k", "t"),
-                    lambda k, t, order: gf_bounded_sym_ordinate(k, t, "g", order),
+                    lambda k, t, order:
+                        gf_bounded_sym_ordinate.ints(k, t, "g", order),
                     "centered-band prefixes ending down at ordinate k"),
-    "B": _Entry((), gf_H, "special-height family by length"),
-    "Bk": _Entry(("k",), gf_H_bounded,
+    "B": _Entry((), gf_H.ints, "special-height family by length"),
+    "Bk": _Entry(("k",), gf_H_bounded.ints,
                  "special-height members of height at most k"),
-    "Ak": _Entry(("k",), gf_H_exact,
+    "Ak": _Entry(("k",), gf_H_exact.ints,
                  "special-height members of height exactly k"),
 }
 
@@ -664,7 +853,7 @@ def evaluate(name: str, order: int, k: int | None = None,
         raise BadParams("order must be nonnegative")
     args = [supplied[p] for p in entry.params]
     try:
-        series = entry.fn(*args, order)
+        coeffs = entry.fn(*args, order)
     except (ValueError, IndexOutOfRange) as exc:
         raise BadParams(str(exc)) from None
-    return NamedSeries(name, tuple(args), series)
+    return NamedSeries(name, tuple(args), TruncatedSeries(coeffs, order))

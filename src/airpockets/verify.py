@@ -24,6 +24,8 @@ from fractions import Fraction
 from . import reference as ref
 from .bijections import phi, phi_inv, psi, psi_inv
 from .catalog import (
+    CEILING_RADICAND,
+    KERNEL_RADICAND,
     SeriesSystem,
     band_cramer_numerator,
     band_poly_matrix,
@@ -166,6 +168,15 @@ def _by_fixed_point(order):
     return [("dap", {}, _dap_fixed_point(order))]
 
 
+def _by_radical_root(order):
+    # Newton's square root W of the kernel radicand, and the climb root
+    # s = (1 + x - x^2 - W) / (2x) read off it
+    big = order + 1
+    w = TruncatedSeries.polynomial(KERNEL_RADICAND, big).sqrt()
+    s = ((TruncatedSeries.polynomial((1, 1, -1), big) - w) / 2).shift(-1)
+    return [("W", {}, w), ("s2", {}, s)]
+
+
 def _by_first_return_systems(order):
     # the step weights come from the fixed-point dap series, no radical
     a = _dap_fixed_point(order)
@@ -296,9 +307,16 @@ def _by_cramer(order, t):
 
 
 def _by_centered_elimination(order, t):
-    axis = (_series("sym_f", order, k=0, t=t)
-            + _series("sym_g", order, k=0, t=t))
-    return [("sym", {"t": t}, axis)]
+    # the centered band system solved outright: every per-ordinate series,
+    # and the axis total as the sum of the two axis unknowns
+    solved = solve_series_system(band_series_system(-t, t, order))
+    width = 2 * t + 1
+    claims = []
+    for k in range(-t, t + 1):
+        claims.append(("sym_f", {"k": k, "t": t}, solved[t + k]))
+        claims.append(("sym_g", {"k": k, "t": t}, solved[width + t + k]))
+    claims.append(("sym", {"t": t}, solved[t] + solved[width + t]))
+    return claims
 
 
 def _by_doubled_radical(order, t):
@@ -326,6 +344,14 @@ def _by_backward_relation(order):
     return claims
 
 
+def _by_ceiling_radical(order):
+    # x^2·B = (1 - x^3 - sqrt(ceiling radicand)) / 2, Newton's square root
+    big = order + 2
+    num = TruncatedSeries.polynomial((1, 0, 0, -1), big) \
+        - TruncatedSeries.polynomial(CEILING_RADICAND, big).sqrt()
+    return [("B", {}, (num / 2).shift(-2))]
+
+
 def _by_full_series(order):
     # heights above the length are unreachable, so ceiling k agrees with
     # the full series through k + 1
@@ -336,7 +362,8 @@ def _by_full_series(order):
 # catalog name -> (label, derivation) pairs; every name here has a row in
 # SERIES_TABLE, and each of its rows runs all of them at the row's order
 DUAL_PATHS = {
-    "dap": (("first-return fixed point", _by_fixed_point),),
+    "dap": (("first-return fixed point", _by_fixed_point),
+            ("radical square root", _by_radical_root)),
     "G": (("first-return systems", _by_first_return_systems),
           ("split by first step", _by_first_step),
           ("split by last step", _by_last_step)),
@@ -351,7 +378,8 @@ DUAL_PATHS = {
     "sym": (("centered elimination", _by_centered_elimination),
             ("doubled-band radical", _by_doubled_radical),
             ("doubled-band Bareiss", _by_doubled_bareiss)),
-    "B": (("backward ceiling relation", _by_backward_relation),
+    "B": (("ceiling radical", _by_ceiling_radical),
+          ("backward ceiling relation", _by_backward_relation),
           ("ceilings against the full series", _by_full_series)),
 }
 

@@ -88,6 +88,15 @@ def clear_catalog_caches():
             clear()
 
 
+def test_clear_catalog_caches_empties_both_roots():
+    # the timed criteria start cold only if this loop reaches both roots
+    evaluate("G", 20)
+    evaluate("B", 20)
+    assert catalog._climb.held and catalog._special.held
+    clear_catalog_caches()
+    assert catalog._climb.held == () and catalog._special.held == ()
+
+
 def report(number, detail):
     print(f"criterion {number}: pass - {detail}")
 

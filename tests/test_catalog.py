@@ -1,6 +1,7 @@
 """The series catalog against frozen expansions, brute-force counts, printed
 closed forms, and its own dual-route plumbing (determinants, band systems)."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -332,15 +333,29 @@ def test_climb_quadratic():
     assert x * (s * s) - kernel * s + 1 == TruncatedSeries.zero(30)
 
 
-def test_climb_quadratic_check_executes(monkeypatch):
-    # a residual that never reads as zero must stop the climb series
-    monkeypatch.setattr(TruncatedSeries, "is_zero", lambda self: False)
-    catalog._climb.cache_clear()
+def _perturbed_root_raises(monkeypatch, root, what):
+    # one coefficient off by one, as the recurrence hands it over, must
+    # fail that coefficient's quadratic residual
+    step = root.step
+    root.cache_clear()
+    monkeypatch.setattr(root, "step",
+                        lambda cs, n: step(cs, n) + (n == 7))
     try:
-        with pytest.raises(ConsistencyError, match="quadratic"):
-            catalog._climb(12)
+        root(6)      # every coefficient below the perturbed one passes
+        with pytest.raises(ConsistencyError, match=f"{what} fails its quadratic"):
+            root(12)
+        assert len(root.held) == 7   # the failed extension was not kept
     finally:
-        catalog._climb.cache_clear()
+        root.cache_clear()
+
+
+def test_climb_quadratic_check_executes(monkeypatch):
+    _perturbed_root_raises(monkeypatch, catalog._climb, "climb series")
+
+
+def test_special_height_quadratic_check_executes(monkeypatch):
+    _perturbed_root_raises(monkeypatch, catalog._special,
+                           "special-height series")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -700,18 +715,57 @@ def test_evaluate_runs_no_dual_derivation(monkeypatch):
     for pairs in verify.DUAL_PATHS.values():
         for _, derive in pairs:
             monkeypatch.setattr(verify, derive.__name__, refuse)
-    # the Bareiss determinant serves the dual paths alone
+    # the Bareiss determinant and the series solver serve the dual paths
+    # alone, and every route runs on integer lists, not on series
     monkeypatch.setattr(catalog, "poly_det", refuse)
+    monkeypatch.setattr(catalog, "solve_series_system", refuse)
+    for method in ("sqrt", "__mul__", "__rmul__", "__truediv__", "__pow__"):
+        monkeypatch.setattr(TruncatedSeries, method, refuse)
     for name in dir(catalog):
         clear = getattr(getattr(catalog, name), "cache_clear", None)
         if callable(clear):
             clear()
     assert set(REPRESENTATIVE_PARAMS) == set(catalog.CATALOG)
-    centered = ("sym_f", "sym_g")   # their route is the band elimination
-    with monkeypatch.context() as patch:
-        patch.setattr(catalog, "solve_series_system", refuse)
-        for name, params in REPRESENTATIVE_PARAMS.items():
-            if name not in centered:
-                evaluate(name, 12, **params)
-    for name in centered:
-        evaluate(name, 12, **REPRESENTATIVE_PARAMS[name])
+    for name, params in REPRESENTATIVE_PARAMS.items():
+        evaluate(name, 12, **params)
+
+
+# ---------- the root caches ----------
+
+def clear_roots():
+    catalog._climb.cache_clear()
+    catalog._special.cache_clear()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(sorted(REPRESENTATIVE_PARAMS)),
+       st.lists(st.integers(0, 60), min_size=1, max_size=8))
+def test_order_sequences_match_cold_evaluation(name, orders):
+    # repeats, lower and higher orders against whatever the caches hold
+    params = REPRESENTATIVE_PARAMS[name]
+    clear_roots()
+    warm = [evaluate(name, order, **params).series for order in orders]
+    for order, got in zip(orders, warm):
+        clear_roots()
+        assert got == evaluate(name, order, **params).series
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(["_climb", "_special"]),
+       st.lists(st.integers(0, 150), min_size=2, max_size=8))
+def test_threads_extending_a_cleared_root_agree(root_name, orders):
+    root = getattr(catalog, root_name)
+    root.cache_clear()
+    reference = root(max(orders))
+    root.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)    # switch threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(root, orders, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for order, got in zip(orders, results):
+        assert got == reference[:order + 1]
+    # the held prefix only ever grows: it ends at the highest order asked
+    assert root.held == reference

@@ -89,6 +89,21 @@ def test_series_band_polynomials_at_height_1000(capsys, argv, height, shift):
     assert [int(tok) for tok in out.split()] == want
 
 
+# the determinant sweep stops at the order: at height 20000 a sweep that
+# kept the whole degree-2t polynomials would take minutes
+@pytest.mark.parametrize("argv,height,shift", [
+    (["D", "--t", "20000"], 20000, 0),
+    (["N", "--k", "1", "--t", "20000"], 19999, 1),
+])
+def test_series_band_polynomials_at_height_20000(capsys, argv, height,
+                                                 shift):
+    code, out, err = run(capsys, "series", *argv, "--order", "3")
+    assert (code, err) == (0, "")
+    assert _det_through_x3(height) == [1, 0, -height, 1 - height]
+    want = ([0] * shift + _det_through_x3(height))[:4]
+    assert [int(tok) for tok in out.split()] == want
+
+
 def test_series_json_roundtrip_is_byte_identical(capsys):
     code, out, _ = run(capsys, "series", "minorized", "--m", "-1",
                        "--order", "10", "--format", "json")

@@ -1,6 +1,8 @@
 """Verification harness: suite assembly, determinism, failure reporting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airpockets import verify
 from airpockets.series import TruncatedSeries
@@ -170,3 +172,11 @@ def test_perturbed_dual_fails_its_rows(monkeypatch, name, label):
     for check in report.checks:
         assert check.status == "fail"
         assert check.first_mismatch.startswith(f"{label}: ")
+
+
+@pytest.mark.parametrize("name,params", DUAL_ROWS,
+                         ids=[verify._subject(*row) for row in DUAL_ROWS])
+@settings(max_examples=4, deadline=None)
+@given(order=st.integers(0, 60))
+def test_integer_routes_match_their_duals(name, params, order):
+    assert verify._check_duals(name, params, order) is None
