@@ -16,7 +16,7 @@ what both maps actually transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     NotAlternating,
@@ -32,8 +32,7 @@ _D1 = -1
 _D2 = -2
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
+class BlockDecomposition(NamedTuple):
     """A path split after every up-step that precedes U or D2."""
 
     blocks: tuple[LatticePath, ...]

@@ -30,12 +30,12 @@ other quantity is recomputed from them per call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import wraps
-from inspect import signature
 from itertools import accumulate
 from operator import mul
 from threading import Lock
+from typing import NamedTuple
 
 from .errors import (
     BadParams,
@@ -158,18 +158,17 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
 
 # ---------- linear systems over series ----------
 
-@dataclass(frozen=True)
-class SeriesSystem:
-    """A square linear system A·x = b with TruncatedSeries entries.
+class SeriesSystem(namedtuple("SeriesSystem", "dimension matrix rhs")):
+    """A square linear system A·x = b with TruncatedSeries entries: the
+    dimension, the rows of A and the right-hand sides b.
 
     All entries and right-hand sides must share one truncation order.
     """
 
-    dimension: int
-    matrix: tuple[tuple[TruncatedSeries, ...], ...]
-    rhs: tuple[TruncatedSeries, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n = self.dimension
         if n < 1:
             raise ValueError("system dimension must be positive")
@@ -185,6 +184,12 @@ class SeriesSystem:
         for entry in self.rhs:
             if entry.order != order:
                 raise OrderMismatch("system entries must share one order")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
     @classmethod
     def build(cls, matrix, rhs) -> "SeriesSystem":
@@ -458,8 +463,6 @@ def _series_route(route):
     def series(*args) -> TruncatedSeries:
         return TruncatedSeries(route(*args), args[-1])
 
-    series.__signature__ = signature(route).replace(
-        return_annotation="TruncatedSeries")
     series.ints = route
     return series
 
@@ -710,10 +713,12 @@ def gf_H(order: int) -> list[int]:
 def _ceiling_levels(k: int, order: int) -> tuple[list[int], list[int]]:
     # forward recurrence B_i = B_{i-1} / (1 - w_i·A_i), with arch A_i the
     # last level's gain and weight w_1 = x^2, w_i = x above; returns
-    # (B_{k-1}, B_k), with B_{-1} = 0
+    # (B_{k-1}, B_k), with B_{-1} = 0.  No member of length n is taller
+    # than n, so every level from the order up is the full series through
+    # the order and the loop stops at level order + 1.
     previous, level = [0] * (order + 1), _add((1,), (), order)
     arch = level
-    for i in range(1, k + 1):
+    for i in range(1, min(k, order + 1) + 1):
         weight = (0, 0, 1) if i == 1 else (0, 1)
         previous, level = level, _div(
             level, _sub((1,), _mul(arch, weight, order), order), order)
@@ -744,8 +749,7 @@ def gf_H_exact(k: int, order: int) -> list[int]:
 
 # ---------- the catalog surface ----------
 
-@dataclass(frozen=True)
-class NamedSeries:
+class NamedSeries(NamedTuple):
     """A catalog evaluation: name, integer parameters, and the series."""
 
     name: str
@@ -753,8 +757,7 @@ class NamedSeries:
     series: TruncatedSeries
 
 
-@dataclass(frozen=True)
-class _Entry:
+class _Entry(NamedTuple):
     params: tuple[str, ...]
     fn: object
     summary: str

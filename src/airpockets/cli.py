@@ -2,17 +2,17 @@
 bijections, and run the verification harness.
 
 Exit codes: 0 success, 1 failed verification, 2 unknown series name,
-3 bad parameters or an infeasible enumeration, 4 input outside a
-bijection's domain.  Data goes to stdout, diagnostics to stderr.
+3 bad parameters, a request above a size ceiling or an infeasible
+enumeration, 4 input outside a bijection's domain.  Data goes to stdout,
+diagnostics to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
+from functools import partial
 
 from .bijections import phi, phi_inv, psi, psi_inv
 from .catalog import evaluate, series_names
@@ -41,6 +41,19 @@ EXIT_VERIFY_FAILED = 1
 EXIT_UNKNOWN_NAME = 2
 EXIT_BAD_PARAMS = 3
 EXIT_NOT_IN_FAMILY = 4
+
+# Size ceilings.  A request above one exits 3 before any work starts.  The
+# slowest accepted series request, `series sym --t 20000 --order 1000`,
+# takes about 30 s on a 2-CPU Xeon; raise the ceilings as routes get
+# cheaper.
+MAX_ORDER = 1000                # series --order, verify --order
+MAX_T = 20_000                  # series --t
+MAX_ORDINATE = 2 * MAX_T + 1    # |series --k|, |series --m|
+MAX_LENGTH = 2000               # enumerate --length
+MAX_H_LENGTH = 400              # enumerate --family H --length: a cubic count
+MAX_LISTED_PATHS = 2_000_000    # enumerate --list, checked by counting first
+MAX_N = 100                     # verify --max-n
+MAX_ROUNDTRIP_N = 22            # verify --max-n for the listing bijection suites
 
 FAMILY_KINDS = {
     "dap": "dap",
@@ -73,10 +86,31 @@ def _canonical_json(payload) -> str:
 
 
 def _csv_rows(rows) -> str:
+    import csv
+    import io
+
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(rows)
     return buffer.getvalue()
+
+
+def _above_ceiling(args, ceilings) -> str | None:
+    """The message for the first flag whose size is above its ceiling.
+
+    The ordinates --k and --m are bounded in absolute value; a negative
+    value of any other flag is left to that flag's own floor.
+    """
+    for flag, ceiling in ceilings:
+        value = getattr(args, flag)
+        if value is None:
+            continue
+        name = "--" + flag.replace("_", "-")
+        if value > ceiling:
+            return f"{name} {value} is above the ceiling of {ceiling}"
+        if flag in ("k", "m") and value < -ceiling:
+            return f"{name} {value} is below the floor of {-ceiling}"
+    return None
 
 
 def _render_path(path: LatticePath | str) -> str:
@@ -86,6 +120,10 @@ def _render_path(path: LatticePath | str) -> str:
 # ---------------------------------------------------------------- series
 
 def _cmd_series(args) -> int:
+    over = _above_ceiling(args, (("order", MAX_ORDER), ("k", MAX_ORDINATE),
+                                 ("t", MAX_T), ("m", MAX_ORDINATE)))
+    if over:
+        return _fail(EXIT_BAD_PARAMS, over)
     params = {key: getattr(args, key)
               for key in ("k", "t", "m") if getattr(args, key) is not None}
     try:
@@ -115,6 +153,10 @@ def _cmd_series(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     kind = FAMILY_KINDS[args.family]
+    over = _above_ceiling(args, (
+        ("length", MAX_H_LENGTH if kind == "special_h" else MAX_LENGTH),))
+    if over:
+        return _fail(EXIT_BAD_PARAMS, over)
     fields = {"kind": kind}
     for flag, field in (("min_y", "min_y"), ("max_y", "max_y"),
                         ("end_ordinate", "end_ordinate"),
@@ -128,16 +170,18 @@ def _cmd_enumerate(args) -> int:
             if len(fields) > 1:
                 raise InfeasibleSpec(
                     "the motzkin family takes no window or endpoint flags")
-            if args.list:
-                paths = enum_motzkin_avoiding(args.length)
-            else:
-                total = count_motzkin_avoiding(args.length)
+            total = count_motzkin_avoiding(args.length)
+            listing = enum_motzkin_avoiding
         else:
             spec = FamilySpec(**fields)
-            if args.list:
-                paths = enum_paths(args.length, spec)
-            else:
-                total = count_paths(args.length, spec)
+            total = count_paths(args.length, spec)
+            listing = partial(enum_paths, spec=spec)
+        if args.list:
+            if total > MAX_LISTED_PATHS:
+                return _fail(EXIT_BAD_PARAMS,
+                             f"--list would print {total} paths, above the "
+                             f"ceiling of {MAX_LISTED_PATHS}; use --count")
+            paths = listing(args.length)
     except InfeasibleSpec as exc:
         return _fail(EXIT_BAD_PARAMS, str(exc))
     except (TypeError, ValueError) as exc:
@@ -211,6 +255,13 @@ def _cmd_map(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def _cmd_verify(args) -> int:
+    # the bijection round trips list every path up to --max-n
+    roundtrips = args.suite in ("bijections", "all")
+    over = _above_ceiling(args, (
+        ("max_n", MAX_ROUNDTRIP_N if roundtrips else MAX_N),
+        ("order", MAX_ORDER)))
+    if over:
+        return _fail(EXIT_BAD_PARAMS, over)
     try:
         report = run_suite(args.suite, max_n=args.max_n, order=args.order,
                            offline=args.offline, refresh=args.refresh)

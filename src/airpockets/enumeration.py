@@ -20,8 +20,8 @@ safe to run concurrently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from .errors import InfeasibleSpec
 from .paths import EMPTY, UD, UP, LatticePath, classify, flat, sharp
@@ -31,8 +31,7 @@ KINDS = PATH_KINDS + (
     "special_h", "motzkin_avoid", "composition_alt", "composition_alt_odd_even")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(NamedTuple):
     """A path family: which kind, plus optional window and endpoint filters.
 
     min_y / max_y bound the whole profile; end_ordinate pins the final

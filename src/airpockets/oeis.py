@@ -20,8 +20,9 @@ import os
 import re
 import tempfile
 import threading
-from dataclasses import dataclass
+from collections import namedtuple
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import (
     NetworkUnavailable,
@@ -62,25 +63,29 @@ CITED_PAIRS = (
 CITED_IDS = tuple(sorted({pair[2] for pair in CITED_PAIRS}))
 
 
-@dataclass(frozen=True)
-class SequenceRecord:
-    """A sequence id, its terms in index order, and where they came from."""
+class SequenceRecord(namedtuple("SequenceRecord", "id terms source")):
+    """A sequence id, its terms in index order, and where they came from
+    (source is "network", "cache" or "fixture")."""
 
-    id: str
-    terms: tuple[int, ...]
-    source: str  # "network" | "cache" | "fixture"
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not _ID_PATTERN.match(self.id):
             raise ValueError(f"malformed sequence id {self.id!r}")
         if not self.terms:
             raise ValueError(f"{self.id}: no terms")
         if self.source not in ("network", "cache", "fixture"):
             raise ValueError(f"unknown source {self.source!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Alignment:
+class Alignment(NamedTuple):
     """A successful shift: series[n] == terms[n + shift] along the run."""
 
     shift: int

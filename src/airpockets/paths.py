@@ -16,7 +16,6 @@ Terminology used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -150,8 +149,7 @@ def parse_path(text: str) -> LatticePath:
 
 # ---------- classification ----------
 
-@dataclass(frozen=True)
-class PathClassification:
+class PathClassification(NamedTuple):
     length: int
     final_ordinate: int
     max_height: int

@@ -18,8 +18,9 @@ than aborting the suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import reference as ref
 from .bijections import phi, phi_inv, psi, psi_inv
@@ -45,15 +46,13 @@ CHECK_KINDS = ("oracle_vs_gf", "gf_vs_oeis", "bijection_roundtrip",
 SUITES = ("paper-series", "oracle", "bijections", "oeis", "all")
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    subject: str
-    check_kind: str
-    range: str
-    status: str
-    first_mismatch: str | None = None
+class CheckResult(namedtuple(
+        "CheckResult", "subject check_kind range status first_mismatch",
+        defaults=(None,))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.check_kind not in CHECK_KINDS:
             raise ValueError(f"unknown check kind {self.check_kind!r}")
         if self.status not in ("pass", "fail"):
@@ -62,10 +61,15 @@ class CheckResult:
             raise ValueError("passing check cannot carry a mismatch")
         if self.status == "fail" and self.first_mismatch is None:
             raise ValueError("failing check must say what mismatched")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, which would skip the checks
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     checks: tuple[CheckResult, ...]
 

@@ -1,0 +1,37 @@
+"""The benchmark's child process still runs and traces against the package.
+
+bench/child.py with --trace installs bench/tracer.py, which looks the
+package's modules up in sys.modules right after importing airpockets and
+airpockets.cli; these runs fail if that import stops loading them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import airpockets
+
+CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
+
+
+@pytest.mark.parametrize("mode", ["cli", "session"])
+def test_traced_child_records_evaluate_spans(tmp_path, mode):
+    if mode == "cli":
+        args = ["cli", "series", "G", "--order", "10"]
+    else:
+        stream = tmp_path / "stream.json"
+        stream.write_text(json.dumps([["G", {}, 10], ["Bk", {"k": 3}, 12]]))
+        args = ["session", str(stream)]
+    trace = tmp_path / "trace.json"
+    src = os.path.dirname(os.path.dirname(airpockets.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), str(tmp_path / "footer.json"),
+         "--trace", str(trace), *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(trace.read_text())["spans"]
+    assert any(span[2] == "catalog.evaluate" for span in spans)

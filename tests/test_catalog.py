@@ -621,7 +621,53 @@ def test_ceiling_rejects_negative():
         gf_H_bounded(-1, 5)
 
 
+@pytest.mark.parametrize("order", [10, 33, 60])
+def test_ceiling_levels_past_the_order_match_the_uncapped_loop(order):
+    # B_i = B_{i-1} / (1 - w_i·(B_{i-1} - B_{i-2})), w_1 = x^2, w_i = x
+    # above, run through every level up to order + 400 with no early stop
+    wanted = {0, 1, order - 1, order, order + 1, order + 2, order + 7,
+              order + 400}
+    one = TruncatedSeries.one(order)
+    previous, level = TruncatedSeries.zero(order), one
+    arch = level
+    full = evaluate("B", order).series
+    for k in range(order + 401):
+        if k:
+            weight = TruncatedSeries.monomial(2 if k == 1 else 1, order)
+            previous, level = level, level / (one - weight * arch)
+            arch = level - previous
+        if k not in wanted:
+            continue
+        assert evaluate("Bk", order, k=k).series == level, k
+        assert evaluate("Ak", order, k=k).series == level - previous, k
+        if k >= order:
+            assert level == full, k
+
+
 # ---------- the catalog surface ----------
+
+def test_series_route_signatures_name_their_parameters():
+    from inspect import signature
+
+    routes = {name: tuple(signature(fn).parameters)
+              for name, fn in vars(catalog).items() if hasattr(fn, "ints")}
+    assert routes == {
+        "gf_dap": ("order",),
+        "gf_gdap": ("name", "order"),
+        "gf_prefix_positive": ("k", "order"),
+        "gf_prefix_positive_total": ("order",),
+        "gf_prefix_negative": ("k", "order"),
+        "gf_minorized": ("m", "order"),
+        "poly_D": ("t", "order"),
+        "poly_N": ("k", "t", "order"),
+        "gf_bounded_0t": ("k", "t", "kind", "order"),
+        "gf_bounded_sym": ("t", "order"),
+        "gf_bounded_sym_ordinate": ("k", "t", "kind", "order"),
+        "gf_H": ("order",),
+        "gf_H_bounded": ("k", "order"),
+        "gf_H_exact": ("k", "order"),
+    }
+
 
 def test_catalog_names_are_sorted_and_complete():
     names = series_names()

@@ -1,11 +1,15 @@
 """Command line: spec'd examples, exit codes, formats, stream discipline."""
 
 import json
+import os
 import subprocess
 import sys
+import time
 
 import pytest
 
+import airpockets
+from airpockets import cli
 from airpockets import reference as ref
 from airpockets import verify
 from airpockets.cli import main
@@ -395,12 +399,69 @@ def test_verify_order_floor_fits_every_cited_run(capsys):
     assert "18/18 checks passed" in out
 
 
+# -------------------------------------------------------------- ceilings
+
+@pytest.mark.parametrize("argv, ceiling", [
+    (["series", "G", "--order", "1000000000"], cli.MAX_ORDER),
+    (["series", "sym_f", "--k", "0", "--t", "1000000000", "--order", "5"],
+     cli.MAX_T),
+    (["enumerate", "--family", "gdap", "--length", "40", "--list"],
+     cli.MAX_LISTED_PATHS),
+    (["series", "G", "--order", str(cli.MAX_ORDER + 1)], cli.MAX_ORDER),
+    (["series", "D", "--t", str(cli.MAX_T + 1), "--order", "3"], cli.MAX_T),
+    (["series", "Tk", "--k", str(cli.MAX_ORDINATE + 1), "--order", "3"],
+     cli.MAX_ORDINATE),
+    (["series", "Rk", "--k", str(-cli.MAX_ORDINATE - 1), "--order", "3"],
+     cli.MAX_ORDINATE),
+    (["series", "minorized", "--m", str(-cli.MAX_ORDINATE - 1)],
+     cli.MAX_ORDINATE),
+    (["enumerate", "--length", str(cli.MAX_LENGTH + 1), "--count"],
+     cli.MAX_LENGTH),
+    (["enumerate", "--family", "H", "--length", str(cli.MAX_H_LENGTH + 1),
+      "--count"], cli.MAX_H_LENGTH),
+    (["enumerate", "--family", "dap", "--length", "24", "--list"],
+     cli.MAX_LISTED_PATHS),
+    (["enumerate", "--family", "motzkin", "--length", "60", "--list"],
+     cli.MAX_LISTED_PATHS),
+    (["verify", "--offline", "--suite", "oracle", "--max-n",
+      str(cli.MAX_N + 1)], cli.MAX_N),
+    (["verify", "--offline", "--suite", "bijections", "--max-n",
+      str(cli.MAX_ROUNDTRIP_N + 1)], cli.MAX_ROUNDTRIP_N),
+    (["verify", "--offline", "--suite", "all", "--max-n",
+      str(cli.MAX_ROUNDTRIP_N + 1)], cli.MAX_ROUNDTRIP_N),
+    (["verify", "--offline", "--suite", "oeis", "--order",
+      str(cli.MAX_ORDER + 1)], cli.MAX_ORDER),
+])
+def test_request_above_a_ceiling_exits_3_at_once(capsys, argv, ceiling):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert f"the ceiling of {ceiling}" in err or f"floor of {-ceiling}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "Tk", "--k", str(cli.MAX_ORDINATE), "--order", "3"],
+    ["series", "Rk", "--k", str(-cli.MAX_ORDINATE), "--order", "3"],
+    ["series", "minorized", "--m", str(-cli.MAX_ORDINATE), "--order", "3"],
+    ["enumerate", "--family", "gdap", "--min-y", "-1", "--max-y", "1",
+     "--length", str(cli.MAX_LENGTH), "--count"],
+])
+def test_request_at_a_ceiling_runs(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out
+
+
 # ------------------------------------------------------------ entry point
 
 def test_module_entry_point():
+    src = os.path.dirname(os.path.dirname(airpockets.__file__))
     proc = subprocess.run(
         [sys.executable, "-m", "airpockets", "series", "dap", "--order", "6"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert proc.stdout == "0 0 1 1 2 4 8\n"
 

@@ -1,0 +1,108 @@
+"""The package's immutable records, and what importing the package loads."""
+
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import airpockets
+from airpockets.bijections import BlockDecomposition
+from airpockets.catalog import NamedSeries, SeriesSystem, _Entry
+from airpockets.enumeration import FamilySpec
+from airpockets.oeis import Alignment, SequenceRecord
+from airpockets.paths import UD, PathClassification
+from airpockets.series import TruncatedSeries
+from airpockets.verify import CheckResult, VerificationReport
+
+ONE = TruncatedSeries.one(3)
+
+# (record, the fields passed by keyword, the defaults the rest must take),
+# each dict in field order
+RECORDS = [
+    (BlockDecomposition, {"blocks": (UD,), "lengths": (2,)}, {}),
+    (SeriesSystem, {"dimension": 1, "matrix": ((ONE,),), "rhs": (ONE,)}, {}),
+    (NamedSeries, {"name": "dap", "params": (), "series": ONE}, {}),
+    (_Entry, {"params": ("k",), "fn": abs, "summary": "s"}, {}),
+    (FamilySpec, {"kind": "gdap"},
+     {"min_y": None, "max_y": None, "end_ordinate": None, "end_step": None,
+      "start_step": None}),
+    (SequenceRecord, {"id": "A000035", "terms": (0, 1), "source": "fixture"},
+     {}),
+    (Alignment, {"shift": 0, "start": 1, "matches": 9}, {}),
+    (PathClassification,
+     {"length": 2, "final_ordinate": 0, "max_height": 1, "min_height": 0,
+      "is_dap": True, "is_gdap": True, "is_prime": False,
+      "starts_with": "up", "ends_with": "down"}, {}),
+    (CheckResult, {"subject": "dap", "check_kind": "dual_path",
+                   "range": "order 10", "status": "pass"},
+     {"first_mismatch": None}),
+    (VerificationReport, {"suite": "all", "checks": ()}, {}),
+]
+IDS = [record.__name__ for record, _, _ in RECORDS]
+
+
+@pytest.mark.parametrize("record, given, defaults", RECORDS, ids=IDS)
+def test_record_is_immutable(record, given, defaults):
+    value = record(**given)
+    field = next(iter(given))
+    with pytest.raises(AttributeError):
+        setattr(value, field, given[field])
+    with pytest.raises(AttributeError):
+        value.extra = 1
+
+
+@pytest.mark.parametrize("record, given, defaults", RECORDS, ids=IDS)
+def test_record_equality_and_hash_follow_the_fields(record, given, defaults):
+    by_keyword = record(**given)
+    by_position = record(*given.values())
+    assert by_keyword == by_position
+    assert hash(by_keyword) == hash(by_position)
+
+
+@pytest.mark.parametrize("record, given, defaults", RECORDS, ids=IDS)
+def test_record_repr_names_every_field(record, given, defaults):
+    fields = {**given, **defaults}
+    assert repr(record(**given)) == (
+        record.__name__ + "("
+        + ", ".join(f"{key}={value!r}" for key, value in fields.items())
+        + ")")
+
+
+@pytest.mark.parametrize("record, given, defaults", RECORDS, ids=IDS)
+def test_record_keyword_defaults_apply(record, given, defaults):
+    value = record(**given)
+    for key, default in defaults.items():
+        assert getattr(value, key) == default
+
+
+@pytest.mark.parametrize("record, change", [
+    (CheckResult, {"status": "fail"}),
+    (SeriesSystem, {"dimension": 2}),
+    (SequenceRecord, {"terms": ()}),
+], ids=["CheckResult", "SeriesSystem", "SequenceRecord"])
+def test_replace_runs_the_record_checks(record, change):
+    given = next(given for cls, given, _ in RECORDS if cls is record)
+    with pytest.raises(ValueError):
+        record(**given)._replace(**change)
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    # pytest itself imports dataclasses and inspect, so ask a fresh process
+    src = os.path.dirname(os.path.dirname(airpockets.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, airpockets.cli; print(' '.join(sorted(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        check=True).stdout
+    loaded = set(out.split())
+    assert not {"dataclasses", "inspect", "csv"} & loaded
+    modules = {"airpockets." + info.name
+               for info in pkgutil.iter_modules(airpockets.__path__)
+               if info.name != "__main__"}
+    # the benchmark's tracer finds these in sys.modules after this import
+    traced = {"airpockets." + name for name in (
+        "bijections", "catalog", "enumeration", "oeis", "paths", "series",
+        "verify")}
+    assert traced <= modules <= loaded
