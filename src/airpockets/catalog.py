@@ -30,9 +30,9 @@ other quantity is recomputed from them per call.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from functools import wraps
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import mul
 from threading import Lock
 from typing import NamedTuple
@@ -595,20 +595,27 @@ def gf_minorized(m: int, order: int) -> list[int]:
 
 # ---------- band determinants and numerators ----------
 
-def _det_and_gate(t: int, order: int) -> tuple[list[int], list[int]]:
-    # one sweep of D_t = (1+x-x^2)·D_{t-1} - x·D_{t-2} from D_{-1} = D_0 = 1,
-    # carrying the gate numerator N_{t+1}^t = x^2·D_{t-1} + x·N_t^{t-1}.
-    # Both have degree 2t, so cutting every step at min(order, 2t) costs
-    # O(t·order) and still returns them whole once order >= 2t.
+def _det_sweep(t: int, order: int):
+    # the sweep of D_i = (1+x-x^2)·D_{i-1} - x·D_{i-2} from D_{-1} = D_0 = 1,
+    # carrying the gate numerator N_{i+1}^i = x^2·D_{i-1} + x·N_i^{i-1}:
+    # yields (D_i, N_{i+1}^i) for i = 0..t.  Both have degree 2i, so cutting
+    # every step at min(order, 2t) costs O(t·order) and still gives them
+    # whole once order >= 2t.
     size = min(order, 2 * t) + 1
     before = det = [1] + [0] * (size - 1)
     gate = [0] * size
+    yield det, gate
     for _ in range(t):
         gate = [a + b for a, b in zip([0, 0, *det[:-2]], [0, *gate[:-1]])]
         before, det = det, [
             c + c1 - c2 - b1 for c, c1, c2, b1 in
             zip(det, [0, *det], [0, 0, *det], [0, *before])]
-    return det, gate
+        yield det, gate
+
+
+def _det_and_gate(t: int, order: int) -> tuple[list[int], list[int]]:
+    # (D_t, N_{t+1}^t), the last step of the sweep
+    return deque(_det_sweep(t, order), maxlen=1)[0]
 
 
 @_series_route
@@ -665,13 +672,16 @@ def gf_bounded_sym(t: int, order: int) -> list[int]:
     """Paths confined to -t <= y <= t that end on the axis (empty included).
 
     Closed form over the doubled-band determinant:
-    D_{t-1}·(D_t + N_{t+1}^t) / D_{2t}.
+    D_{t-1}·(D_t + N_{t+1}^t) / D_{2t}, all read off one sweep to 2t.
     """
     if t < 1:
         raise ValueError("band half-height must be >= 1")
-    det, gate = _det_and_gate(t, order)
-    num = _mul(_det_and_gate(t - 1, order)[0], _add(det, gate, order), order)
-    return _div(num, poly_D.ints(2 * t, order), order)
+    sweep = _det_sweep(2 * t, order)
+    lower, _ = next(islice(sweep, t - 1, None))
+    det, gate = next(sweep)
+    num = _mul(lower, _add(det, gate, order), order)
+    full, _ = deque(sweep, maxlen=1)[0]
+    return _div(num, full, order)
 
 
 @_series_route

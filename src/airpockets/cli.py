@@ -44,8 +44,8 @@ EXIT_NOT_IN_FAMILY = 4
 
 # Size ceilings.  A request above one exits 3 before any work starts.  The
 # slowest accepted series request, `series sym --t 20000 --order 1000`,
-# takes about 30 s on a 2-CPU Xeon; raise the ceilings as routes get
-# cheaper.
+# takes about 36 s on a 2-CPU Xeon with Python 3.11; raise the ceilings as
+# routes get cheaper.
 MAX_ORDER = 1000                # series --order, verify --order
 MAX_T = 20_000                  # series --t
 MAX_ORDINATE = 2 * MAX_T + 1    # |series --k|, |series --m|
@@ -134,7 +134,7 @@ def _cmd_series(args) -> int:
                      f"unknown series {args.name!r}; known names: {known}")
     except BadParams as exc:
         return _fail(EXIT_BAD_PARAMS, str(exc))
-    coeffs = [int(c) for c in named.series.integer_coefficients()]
+    coeffs = named.series.integer_coefficients()
     if args.format == "json":
         _emit(_canonical_json({
             "name": named.name,

@@ -1,7 +1,12 @@
 """Truncated power series with exact rational coefficients.
 
-A :class:`TruncatedSeries` keeps the coefficients of x^0 .. x^order as
-`fractions.Fraction` values in lowest terms.  All arithmetic is exact.
+A :class:`TruncatedSeries` keeps the coefficients of x^0 .. x^order
+exactly: an integral value as a Python int, any other value as a
+`fractions.Fraction` in lowest terms, so a series of integers (every
+counting series here) never builds a Fraction.  All arithmetic is exact:
+a division that leaves no remainder gives an int, one that does gives a
+Fraction, and no coefficient is ever a float.  Equality, hashing and
+printing do not depend on the representation, since 3 == Fraction(3).
 Binary operations require both operands to share the same order; truncate
 explicitly when mixing orders.  Operations that lose low-order information
 return a series of *smaller* order, so the order of a series is always an
@@ -29,19 +34,29 @@ from .errors import (
 
 Scalar = Union[int, Fraction]
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+_ZERO = 0
+_ONE = 1
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+def _scalar(value) -> Scalar:
+    # an integral value as an int, any other rational as a Fraction
     if isinstance(value, int):
-        return Fraction(value)
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"coefficient must be int or Fraction, not {type(value).__name__}")
 
 
-def _mul_lists(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
+def _exact_div(a: Scalar, b: Scalar) -> Scalar:
+    # a / b without a float: an int when b divides a, else a Fraction
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        if not r:
+            return q
+    return _scalar(Fraction(a) / b)
+
+
+def _mul_lists(a: list[Scalar], b: list[Scalar], order: int) -> list[Scalar]:
     out = [_ZERO] * (order + 1)
     for i in range(min(len(a), order + 1)):
         ai = a[i]
@@ -55,9 +70,10 @@ def _mul_lists(a: list[Fraction], b: list[Fraction], order: int) -> list[Fractio
     return out
 
 
-def _div_lists(a: list[Fraction], b: list[Fraction], order: int) -> list[Fraction]:
-    # long division, b[0] must be nonzero; exact to the given order
-    inv0 = 1 / b[0]
+def _div_lists(a: list[Scalar], b: list[Scalar], order: int) -> list[Scalar]:
+    # long division, b[0] must be nonzero; exact to the given order, and
+    # integral when a is and b[0] is a unit
+    inv0 = b[0] if b[0] in (1, -1) else Fraction(1, b[0])
     q = [_ZERO] * (order + 1)
     for n in range(order + 1):
         acc = a[n] if n < len(a) else _ZERO
@@ -75,7 +91,9 @@ class TruncatedSeries:
     __slots__ = ("order", "coeffs")
 
     def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        cs = [_as_fraction(c) for c in coeffs]
+        cs = list(coeffs)
+        if not all(type(c) is int for c in cs):
+            cs = [_scalar(c) for c in cs]
         if order is None:
             if not cs:
                 raise ValueError("an empty coefficient list needs an explicit order")
@@ -120,7 +138,7 @@ class TruncatedSeries:
 
     # ---------- inspection ----------
 
-    def coefficient(self, n: int) -> Fraction:
+    def coefficient(self, n: int) -> int | Fraction:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside known range 0..{self.order}")
         return self.coeffs[n]
@@ -138,12 +156,10 @@ class TruncatedSeries:
 
     def integer_coefficients(self) -> tuple[int, ...]:
         """Coefficients as ints; raises ValueError on a non-integer coefficient."""
-        out = []
         for i, c in enumerate(self.coeffs):
-            if c.denominator != 1:
+            if type(c) is not int:
                 raise ValueError(f"coefficient of x^{i} is non-integer: {c}")
-            out.append(c.numerator)
-        return tuple(out)
+        return self.coeffs
 
     # ---------- order management ----------
 
@@ -206,8 +222,8 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            return TruncatedSeries([c * f for c in self.coeffs], self.order)
+            return TruncatedSeries([c * other for c in self.coeffs],
+                                   self.order)
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             return TruncatedSeries(
@@ -219,10 +235,11 @@ class TruncatedSeries:
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _as_fraction(other)
-            if f == 0:
+            if other == 0:
                 raise ZeroDivisionError("division by zero scalar")
-            return TruncatedSeries([c / f for c in self.coeffs], self.order)
+            f = _scalar(other)
+            return TruncatedSeries([_exact_div(c, f) for c in self.coeffs],
+                                   self.order)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
         self._check_order(other)
@@ -275,7 +292,7 @@ class TruncatedSeries:
         while prec < self.order:
             prec = min(2 * prec + 1, self.order)
             t = _div_lists(a, s + [_ZERO] * (prec + 1 - len(s)), prec)
-            s = [(si + ti) / 2 for si, ti in
+            s = [_exact_div(si + ti, 2) for si, ti in
                  zip(s + [_ZERO] * (prec + 1 - len(s)), t)]
         return TruncatedSeries(s, self.order)
 

@@ -19,7 +19,6 @@ than aborting the suite.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import reference as ref
@@ -282,7 +281,7 @@ def _by_axis_radical(order, t):
     # radical closed form for the numerator of the axis down-ending entry
     w, d1, d2 = _radical_parts(order)
     num = d1 ** t - (-1) ** t * (d2 ** t)
-    gate = (num / w).shift(2) * Fraction(1, 2 ** t)
+    gate = (num / w).shift(2) / 2 ** t
     return [("g0t", {"t": t}, gate / _series("D", order, t=t))]
 
 
@@ -295,7 +294,8 @@ def _by_det_radical(order, t):
     n1 = w + TruncatedSeries.polynomial((-1, 1, -1), order)
     n2 = w + TruncatedSeries.polynomial((1, -1, 1), order)
     num = n1 * d2 ** (t + 1) + (-1) ** (t + 1) * (n2 * d1 ** (t + 1))
-    det = (num / w) * Fraction(2 ** t, (-4) ** (t + 1))
+    # times 2^t / (-4)^(t+1), an exact division by (-1)^(t+1)·2^(t+2)
+    det = (num / w) / ((-1) ** (t + 1) * 2 ** (t + 2))
     return [("D", {"t": t}, det)]
 
 

@@ -2,7 +2,9 @@
 
 bench/child.py with --trace installs bench/tracer.py, which looks the
 package's modules up in sys.modules right after importing airpockets and
-airpockets.cli; these runs fail if that import stops loading them.
+airpockets.cli; these runs fail if that import stops loading them.  The
+tracer also wraps TruncatedSeries methods by name, so its series counters
+must still count something where `verify` runs series arithmetic.
 """
 
 import json
@@ -18,6 +20,17 @@ import airpockets
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
 
+def _traced_child(tmp_path, *args):
+    trace = tmp_path / "trace.json"
+    src = os.path.dirname(os.path.dirname(airpockets.__file__))
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), str(tmp_path / "footer.json"),
+         "--trace", str(trace), *args],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(trace.read_text())
+
+
 @pytest.mark.parametrize("mode", ["cli", "session"])
 def test_traced_child_records_evaluate_spans(tmp_path, mode):
     if mode == "cli":
@@ -26,12 +39,15 @@ def test_traced_child_records_evaluate_spans(tmp_path, mode):
         stream = tmp_path / "stream.json"
         stream.write_text(json.dumps([["G", {}, 10], ["Bk", {"k": 3}, 12]]))
         args = ["session", str(stream)]
-    trace = tmp_path / "trace.json"
-    src = os.path.dirname(os.path.dirname(airpockets.__file__))
-    proc = subprocess.run(
-        [sys.executable, str(CHILD), str(tmp_path / "footer.json"),
-         "--trace", str(trace), *args],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
-    assert proc.returncode == 0, proc.stderr
-    spans = json.loads(trace.read_text())["spans"]
+    spans = _traced_child(tmp_path, *args)["spans"]
     assert any(span[2] == "catalog.evaluate" for span in spans)
+
+
+def test_traced_verify_counts_series_products(tmp_path):
+    # the tracer wraps TruncatedSeries methods by name; the dual
+    # derivations of paper-series multiply series, so the count is positive
+    trace = _traced_child(tmp_path, "cli", "verify", "--offline",
+                          "--suite", "paper-series")
+    calls = sum(counters.get("series.mul.calls", 0)
+                for counters in trace["span_counters"].values())
+    assert calls > 0

@@ -566,6 +566,15 @@ def test_sym_total_is_axis_sum():
     assert total == f0 + g0
 
 
+@pytest.mark.parametrize("t", range(1, 13))
+def test_sym_one_sweep_matches_its_closed_form(t):
+    # D_{t-1}·(D_t + N_{t+1}^t) / D_{2t}, each factor from its own sweep
+    for order in (5, 2 * t, 4 * t + 3):
+        num = poly_D(t - 1, order) * (poly_D(t, order)
+                                      + poly_N(t + 1, t, order))
+        assert gf_bounded_sym(t, order) == num / poly_D(2 * t, order)
+
+
 def test_sym_rejects_bad_params():
     with pytest.raises(ValueError):
         gf_bounded_sym(0, 5)

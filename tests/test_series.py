@@ -37,6 +37,22 @@ def test_coefficients_are_fractions_in_lowest_terms():
     assert isinstance(s.coefficient(0), Fraction)
 
 
+def test_int_and_fraction_inputs_give_one_value():
+    ints = S([3, 0, -2, 1], 3)
+    from_fractions = S(
+        [Fraction(6, 2), Fraction(0), Fraction(-4, 2), Fraction(1)], 3)
+    assert ints == from_fractions
+    assert hash(ints) == hash(from_fractions)
+    assert str(ints) == str(from_fractions) == "3 + -2*x^2 + x^3"
+    assert repr(ints) == repr(from_fractions)
+    assert all(type(c) is int for c in from_fractions.coeffs)
+    mixed = S([Fraction(1, 2), 3], 1)
+    assert mixed == S([Fraction(2, 4), Fraction(3)], 1)
+    assert hash(mixed) == hash(S([Fraction(2, 4), Fraction(3)], 1))
+    assert str(mixed) == "1/2 + 3*x"
+    assert [type(c) for c in mixed.coeffs] == [Fraction, int]
+
+
 def test_coefficient_out_of_range():
     with pytest.raises(IndexError):
         S([1], 3).coefficient(4)
@@ -248,3 +264,63 @@ def test_sqrt_squares_back(u):
     shifted = s / s.coefficient(0)
     root = shifted.sqrt()
     assert root * root == shifted
+
+
+# ---------- integral coefficients stay ints ----------
+
+# each operation below is checked against a schoolbook computation on
+# lists of Fractions: the values must agree, an integral coefficient must
+# be an int, any other a Fraction, and none a float
+ORDER = 8
+dense = st.lists(coeff, min_size=ORDER + 1, max_size=ORDER + 1)
+
+
+def _ref_mul(a, b):
+    return [sum((a[i] * b[n - i] for i in range(n + 1)), Fraction(0))
+            for n in range(ORDER + 1)]
+
+
+def _ref_div(a, b):
+    q = []
+    for n in range(ORDER + 1):
+        acc = a[n] - sum((q[i] * b[n - i] for i in range(n)), Fraction(0))
+        q.append(acc / b[0])
+    return q
+
+
+def _ref_sqrt(a):
+    # a[0] == 1; 2·s_n = a_n - (s_1·s_{n-1} + ... + s_{n-1}·s_1)
+    s = [Fraction(1)]
+    for n in range(1, ORDER + 1):
+        cross = sum((s[i] * s[n - i] for i in range(1, n)), Fraction(0))
+        s.append((a[n] - cross) / 2)
+    return s
+
+
+def assert_exact(got, want):
+    assert got.order == ORDER
+    assert got.coeffs == tuple(want)
+    for c, w in zip(got.coeffs, want):
+        assert type(c) is (int if w.denominator == 1 else Fraction), (c, w)
+
+
+@settings(max_examples=100)
+@given(dense, dense, st.sampled_from([1, -1, 2]),
+       st.integers(-6, 6).filter(bool), st.integers(1, 3))
+def test_integral_values_stay_ints(a, b, lead, d, e):
+    b = [lead] + b[1:]
+    fa, fb = [Fraction(c) for c in a], [Fraction(c) for c in b]
+    sa, sb = S(a, ORDER), S(b, ORDER)
+    assert_exact(sa + sb, [x + y for x, y in zip(fa, fb)])
+    assert_exact(sa - sb, [x - y for x, y in zip(fa, fb)])
+    assert_exact(sa * sb, _ref_mul(fa, fb))
+    assert_exact(sa / sb, _ref_div(fa, fb))
+    assert_exact(sa / d, [x / d for x in fa])
+    inverse = _ref_div([Fraction(1)] + [Fraction(0)] * ORDER, fb)
+    power = inverse
+    for _ in range(e - 1):
+        power = _ref_mul(power, inverse)
+    assert_exact(sb ** -e, power)
+    unit = S([1] + a[1:], ORDER)
+    assert_exact((unit * unit).sqrt(), [Fraction(1)] + fa[1:])
+    assert_exact(unit.sqrt(), _ref_sqrt([Fraction(1)] + fa[1:]))

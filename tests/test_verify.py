@@ -150,6 +150,17 @@ def test_dual_paths_agree_at_order_30(name, params):
     assert verify._check_duals(name, params, 30) is None
 
 
+@pytest.mark.parametrize("name,params", DUAL_ROWS,
+                         ids=[verify._subject(*row) for row in DUAL_ROWS])
+def test_dual_derivations_keep_integer_coefficients(name, params):
+    # every claimed series has integer coefficients, so a Fraction here
+    # is only waste
+    for label, derive in verify.DUAL_PATHS[name]:
+        for claimed, claimed_params, derived in derive(30, **params):
+            kinds = {type(c) for c in derived.coeffs}
+            assert kinds == {int}, (label, claimed, claimed_params, kinds)
+
+
 def _perturbed(derive):
     def derive_off_by_x_to_the_order(order, **params):
         return [(name, claimed, series
