@@ -72,8 +72,22 @@ def _check_composition(parts) -> Composition:
     c = tuple(parts)
     for p in c:
         if not isinstance(p, int) or p < 1:
-            raise ValueError(f"composition parts must be positive ints: {c}")
+            raise NotInFamily(f"composition parts must be positive ints: {c}")
     return c
+
+
+def parse_composition(text: str) -> Composition:
+    """Comma-separated integer parts; "" and "ε" are the empty composition.
+
+    The parts are not checked here: psi_inv and phi_inv check their input.
+    """
+    cleaned = text.strip()
+    if not cleaned or cleaned == "ε":
+        return ()
+    try:
+        return tuple(int(part) for part in cleaned.split(","))
+    except ValueError as exc:  # not an integer, or too many digits to read
+        raise NotInFamily(str(exc)) from None
 
 
 def _alternates(c: Composition) -> bool:

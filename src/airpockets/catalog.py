@@ -854,9 +854,8 @@ def evaluate(name: str, order: int, k: int | None = None,
     """
     entry = CATALOG.get(name)
     if entry is None:
-        raise UnknownName(
-            f"no catalog series named {name!r}; try one of: "
-            + ", ".join(series_names()))
+        raise UnknownName(f"unknown series {name!r}; known names: "
+                          + ", ".join(series_names()))
     supplied = {key: value for key, value in
                 (("k", k), ("t", t), ("m", m)) if value is not None}
     if set(supplied) != set(entry.params):
@@ -867,6 +866,6 @@ def evaluate(name: str, order: int, k: int | None = None,
     args = [supplied[p] for p in entry.params]
     try:
         coeffs = entry.fn(*args, order)
-    except (ValueError, IndexOutOfRange) as exc:
+    except ValueError as exc:
         raise BadParams(str(exc)) from None
     return NamedSeries(name, tuple(args), TruncatedSeries(coeffs, order))

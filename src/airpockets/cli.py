@@ -1,10 +1,12 @@
 """Batch command line: evaluate series, enumerate families, apply the
 bijections, and run the verification harness.
 
-Exit codes: 0 success, 1 failed verification, 2 unknown series name,
-3 bad parameters, a request above a size ceiling or an infeasible
-enumeration, 4 input outside a bijection's domain.  Data goes to stdout,
-diagnostics to stderr.
+Exit codes: 0 success, 1 failed verification, and by the class of the
+error raised: 2 UnknownName, 3 InputError (bad parameters, a request above
+one of the size ceilings below, an infeasible enumeration), 4 DomainError
+(input outside a path operation's or bijection's domain).  main() is the
+only place that catches them; any other exception is a bug and shows as a
+traceback.  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ import json
 import sys
 from functools import partial
 
-from .bijections import phi, phi_inv, psi, psi_inv
-from .catalog import evaluate, series_names
+from .bijections import parse_composition, phi, phi_inv, psi, psi_inv
+from .catalog import evaluate
 from .enumeration import (
     FamilySpec,
     count_motzkin_avoiding,
@@ -25,22 +27,23 @@ from .enumeration import (
 )
 from .errors import (
     BadParams,
-    ConsecutiveDowns,
+    DomainError,
     InfeasibleSpec,
-    MalformedToken,
-    NotAlternating,
-    NotInCPrime,
-    NotInFamily,
+    InputError,
     UnknownName,
 )
 from .paths import EMPTY, LatticePath, parse_path
-from .verify import SUITES, run_suite
+from .verify import SUITES, CheckResult, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_UNKNOWN_NAME = 2
 EXIT_BAD_PARAMS = 3
-EXIT_NOT_IN_FAMILY = 4
+EXIT_OUT_OF_DOMAIN = 4
+
+# every error a request can cause derives from exactly one of these
+EXIT_CODES = {UnknownName: EXIT_UNKNOWN_NAME, InputError: EXIT_BAD_PARAMS,
+              DomainError: EXIT_OUT_OF_DOMAIN}
 
 # Size ceilings.  A request above one exits 3 before any work starts.  The
 # slowest accepted series request, `series sym --t 20000 --order 1000`,
@@ -49,11 +52,16 @@ EXIT_NOT_IN_FAMILY = 4
 MAX_ORDER = 1000                # series --order, verify --order
 MAX_T = 20_000                  # series --t
 MAX_ORDINATE = 2 * MAX_T + 1    # |series --k|, |series --m|
-MAX_LENGTH = 2000               # enumerate --length
+MAX_LENGTH = 2000               # enumerate --length, |--min-y|,
+                                # |--end-ordinate|; map --invert's parts' sum
 MAX_H_LENGTH = 400              # enumerate --family H --length: a cubic count
 MAX_LISTED_PATHS = 2_000_000    # enumerate --list, checked by counting first
 MAX_N = 100                     # verify --max-n
 MAX_ROUNDTRIP_N = 22            # verify --max-n for the listing bijection suites
+
+# flags bounded in absolute value; a negative value of any other flag is
+# left to that flag's own floor
+SIGNED_FLAGS = ("k", "m", "min_y", "end_ordinate")
 
 FAMILY_KINDS = {
     "dap": "dap",
@@ -72,45 +80,36 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_BAD_PARAMS, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text: str) -> None:
-    sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _canonical_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _csv_rows(rows) -> str:
-    import csv
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _above_ceiling(args, ceilings) -> str | None:
-    """The message for the first flag whose size is above its ceiling.
-
-    The ordinates --k and --m are bounded in absolute value; a negative
-    value of any other flag is left to that flag's own floor.
-    """
+def _check_ceilings(args, ceilings) -> None:
+    """Raise BadParams for the first flag whose size is above its ceiling."""
     for flag, ceiling in ceilings:
         value = getattr(args, flag)
         if value is None:
             continue
         name = "--" + flag.replace("_", "-")
         if value > ceiling:
-            return f"{name} {value} is above the ceiling of {ceiling}"
-        if flag in ("k", "m") and value < -ceiling:
-            return f"{name} {value} is below the floor of {-ceiling}"
-    return None
+            raise BadParams(
+                f"{name} {value} is above the ceiling of {ceiling}")
+        if flag in SIGNED_FLAGS and value < -ceiling:
+            raise BadParams(f"{name} {value} is below the floor of {-ceiling}")
+
+
+def _write(fmt: str, record, rows, text) -> None:
+    """Print a result as its JSON record, its CSV rows (header first) or its
+    plain text.  Each comes as a function, so only the requested one is
+    built."""
+    if fmt == "json":
+        out = json.dumps(record(), sort_keys=True, separators=(",", ":"))
+    elif fmt == "csv":
+        import csv
+        import io
+
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(rows())
+        out = buffer.getvalue()
+    else:
+        out = text()
+    sys.stdout.write(out if out.endswith("\n") else out + "\n")
 
 
 def _render_path(path: LatticePath | str) -> str:
@@ -120,32 +119,16 @@ def _render_path(path: LatticePath | str) -> str:
 # ---------------------------------------------------------------- series
 
 def _cmd_series(args) -> int:
-    over = _above_ceiling(args, (("order", MAX_ORDER), ("k", MAX_ORDINATE),
-                                 ("t", MAX_T), ("m", MAX_ORDINATE)))
-    if over:
-        return _fail(EXIT_BAD_PARAMS, over)
+    _check_ceilings(args, (("order", MAX_ORDER), ("k", MAX_ORDINATE),
+                           ("t", MAX_T), ("m", MAX_ORDINATE)))
     params = {key: getattr(args, key)
               for key in ("k", "t", "m") if getattr(args, key) is not None}
-    try:
-        named = evaluate(args.name, args.order, **params)
-    except UnknownName:
-        known = ", ".join(series_names())
-        return _fail(EXIT_UNKNOWN_NAME,
-                     f"unknown series {args.name!r}; known names: {known}")
-    except BadParams as exc:
-        return _fail(EXIT_BAD_PARAMS, str(exc))
+    named = evaluate(args.name, args.order, **params)
     coeffs = named.series.integer_coefficients()
-    if args.format == "json":
-        _emit(_canonical_json({
-            "name": named.name,
-            "params": params,
-            "coeffs": coeffs,
-        }))
-    elif args.format == "csv":
-        rows = [("n", "coefficient")] + list(enumerate(coeffs))
-        _emit(_csv_rows(rows))
-    else:
-        _emit(" ".join(str(c) for c in coeffs))
+    _write(args.format,
+           lambda: {"name": named.name, "params": params, "coeffs": coeffs},
+           lambda: [("n", "coefficient"), *enumerate(coeffs)],
+           lambda: " ".join(map(str, coeffs)))
     return EXIT_OK
 
 
@@ -153,150 +136,90 @@ def _cmd_series(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     kind = FAMILY_KINDS[args.family]
-    over = _above_ceiling(args, (
-        ("length", MAX_H_LENGTH if kind == "special_h" else MAX_LENGTH),))
-    if over:
-        return _fail(EXIT_BAD_PARAMS, over)
+    _check_ceilings(args, (
+        ("length", MAX_H_LENGTH if kind == "special_h" else MAX_LENGTH),
+        ("min_y", MAX_LENGTH), ("end_ordinate", MAX_LENGTH)))
     fields = {"kind": kind}
-    for flag, field in (("min_y", "min_y"), ("max_y", "max_y"),
-                        ("end_ordinate", "end_ordinate"),
-                        ("end_step", "end_step"),
-                        ("start_step", "start_step")):
-        value = getattr(args, flag)
-        if value is not None:
-            fields[field] = value
-    try:
-        if kind == "motzkin_avoid":
-            if len(fields) > 1:
-                raise InfeasibleSpec(
-                    "the motzkin family takes no window or endpoint flags")
-            total = count_motzkin_avoiding(args.length)
-            listing = enum_motzkin_avoiding
-        else:
-            spec = FamilySpec(**fields)
-            total = count_paths(args.length, spec)
-            listing = partial(enum_paths, spec=spec)
-        if args.list:
-            if total > MAX_LISTED_PATHS:
-                return _fail(EXIT_BAD_PARAMS,
-                             f"--list would print {total} paths, above the "
-                             f"ceiling of {MAX_LISTED_PATHS}; use --count")
-            paths = listing(args.length)
-    except InfeasibleSpec as exc:
-        return _fail(EXIT_BAD_PARAMS, str(exc))
-    except (TypeError, ValueError) as exc:
-        return _fail(EXIT_BAD_PARAMS, str(exc))
-    if args.list:
-        rendered = [_render_path(p) for p in paths]
-        if args.format == "json":
-            _emit(_canonical_json({
-                "family": args.family,
-                "length": args.length,
-                "paths": rendered,
-            }))
-        elif args.format == "csv":
-            _emit(_csv_rows([("path",)] + [(r,) for r in rendered]))
-        else:
-            _emit("\n".join(rendered) if rendered else "")
+    for flag in ("min_y", "max_y", "end_ordinate", "end_step", "start_step"):
+        if getattr(args, flag) is not None:
+            fields[flag] = getattr(args, flag)
+    if kind == "motzkin_avoid":
+        if len(fields) > 1:
+            raise InfeasibleSpec(
+                "the motzkin family takes no window or endpoint flags")
+        total = count_motzkin_avoiding(args.length)
+        listing = enum_motzkin_avoiding
     else:
-        if args.format == "json":
-            _emit(_canonical_json({
-                "family": args.family,
-                "length": args.length,
-                "count": total,
-            }))
-        elif args.format == "csv":
-            _emit(_csv_rows([("count",), (total,)]))
-        else:
-            _emit(str(total))
+        spec = FamilySpec(**fields)
+        total = count_paths(args.length, spec)
+        listing = partial(enum_paths, spec=spec)
+    head = {"family": args.family, "length": args.length}
+    if not args.list:
+        _write(args.format, lambda: {**head, "count": total},
+               lambda: [("count",), (total,)], lambda: str(total))
+        return EXIT_OK
+    if total > MAX_LISTED_PATHS:
+        raise BadParams(f"--list would print {total} paths, above the "
+                        f"ceiling of {MAX_LISTED_PATHS}; use --count")
+    rendered = [_render_path(p) for p in listing(args.length)]
+    _write(args.format, lambda: {**head, "paths": rendered},
+           lambda: [("path",), *zip(rendered)],
+           lambda: "\n".join(rendered))
     return EXIT_OK
 
 
 # ------------------------------------------------------------------- map
 
-def _parse_composition(text: str) -> tuple[int, ...]:
-    cleaned = text.strip()
-    if not cleaned or cleaned == "ε":
-        return ()
-    return tuple(int(part) for part in cleaned.split(","))
-
-
 def _cmd_map(args) -> int:
-    forward = {"psi": psi, "phi": phi}[args.bijection]
-    backward = {"psi": psi_inv, "phi": phi_inv}[args.bijection]
-    try:
-        if args.apply is not None:
-            source = args.apply.strip()
-            path = EMPTY if source in ("", "ε") else parse_path(source)
-            composition = forward(path)
-            output = ",".join(str(part) for part in composition)
-            record = {"bijection": args.bijection, "direction": "apply",
-                      "input": _render_path(path), "output": output}
-        else:
-            composition = _parse_composition(args.invert)
-            path = backward(composition)
-            output = _render_path(path)
-            record = {"bijection": args.bijection, "direction": "invert",
-                      "input": ",".join(str(p) for p in composition),
-                      "output": output}
-    except (NotInFamily, NotAlternating, NotInCPrime, MalformedToken,
-            ConsecutiveDowns, ValueError) as exc:
-        return _fail(EXIT_NOT_IN_FAMILY, str(exc))
-    if args.format == "json":
-        _emit(_canonical_json(record))
-    elif args.format == "csv":
-        _emit(_csv_rows([("input", "output"),
-                         (record["input"], record["output"])]))
+    forward, backward = {"psi": (psi, psi_inv),
+                         "phi": (phi, phi_inv)}[args.bijection]
+    if args.apply is not None:
+        source = args.apply.strip()
+        path = EMPTY if source in ("", "ε") else parse_path(source)
+        given = _render_path(path)
+        output = ",".join(map(str, forward(path)))
     else:
-        _emit(output)
+        composition = parse_composition(args.invert)
+        # the decoded path is within three steps of the parts' sum
+        if sum(composition) > MAX_LENGTH:
+            raise BadParams(f"--invert parts sum to {sum(composition)}, "
+                            f"above the ceiling of {MAX_LENGTH}")
+        given = ",".join(map(str, composition))
+        output = _render_path(backward(composition))
+    record = {"bijection": args.bijection,
+              "direction": "invert" if args.apply is None else "apply",
+              "input": given, "output": output}
+    _write(args.format, lambda: record,
+           lambda: [("input", "output"), (given, output)], lambda: output)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------- verify
 
+def _plain_check(c) -> str:
+    line = f"[{c.status}] {c.subject} ({c.check_kind}, {c.range})"
+    return line + f": {c.first_mismatch}" if c.first_mismatch else line
+
+
 def _cmd_verify(args) -> int:
     # the bijection round trips list every path up to --max-n
     roundtrips = args.suite in ("bijections", "all")
-    over = _above_ceiling(args, (
+    _check_ceilings(args, (
         ("max_n", MAX_ROUNDTRIP_N if roundtrips else MAX_N),
         ("order", MAX_ORDER)))
-    if over:
-        return _fail(EXIT_BAD_PARAMS, over)
-    try:
-        report = run_suite(args.suite, max_n=args.max_n, order=args.order,
-                           offline=args.offline, refresh=args.refresh)
-    except ValueError as exc:
-        return _fail(EXIT_BAD_PARAMS, str(exc))
-    passed = sum(1 for c in report.checks if c.status == "pass")
-    if args.format == "json":
-        _emit(_canonical_json({
-            "suite": report.suite,
-            "ok": report.ok,
-            "checks": [{
-                "subject": c.subject,
-                "check_kind": c.check_kind,
-                "range": c.range,
-                "status": c.status,
-                "first_mismatch": c.first_mismatch,
-            } for c in report.checks],
-        }))
-    elif args.format == "csv":
-        rows = [("subject", "check_kind", "range", "status",
-                 "first_mismatch")]
-        rows += [(c.subject, c.check_kind, c.range, c.status,
-                  c.first_mismatch or "") for c in report.checks]
-        _emit(_csv_rows(rows))
-    else:
-        lines = []
-        for c in report.checks:
-            line = f"[{c.status}] {c.subject} ({c.check_kind}, {c.range})"
-            if c.first_mismatch:
-                line += f": {c.first_mismatch}"
-            lines.append(line)
-        lines.append(f"{passed}/{len(report.checks)} checks passed")
-        _emit("\n".join(lines))
+    report = run_suite(args.suite, max_n=args.max_n, order=args.order,
+                       offline=args.offline, refresh=args.refresh)
+    checks = report.checks
+    passed = sum(1 for c in checks if c.status == "pass")
+    _write(args.format,
+           lambda: {"suite": report.suite, "ok": report.ok,
+                    "checks": [c._asdict() for c in checks]},
+           lambda: [CheckResult._fields,
+                    *((*c[:-1], c.first_mismatch or "") for c in checks)],
+           lambda: "\n".join([*map(_plain_check, checks),
+                              f"{passed}/{len(checks)} checks passed"]))
     if not report.ok:
-        print(f"verification failed: {len(report.checks) - passed} "
+        print(f"verification failed: {len(checks) - passed} "
               "check(s) did not pass", file=sys.stderr)
         return EXIT_VERIFY_FAILED
     return EXIT_OK
@@ -313,30 +236,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_series = commands.add_parser("series", help="print series coefficients")
     p_series.add_argument("name")
     p_series.add_argument("--order", type=int, default=20)
-    p_series.add_argument("--k", type=int, default=None)
-    p_series.add_argument("--t", type=int, default=None)
-    p_series.add_argument("--m", type=int, default=None)
-    p_series.add_argument("--format", choices=("plain", "json", "csv"),
-                          default="plain")
+    for flag in ("--k", "--t", "--m"):
+        p_series.add_argument(flag, type=int)
     p_series.set_defaults(handler=_cmd_series)
 
     p_enum = commands.add_parser("enumerate", help="list or count a family")
     p_enum.add_argument("--family", choices=sorted(FAMILY_KINDS),
                         default="gdap")
     p_enum.add_argument("--length", type=int, required=True)
-    p_enum.add_argument("--min-y", dest="min_y", type=int, default=None)
-    p_enum.add_argument("--max-y", dest="max_y", type=int, default=None)
-    p_enum.add_argument("--end-ordinate", dest="end_ordinate", type=int,
-                        default=None)
-    p_enum.add_argument("--end-step", dest="end_step",
-                        choices=("up", "down"), default=None)
-    p_enum.add_argument("--start-step", dest="start_step",
-                        choices=("up", "down"), default=None)
+    for flag in ("--min-y", "--max-y", "--end-ordinate"):
+        p_enum.add_argument(flag, type=int)
+    for flag in ("--end-step", "--start-step"):
+        p_enum.add_argument(flag, choices=("up", "down"))
     group = p_enum.add_mutually_exclusive_group(required=True)
     group.add_argument("--list", action="store_true")
     group.add_argument("--count", action="store_true")
-    p_enum.add_argument("--format", choices=("plain", "json", "csv"),
-                        default="plain")
     p_enum.set_defaults(handler=_cmd_enumerate)
 
     p_map = commands.add_parser("map", help="apply or invert a bijection")
@@ -344,26 +258,30 @@ def build_parser() -> argparse.ArgumentParser:
     direction = p_map.add_mutually_exclusive_group(required=True)
     direction.add_argument("--apply", metavar="PATH")
     direction.add_argument("--invert", metavar="PARTS")
-    p_map.add_argument("--format", choices=("plain", "json", "csv"),
-                       default="plain")
     p_map.set_defaults(handler=_cmd_map)
 
     p_verify = commands.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("--max-n", dest="max_n", type=int, default=10)
+    p_verify.add_argument("--max-n", type=int, default=10)
     p_verify.add_argument("--order", type=int, default=20)
     p_verify.add_argument("--offline", action="store_true")
     p_verify.add_argument("--refresh", action="store_true")
-    p_verify.add_argument("--format", choices=("plain", "json", "csv"),
-                          default="plain")
     p_verify.set_defaults(handler=_cmd_verify)
 
+    for command in (p_series, p_enum, p_map, p_verify):
+        command.add_argument("--format", choices=("plain", "json", "csv"),
+                             default="plain")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except tuple(EXIT_CODES) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return next(EXIT_CODES[kind] for kind in type(exc).__mro__
+                    if kind in EXIT_CODES)
 
 
 if __name__ == "__main__":

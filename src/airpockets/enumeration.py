@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import accumulate
 from typing import NamedTuple
 
-from .errors import InfeasibleSpec
+from .errors import BadParams, InfeasibleSpec
 from .paths import EMPTY, UD, UP, LatticePath, classify, flat, sharp
 
 PATH_KINDS = ("gdap", "dap", "prime", "prefix_gdap")
@@ -54,13 +54,13 @@ def lex_key(path: LatticePath) -> tuple[int, ...]:
 
 def _check_spec(n: int, spec: FamilySpec):
     if n < 0:
-        raise ValueError("length must be nonnegative")
+        raise BadParams("length must be nonnegative")
     if spec.kind not in KINDS:
-        raise ValueError(f"unknown family kind {spec.kind!r}")
+        raise BadParams(f"unknown family kind {spec.kind!r}")
     for field in ("start_step", "end_step"):
         v = getattr(spec, field)
         if v not in (None, "up", "down"):
-            raise ValueError(f"{field} must be 'up', 'down', or None")
+            raise BadParams(f"{field} must be 'up', 'down', or None")
     if spec.min_y is not None and spec.min_y > 0:
         raise InfeasibleSpec("every path starts at ordinate 0, below min_y")
     if spec.max_y is not None and spec.max_y < 0:
@@ -233,7 +233,7 @@ def enum_h(n: int) -> list[LatticePath]:
     member, the body is a member, and height(arch) >= height(body).
     """
     if n < 0:
-        raise ValueError("length must be nonnegative")
+        raise BadParams("length must be nonnegative")
     table: list[list[LatticePath]] = [[EMPTY]] + [[] for _ in range(n)]
     for m in range(2, n + 1):
         members = []
@@ -310,7 +310,7 @@ def enum_motzkin_avoiding(n: int) -> list[str]:
     leading-H clause only matters at length 1, where HU/HH cannot bite).
     """
     if n < 0:
-        raise ValueError("length must be nonnegative")
+        raise BadParams("length must be nonnegative")
     if n == 0:
         return [""]
     out: list[str] = []
@@ -337,7 +337,7 @@ def count_motzkin_avoiding(n: int) -> int:
     """|enum_motzkin_avoiding(n)| by a forward sweep over heights 0..n//2,
     one vector per kind of last step (no step yet counts as an up-step)."""
     if n < 0:
-        raise ValueError("length must be nonnegative")
+        raise BadParams("length must be nonnegative")
     top = n // 2  # anything higher cannot come back down in time
     up, down, level = [1] + [0] * top, [0] * (top + 1), [0] * (top + 1)
     for _ in range(n):

@@ -1,35 +1,52 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Two bases sort the errors a caller can cause, and the command line picks
+its exit code from them: InputError (exit 3) for bad parameters, a request
+above a size ceiling or an infeasible family, and DomainError (exit 4) for
+a path or composition outside an operation's domain.  Both are also
+ValueErrors.  UnknownName (exit 2) stands alone.  Every other class is an
+arithmetic, sequence-client or internal error; one reaching the command
+line is a bug, and it shows as a traceback.
+"""
 
 
 class AirpocketsError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InputError(AirpocketsError, ValueError):
+    """Parameters are bad, above a ceiling, or describe no finite family."""
+
+
+class DomainError(AirpocketsError, ValueError):
+    """The input lies outside the domain of a path operation or bijection."""
+
+
 # ---------- path construction and surgery ----------
 
-class MalformedToken(AirpocketsError):
+class MalformedToken(DomainError):
     """A path string contains a token that is not U, D or Dk."""
 
 
-class ConsecutiveDowns(AirpocketsError):
+class ConsecutiveDowns(DomainError):
     """Two down steps appear in a row."""
 
 
-class NotDAP(AirpocketsError):
+class NotDAP(DomainError):
     """Operation requires a Dyck path with air pockets."""
 
 
-class NotPrime(AirpocketsError):
+class NotPrime(DomainError):
     """Operation requires a prime path."""
 
 
-class BadEnds(AirpocketsError):
+class BadEnds(DomainError):
     """merge() needs a down-ending left factor and a down-starting right factor."""
 
 
 # ---------- exhaustive enumeration ----------
 
-class InfeasibleSpec(AirpocketsError):
+class InfeasibleSpec(InputError):
     """The family specification is contradictory or describes an infinite set."""
 
 
@@ -59,10 +76,6 @@ class SingularToOrder(AirpocketsError):
     """Linear system whose determinant has zero constant term."""
 
 
-class IndexOutOfRange(AirpocketsError):
-    """Numerator index outside 0..2t+1."""
-
-
 class ConsistencyError(AirpocketsError):
     """An internal cross-check failed; indicates a bug, not bad input."""
 
@@ -78,21 +91,25 @@ class UnknownName(AirpocketsError):
     """No catalog entry answers to the requested name."""
 
 
-class BadParams(AirpocketsError):
-    """Catalog parameters are missing, unexpected, or out of range."""
+class BadParams(InputError):
+    """Parameters are missing, unexpected, or out of range."""
+
+
+class IndexOutOfRange(BadParams):
+    """Numerator index outside 0..2t+1."""
 
 
 # ---------- bijections ----------
 
-class NotInFamily(AirpocketsError):
-    """Input path lies outside the bijection's domain."""
+class NotInFamily(DomainError):
+    """Input path or composition lies outside the bijection's domain."""
 
 
-class NotAlternating(AirpocketsError):
+class NotAlternating(DomainError):
     """Composition parts do not alternate in parity."""
 
 
-class NotInCPrime(AirpocketsError):
+class NotInCPrime(DomainError):
     """Composition is not first-odd / last-even alternating."""
 
 

@@ -137,7 +137,10 @@ def parse_path(text: str) -> LatticePath:
             if j == i:
                 steps.append(-1)
             else:
-                k = int(text[i:j])
+                try:
+                    k = int(text[i:j])
+                except ValueError as exc:  # such as "²", or too many digits
+                    raise MalformedToken(str(exc)) from None
                 if k < 1:
                     raise MalformedToken(f"down level must be >= 1, got D{k}")
                 steps.append(-k)

@@ -35,7 +35,7 @@ from .catalog import (
     solve_series_system,
 )
 from .enumeration import FamilySpec, count_paths, enum_compositions, enum_paths
-from .errors import ConsistencyError, InfeasibleSpec
+from .errors import BadParams, ConsistencyError, InfeasibleSpec
 from .oeis import CITED_PAIRS, align_and_compare, fetch_sequence
 from .paths import parse_path
 from .series import TruncatedSeries
@@ -474,55 +474,42 @@ def _check_series_oracle(name, params, spec_fields, epsilon, max_n):
 
 # ------------------------------------------------------------ bijections
 
-def _check_psi_roundtrip(max_n):
-    narrow = FamilySpec(kind="gdap", min_y=0, max_y=2)
-    for n in range(2, max_n + 1):
-        paths = enum_paths(n, narrow)
+# name: (forward, inverse, window of the paths, composition total minus
+# path length, composition kind, worked example)
+BIJECTION_TABLE = {
+    "psi": (psi, psi_inv, (0, 2), -2, "alt",
+            ("UUD2UUDUD2UDUDUUD2", (1, 2, 3, 6, 1))),
+    "phi": (phi, phi_inv, (-1, 1), 3, "alt_odd_even",
+            ("UD2UUDUD2UDUDUUD", (3, 6, 3, 2, 1, 2))),
+}
+
+
+def _check_roundtrip(name, max_n=None):
+    """Every windowed path of length up to max_n round-trips and the images
+    are exactly the composition family; with no max_n, the worked example
+    maps both ways."""
+    forward, inverse, (low, high), shift, kind, example = BIJECTION_TABLE[name]
+    if max_n is None:
+        text, composition = example
+        path = parse_path(text)
+        if forward(path) != composition:
+            return f"{name} worked example gave {forward(path)}"
+        if str(inverse(composition)) != text:
+            return f"{name}_inv worked example mismatch"
+        return None
+    window = FamilySpec(kind="gdap", min_y=low, max_y=high)
+    # lengths start where the composition total is nonnegative
+    for n in range(max(0, -shift), max_n + 1):
         images = []
-        for path in paths:
-            composition = psi(path)
-            if psi_inv(composition) != path:
-                return f"n={n}: psi round trip broke at {path}"
+        for path in enum_paths(n, window):
+            composition = forward(path)
+            if inverse(composition) != path:
+                return f"n={n}: {name} round trip broke at {path}"
             images.append(composition)
-        expected = enum_compositions(n - 2, "alt")
+        expected = enum_compositions(n + shift, kind)
         if sorted(images) != sorted(expected):
-            return (f"n={n}: psi image has {len(set(images))} compositions, "
-                    f"family needs {len(expected)}")
-    return None
-
-
-def _check_phi_roundtrip(max_n):
-    centered = FamilySpec(kind="gdap", min_y=-1, max_y=1)
-    for n in range(max_n + 1):
-        paths = enum_paths(n, centered)
-        images = []
-        for path in paths:
-            composition = phi(path)
-            if phi_inv(composition) != path:
-                return f"n={n}: phi round trip broke at {path}"
-            images.append(composition)
-        expected = enum_compositions(n + 3, "alt_odd_even")
-        if sorted(images) != sorted(expected):
-            return (f"n={n}: phi image has {len(set(images))} compositions, "
-                    f"family needs {len(expected)}")
-    return None
-
-
-def _check_psi_example():
-    path = parse_path("UUD2UUDUD2UDUDUUD2")
-    if psi(path) != (1, 2, 3, 6, 1):
-        return f"psi worked example gave {psi(path)}"
-    if str(psi_inv((1, 2, 3, 6, 1))) != "UUD2UUDUD2UDUDUUD2":
-        return "psi_inv worked example mismatch"
-    return None
-
-
-def _check_phi_example():
-    path = parse_path("UD2UUDUD2UDUDUUD")
-    if phi(path) != (3, 6, 3, 2, 1, 2):
-        return f"phi worked example gave {phi(path)}"
-    if str(phi_inv((3, 6, 3, 2, 1, 2))) != "UD2UUDUD2UDUDUUD":
-        return "phi_inv worked example mismatch"
+            return (f"n={n}: {name} image has {len(set(images))} "
+                    f"compositions, family needs {len(expected)}")
     return None
 
 
@@ -556,14 +543,11 @@ def _suite_checks(suite, max_n, order, offline, refresh):
                 lambda n=name, p=params, s=spec_fields, e=epsilon, l=limit:
                     _check_series_oracle(n, p, s, e, l)))
     if suite in ("bijections", "all"):
-        checks.append(("psi", "bijection_roundtrip", f"n <= {max_n}",
-                       lambda: _check_psi_roundtrip(max_n)))
-        checks.append(("phi", "bijection_roundtrip", f"n <= {max_n}",
-                       lambda: _check_phi_roundtrip(max_n)))
-        checks.append(("psi", "bijection_roundtrip", "worked example",
-                       _check_psi_example))
-        checks.append(("phi", "bijection_roundtrip", "worked example",
-                       _check_phi_example))
+        for scope, limit in ((f"n <= {max_n}", max_n),
+                             ("worked example", None)):
+            for name in BIJECTION_TABLE:
+                checks.append((name, "bijection_roundtrip", scope,
+                               lambda n=name, l=limit: _check_roundtrip(n, l)))
     if suite in ("oeis", "all"):
         for name, params, seq_id in CITED_PAIRS:
             checks.append((
@@ -590,13 +574,13 @@ def run_suite(suite: str, *, max_n: int = 10, order: int = 20,
               refresh: bool = False) -> VerificationReport:
     """Run one suite (or "all") and report every check."""
     if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
+        raise BadParams(f"unknown suite {suite!r}; choose from {SUITES}")
     if max_n < 2:
-        raise ValueError("max_n must be at least 2")
+        raise BadParams("max_n must be at least 2")
     # the oeis suite needs a 9-term matching run from every cited series;
     # Gm1 has four leading zeros, so its run first fits at order 12
     if order < 12:
-        raise ValueError("order must be at least 12")
+        raise BadParams("order must be at least 12")
     checks = _suite_checks(suite, max_n, order, offline, refresh)
     results = [_run_check(entry) for entry in checks]
     return VerificationReport(suite, tuple(results))

@@ -240,10 +240,10 @@ def test_criterion_07_special_height_family():
 
 
 def test_criterion_08_bijections_exhaustive():
-    assert verify._check_psi_roundtrip(14) is None
-    assert verify._check_phi_roundtrip(12) is None
-    assert verify._check_psi_example() is None
-    assert verify._check_phi_example() is None
+    assert verify._check_roundtrip("psi", 14) is None
+    assert verify._check_roundtrip("phi", 12) is None
+    assert verify._check_roundtrip("psi") is None
+    assert verify._check_roundtrip("phi") is None
     report(8, "round trips and worked examples exact (psi to 14, phi to 12)")
 
 

@@ -9,10 +9,16 @@ import time
 import pytest
 
 import airpockets
-from airpockets import cli
+from airpockets import cli, errors
 from airpockets import reference as ref
 from airpockets import verify
 from airpockets.cli import main
+from airpockets.errors import (
+    ConsistencyError,
+    DomainError,
+    InputError,
+    UnknownName,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -401,7 +407,7 @@ def test_verify_order_floor_fits_every_cited_run(capsys):
 
 # -------------------------------------------------------------- ceilings
 
-@pytest.mark.parametrize("argv, ceiling", [
+ABOVE_CEILINGS = [
     (["series", "G", "--order", "1000000000"], cli.MAX_ORDER),
     (["series", "sym_f", "--k", "0", "--t", "1000000000", "--order", "5"],
      cli.MAX_T),
@@ -431,7 +437,25 @@ def test_verify_order_floor_fits_every_cited_run(capsys):
       str(cli.MAX_ROUNDTRIP_N + 1)], cli.MAX_ROUNDTRIP_N),
     (["verify", "--offline", "--suite", "oeis", "--order",
       str(cli.MAX_ORDER + 1)], cli.MAX_ORDER),
-])
+    # the decoded path is about as long as the parts' sum: 10000001 took
+    # 6.4 s and 549 MB before the ceiling
+    (["map", "--bijection", "psi", "--invert", "10000001"], cli.MAX_LENGTH),
+    (["map", "--bijection", "phi", "--invert", "1,10000000"], cli.MAX_LENGTH),
+    (["map", "--bijection", "psi", "--invert", "1000000001"], cli.MAX_LENGTH),
+    (["map", "--bijection", "phi", "--invert",
+      f"1,{cli.MAX_LENGTH}"], cli.MAX_LENGTH),
+    # the counter's vectors are as wide as the floor or the reach: at
+    # -1000000 these took 8 s and 310 MB before the ceiling
+    (["enumerate", "--family", "prefix", "--end-ordinate", "-1000000",
+      "--length", "30", "--count"], cli.MAX_LENGTH),
+    (["enumerate", "--family", "prefix", "--min-y", "-1000000",
+      "--length", "30", "--count"], cli.MAX_LENGTH),
+    (["enumerate", "--family", "gdap", "--min-y",
+      str(-cli.MAX_LENGTH - 1), "--length", "30", "--list"], cli.MAX_LENGTH),
+]
+
+
+@pytest.mark.parametrize("argv, ceiling", ABOVE_CEILINGS)
 def test_request_above_a_ceiling_exits_3_at_once(capsys, argv, ceiling):
     start = time.perf_counter()
     code, out, err = run(capsys, *argv)
@@ -447,11 +471,128 @@ def test_request_above_a_ceiling_exits_3_at_once(capsys, argv, ceiling):
     ["series", "minorized", "--m", str(-cli.MAX_ORDINATE), "--order", "3"],
     ["enumerate", "--family", "gdap", "--min-y", "-1", "--max-y", "1",
      "--length", str(cli.MAX_LENGTH), "--count"],
+    ["enumerate", "--family", "prefix", "--min-y", str(-cli.MAX_LENGTH),
+     "--length", "30", "--count"],
+    ["enumerate", "--family", "prefix", "--end-ordinate",
+     str(-cli.MAX_LENGTH), "--length", "30", "--count"],
+    ["map", "--bijection", "psi", "--invert", str(cli.MAX_LENGTH)],
+    ["map", "--bijection", "phi", "--invert", f"1,{cli.MAX_LENGTH - 2}"],
 ])
 def test_request_at_a_ceiling_runs(capsys, argv):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out
+
+
+# ------------------------------------------------------------ exit codes
+
+@pytest.mark.parametrize("base, code", [
+    (InputError, 3), (DomainError, 4), (UnknownName, 2),
+])
+def test_exit_code_follows_the_error_class(capsys, monkeypatch, base, code):
+    fresh = type("Fresh", (base,), {})
+
+    def handler(args):
+        raise fresh("made up")
+
+    monkeypatch.setattr(cli, "_cmd_series", handler)
+    assert run(capsys, "series", "G") == (code, "", "error: made up\n")
+
+
+def test_an_internal_error_is_not_given_an_exit_code(monkeypatch):
+    def handler(args):
+        raise ConsistencyError("a bug")
+
+    monkeypatch.setattr(cli, "_cmd_series", handler)
+    with pytest.raises(ConsistencyError):
+        main(["series", "G"])
+
+
+CATEGORIES = {
+    "input": {"BadParams", "IndexOutOfRange", "InfeasibleSpec"},
+    "domain": {"MalformedToken", "ConsecutiveDowns", "NotDAP", "NotPrime",
+               "BadEnds", "NotInFamily", "NotAlternating", "NotInCPrime"},
+    "unknown name": {"UnknownName"},
+    "neither": {"OrderMismatch", "DivisionByZeroSeries", "ValuationUnderflow",
+                "BadConstantTerm", "NonInvertible", "SingularToOrder",
+                "ConsistencyError", "NetworkUnavailable", "ParseError",
+                "UnknownSequence", "NoAlignment"},
+}
+
+
+def test_every_error_class_has_at_most_one_category():
+    bases = {"input": InputError, "domain": DomainError,
+             "unknown name": UnknownName}
+    classes = {name: value for name, value in vars(errors).items()
+               if isinstance(value, type)
+               and issubclass(value, errors.AirpocketsError)
+               and value not in (errors.AirpocketsError, InputError,
+                                 DomainError)}
+    assert set(classes) == set().union(*CATEGORIES.values())
+    for category, names in CATEGORIES.items():
+        for name in names:
+            found = [c for c, base in bases.items()
+                     if issubclass(classes[name], base)]
+            assert found == ([] if category == "neither" else [category]), name
+    assert issubclass(InputError, ValueError)
+    assert issubclass(DomainError, ValueError)
+
+
+# every bad request the command line answers, with its exit code
+BAD_REQUESTS = [
+    (2, ["series", "nosuch"]),
+    (3, ["series", "G", "--k", "3"]),
+    (3, ["series", "G", "--order", "-1"]),
+    (3, ["series", "Ak", "--k", "-1", "--order", "5"]),
+    (3, ["series", "D", "--t", "-1"]),
+    (3, ["series", "G", "--order", "x"]),
+    *[(3, ["enumerate", "--family", "motzkin", "--length", "6", "--count",
+           *flag]) for flag in (["--min-y", "0"], ["--max-y", "2"],
+                                ["--end-ordinate", "0"],
+                                ["--end-step", "down"],
+                                ["--start-step", "up"])],
+    (3, ["enumerate", "--family", "prefix", "--end-ordinate", "7",
+         "--length", "3", "--count"]),
+    (3, ["enumerate", "--family", "dap", "--length", "4"]),
+    (3, ["enumerate", "--family", "gdap", "--length", "-1", "--count"]),
+    (3, ["enumerate", "--family", "motzkin", "--length", "-1", "--count"]),
+    (3, ["enumerate", "--family", "H", "--min-y", "0", "--length", "3",
+         "--count"]),
+    (4, ["map", "--bijection", "psi", "--apply", "UDU"]),
+    (4, ["map", "--bijection", "phi", "--invert", "2,3"]),
+    (4, ["map", "--bijection", "psi", "--invert", "1,3"]),
+    (4, ["map", "--bijection", "psi", "--apply", "UXD"]),
+    (4, ["map", "--bijection", "psi", "--apply", "UD2D2"]),
+    (4, ["map", "--bijection", "phi", "--invert", "1,x"]),
+    (4, ["map", "--bijection", "psi", "--invert", "0,1"]),
+    (4, ["map", "--bijection", "psi", "--apply", "UD0"]),
+    (4, ["map", "--bijection", "psi", "--apply", "UD\u00b2"]),
+    (4, ["map", "--bijection", "psi", "--apply", "UD" + "9" * 5000]),
+    (4, ["map", "--bijection", "psi", "--invert", "9" * 5000]),
+    (3, ["verify", "--suite", "oracle", "--max-n", "1"]),
+    (3, ["verify", "--suite", "imagined"]),
+    (3, ["verify", "--suite", "paper-series", "--threads", "2"]),
+    (3, ["verify", "--suite", "oeis", "--offline", "--order", "11"]),
+    (3, ["imagined"]),
+]
+
+
+def _outcome(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as stop:  # argparse's usage errors
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("code, argv", BAD_REQUESTS + [
+    (3, argv) for argv, _ in ABOVE_CEILINGS])
+def test_bad_request_exits_with_its_code_and_no_output(capsys, code, argv):
+    got, out, err = _outcome(capsys, argv)
+    assert (got, out) == (code, "")
+    assert "error: " in err.splitlines()[0]
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------ entry point
