@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import partial
 
@@ -22,8 +23,8 @@ from .enumeration import (
     FamilySpec,
     count_motzkin_avoiding,
     count_paths,
-    enum_motzkin_avoiding,
-    enum_paths,
+    iter_motzkin_avoiding,
+    iter_paths,
 )
 from .errors import (
     BadParams,
@@ -55,7 +56,9 @@ MAX_ORDINATE = 2 * MAX_T + 1    # |series --k|, |series --m|
 MAX_LENGTH = 2000               # enumerate --length, |--min-y|,
                                 # |--end-ordinate|; map --invert's parts' sum
 MAX_H_LENGTH = 400              # enumerate --family H --length: a cubic count
-MAX_LISTED_PATHS = 2_000_000    # enumerate --list, checked by counting first
+MAX_LISTED_PATHS = 2_000_000    # enumerate --list, checked by counting first;
+                                # listings stream, so this bounds the time
+                                # (about 13 s), not the memory
 MAX_N = 100                     # verify --max-n
 MAX_ROUNDTRIP_N = 22            # verify --max-n for the listing bijection suites
 
@@ -112,7 +115,7 @@ def _write(fmt: str, record, rows, text) -> None:
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
 
 
-def _render_path(path: LatticePath | str) -> str:
+def _render_path(path: LatticePath) -> str:
     return str(path) if len(path) else "ε"
 
 
@@ -148,11 +151,11 @@ def _cmd_enumerate(args) -> int:
             raise InfeasibleSpec(
                 "the motzkin family takes no window or endpoint flags")
         total = count_motzkin_avoiding(args.length)
-        listing = enum_motzkin_avoiding
+        listing = iter_motzkin_avoiding
     else:
         spec = FamilySpec(**fields)
         total = count_paths(args.length, spec)
-        listing = partial(enum_paths, spec=spec)
+        listing = partial(iter_paths, spec=spec)
     head = {"family": args.family, "length": args.length}
     if not args.list:
         _write(args.format, lambda: {**head, "count": total},
@@ -161,11 +164,36 @@ def _cmd_enumerate(args) -> int:
     if total > MAX_LISTED_PATHS:
         raise BadParams(f"--list would print {total} paths, above the "
                         f"ceiling of {MAX_LISTED_PATHS}; use --count")
-    rendered = [_render_path(p) for p in listing(args.length)]
-    _write(args.format, lambda: {**head, "paths": rendered},
-           lambda: [("path",), *zip(rendered)],
-           lambda: "\n".join(rendered))
+    _write_listing(args.format, head,
+                   (text or "ε" for text in listing(args.length)))
     return EXIT_OK
+
+
+def _write_listing(fmt: str, head: dict, paths) -> None:
+    """Print a listing byte for byte as _write prints the record
+    {**head, "paths": [...]}, the rows ("path",), *paths, or the paths one
+    per line, but write each path as it comes."""
+    out = sys.stdout
+    first = next(paths, None)
+    if fmt == "json":
+        opening, closing = json.dumps(
+            {**head, "paths": []}, sort_keys=True,
+            separators=(",", ":")).rsplit("[]", 1)
+        out.write(opening + "[" + ("" if first is None else json.dumps(first)))
+        out.writelines("," + json.dumps(path) for path in paths)
+        out.write("]" + closing + "\n")
+    elif fmt == "csv":
+        import csv
+
+        rows = csv.writer(out, lineterminator="\n")
+        rows.writerow(("path",))
+        if first is not None:
+            rows.writerow((first,))
+            rows.writerows(zip(paths))
+    else:  # an empty listing is one blank line
+        out.write("" if first is None else first)
+        out.writelines("\n" + path for path in paths)
+        out.write("\n")
 
 
 # ------------------------------------------------------------------- map
@@ -277,7 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader left early, as `| head` does: stop quietly, and point
+        # stdout at the null device so the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(EXIT_CODES[kind] for kind in type(exc).__mro__

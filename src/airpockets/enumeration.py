@@ -9,22 +9,24 @@ gaining at most one level) can still reach the target ordinate; a spec with
 neither cap describes an infinite family and is rejected.
 
 Enumeration walks every admissible step sequence with an explicit stack
-and lists them lexicographically with U < D1 < D2 < ...  Counting never
-materializes paths: one forward sweep carries, per height, the number of
-prefixes ending in an up-step and in a drop (the step-set view of
-Banderier and Flajolet), and the special-height family is counted over
-(length, height) on its arch grammar.  No walker or counter recurses once
-per step, and nothing keeps state between calls, so everything here is
-safe to run concurrently.
+and yields each member's step text as it finds it, lexicographically with
+U < D1 < D2 < ...; the special-height walker follows its open arches the
+same way.  A listing holds only its walker's stack, and the list functions
+are built from the generators.  Counting never materializes paths: one
+forward sweep carries, per height, the number of prefixes ending in an
+up-step and in a drop (the step-set view of Banderier and Flajolet), and
+the special-height family is counted over (length, height) on its arch
+grammar.  No walker or counter recurses once per step, and nothing keeps
+state between calls, so everything here is safe to run concurrently.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
-from typing import NamedTuple
+from itertools import accumulate, repeat
+from typing import Iterator, NamedTuple
 
 from .errors import BadParams, InfeasibleSpec
-from .paths import EMPTY, UD, UP, LatticePath, classify, flat, sharp
+from .paths import UP, LatticePath, classify, parse_path
 
 PATH_KINDS = ("gdap", "dap", "prime", "prefix_gdap")
 KINDS = PATH_KINDS + (
@@ -97,7 +99,8 @@ def _window(n: int, spec: FamilySpec):
 
     A point below the floor, or too deep to climb back to the target in
     the steps left (each step gains at most one level), completes nothing;
-    no point lies above the ceiling or above its own position.
+    no point lies above the ceiling or above its own position, and the
+    last point of a pinned end lies on the target.
     """
     if spec.kind == "prime":
         # interior strictly above the axis, entered from height >= 2
@@ -117,6 +120,8 @@ def _window(n: int, spec: FamilySpec):
         low.append(floor)
     high = [j if spec.max_y is None else min(spec.max_y, j)
             for j in range(n + 1)]
+    if target is not None:
+        high[n] = min(high[n], target)
     return low, high, target
 
 
@@ -131,50 +136,77 @@ def _step_kinds(i: int, n: int, spec: FamilySpec) -> tuple[bool, bool]:
     return ups, drops
 
 
-def _short(n: int, spec: FamilySpec) -> list[LatticePath] | None:
-    """The members at lengths the step rules do not reach, else None."""
+def _short(n: int, spec: FamilySpec) -> list[str] | None:
+    """The members' step text at lengths the step rules do not reach, else
+    None."""
     if spec.kind == "prime" and n < 3:
         return []  # the shortest axis-avoiding arch with a deep drop is UUD2
     if n == 0:
         empty_ok = (spec.end_ordinate in (None, 0)
                     and spec.start_step is None and spec.end_step is None
                     and spec.kind in ("gdap", "prefix_gdap"))
-        return [EMPTY] if empty_ok else []
+        return [""] if empty_ok else []
     return None
+
+
+def _tokens(top: int) -> list[str]:
+    """Step text by code: 0 is U, k >= 1 is the drop of k levels."""
+    return ["U", "D"] + [f"D{k}" for k in range(2, top + 1)]
+
+
+def iter_paths(n: int, spec: FamilySpec) -> Iterator[str]:
+    """The step text of every length-n member of the family, in
+    lexicographic step order, one at a time.
+
+    A pending step holds its parent's text, shared by all its siblings,
+    and its own step code; its text is built only when it is popped, so
+    the stack holds one prefix per position, not one per sibling.
+    """
+    _check_spec(n, spec)
+    if spec.kind == "special_h":
+        yield from _iter_special_h(n)
+        return
+    short = _short(n, spec)
+    if short is not None:
+        yield from short
+        return
+    low, high, _ = _window(n, spec)
+    kinds = [_step_kinds(i, n, spec) for i in range(n)]
+    tokens = _tokens(max(high) - min(low))
+    # where a drop may land: one before the end, only where an up-step
+    # into the window can follow
+    land_low, land_high = low[:], high[:]
+    land_low[-2] = max(low[-2], low[-1] - 1)
+    land_high[-2] = min(high[-2], high[-1] - 1)
+    if not kinds[-1][0]:
+        land_high[-2] = land_low[-2] - 1
+    pending: list[tuple[int, int, int, str]] = []  # index, code, height, parent
+
+    def push(i, h, dropped, text):
+        # the steps open at index i, pushed so that U, D1, D2, ... pop first
+        ups, drops = kinds[i]
+        if drops and not dropped:
+            deepest = h - land_low[i + 1]
+            shallowest = max(h - land_high[i + 1], 1)
+            pending.extend(zip(repeat(i), range(deepest, shallowest - 1, -1),
+                               range(h - deepest, h - shallowest + 1),
+                               repeat(text)))
+        if ups and low[i + 1] <= h + 1 <= high[i + 1]:
+            pending.append((i, 0, h + 1, text))
+
+    push(0, 0, False, "")
+    while pending:
+        i, k, h, parent = pending.pop()
+        text = parent + tokens[k]
+        if i < n - 1:
+            push(i + 1, h, k, text)  # k > 0: this step dropped
+        else:  # the window leaves the last step only the final ordinates
+            yield text
 
 
 def enum_paths(n: int, spec: FamilySpec) -> list[LatticePath]:
     """All length-n members of the family, in lexicographic step order."""
-    _check_spec(n, spec)
-    if spec.kind == "special_h":
-        return enum_h(n)
-    short = _short(n, spec)
-    if short is not None:
-        return short
-    low, high, target = _window(n, spec)
-    kinds = [_step_kinds(i, n, spec) for i in range(n)]
-    out: list[LatticePath] = []
-    steps = [0] * n
-    pending: list[tuple[int, int, int, bool]] = []  # index, step, height, drop?
-
-    def push(i, h, dropped):
-        # the steps open at index i, pushed so that U, D1, D2, ... pop first
-        ups, drops = kinds[i]
-        if drops and not dropped:
-            pending.extend((i, -k, h - k, True)
-                           for k in range(h - low[i + 1], 0, -1))
-        if ups and low[i + 1] <= h + 1 <= high[i + 1]:
-            pending.append((i, UP, h + 1, False))
-
-    push(0, 0, False)
-    while pending:
-        i, step, h, dropped = pending.pop()
-        steps[i] = step
-        if i < n - 1:
-            push(i + 1, h, dropped)
-        elif target is None or h == target:
-            out.append(LatticePath(steps))
-    return out
+    return [parse_path(text) for text in iter_paths(n, spec)]
 
 
 def count_paths(n: int, spec: FamilySpec) -> int:
@@ -222,37 +254,76 @@ def count_paths(n: int, spec: FamilySpec) -> int:
 
 # ---------- the special-height family ----------
 
-def _height(path: LatticePath) -> int:
-    return max(path.profile)
+def _iter_special_h(n: int) -> Iterator[str]:
+    """The special-height members of length n, lexicographically.
+
+    A member is a run of arches of non-increasing height; an arch is UD, or
+    U followed by a smaller member lifted one level whose last drop goes
+    one level deeper.  In step terms, after an up-step to level L every
+    level b < L is the base of an open frame, and a drop may land on any
+    b < L: that closes the frames above b and the current arch of frame
+    b.  Each frame keeps the height of its last closed arch (its cap) and
+    the highest level its current arch has reached (its peak); an up-step
+    is allowed while no open frame's arch would outgrow its cap.
+
+    Frames form a linked list, top first: (top, peak, frames below), where
+    top is the highest level any open arch at or below the frame may
+    reach.  A pending step keeps its parent's text, frames, and the cap
+    of the frame at the parent's level (n for none, when the parent
+    stepped up), and builds its own state when popped.
+    """
+    if n < 2:
+        if n == 0:
+            yield ""
+        return
+    tokens = _tokens(n)
+    # index, code, level and cap before the step, parent text, frames
+    pending: list[tuple[int, int, int, int, str, tuple | None]] = \
+        [(0, 0, 0, n, "", None)]
+    while pending:
+        i, k, level, cap, parent, frames = pending.pop()
+        text = parent + tokens[k]
+        left = n - 2 - i  # steps left after the child of this step
+        if k:  # a drop to level b: fold the peaks of the frames it closes
+            b = level - k
+            peak = 0
+            for _ in range(k):
+                _, top_peak, frames = frames
+                peak = max(peak, top_peak)
+            if frames is not None and frames[1] < peak:
+                frames = (frames[0], peak, frames[2])
+            if left < 0:
+                yield text  # pushed only if it lands on the axis
+            else:  # only an up-step may follow, and it is always allowed
+                pending.append((i + 1, 0, b, peak - b, text, frames))
+            continue
+        top = level + cap if frames is None else min(frames[0], level + cap)
+        level += 1
+        frames = (top, level, frames)
+        # a drop must leave no step (landing on the axis) or room for an
+        # arch; after a lone UD on the axis only UD arches follow, so an odd
+        # number of steps cannot be filled
+        if left == 0:
+            pending.append((i + 1, level, level, n, text, frames))
+        elif left > 1:
+            shallowest = 2 if level == 1 and left % 2 else 1
+            pending.extend((i + 1, d, level, n, text, frames)
+                           for d in range(level, shallowest - 1, -1))
+        if left and level < top:
+            pending.append((i + 1, 0, level, n, text, frames))
+
 
 def enum_h(n: int) -> list[LatticePath]:
-    """Daps whose every first-return factor is at least as high as the rest.
-
-    Built from the grammar: the empty path belongs; otherwise the path is
-    arch + body where the arch is UD or the raise of a shorter nonempty
-    member, the body is a member, and height(arch) >= height(body).
-    """
-    if n < 0:
-        raise BadParams("length must be nonnegative")
-    table: list[list[LatticePath]] = [[EMPTY]] + [[] for _ in range(n)]
-    for m in range(2, n + 1):
-        members = []
-        for j in range(2, m + 1):
-            arches = [UD] if j == 2 else \
-                [sharp(g) for g in table[j - 1] if not g.is_empty]
-            for arch in arches:
-                ha = _height(arch)
-                members.extend(arch + body for body in table[m - j]
-                               if ha >= _height(body))
-        members.sort(key=lex_key)
-        table[m] = members
-    return table[n]
+    """Daps whose every first-return factor is at least as high as the
+    rest, in lexicographic step order."""
+    return enum_paths(n, FamilySpec("special_h"))
 
 
 def _special_h_table(n: int) -> list[list[int]]:
     """rows[m][h]: special-height members of length m and height exactly h.
 
-    enum_h's grammar, counted: an arch of length j is UD (height 1) or the
+    The arch grammar, counted apart from the walker: a nonempty member is
+    an arch and a body, where an arch of length j is UD (height 1) or the
     raise of a nonempty member of length j - 1 (one level higher), and it
     takes every body of length m - j that is no higher than itself.
     """
@@ -274,19 +345,31 @@ def _special_h_table(n: int) -> list[list[int]]:
 
 
 def is_special_height(path: LatticePath) -> bool:
-    """Membership test by peeling first-return arches; ε belongs."""
+    """Membership test by peeling first-return arches; ε belongs.
+
+    A dap belongs when its first-return arches have non-increasing heights
+    and every arch other than UD, which is prime, flattens to a member.
+    The flattened arches wait on a stack, so nothing recurses.
+    """
     if path.is_empty:
         return True
     if not classify(path).is_dap:
         return False
-    prof = path.profile
-    cut = next(i for i in range(1, len(path) + 1) if prof[i] == 0)
-    arch = LatticePath(path.steps[:cut])
-    body = LatticePath(path.steps[cut:])
-    if arch != UD:
-        if not classify(arch).is_prime or not is_special_height(flat(arch)):
-            return False
-    return _height(arch) >= _height(body) and is_special_height(body)
+    pending = [path.steps]
+    while pending:
+        steps = pending.pop()
+        heights = list(accumulate(steps))  # after each step
+        start, cap = 0, len(steps)
+        while start < len(steps):
+            end = heights.index(0, start) + 1
+            height = max(heights[start:end])
+            if height > cap:
+                return False
+            if end - start > 2:  # a prime arch, pushed flattened (see flat)
+                pending.append(steps[start + 1:end - 1]
+                               + (steps[end - 1] + 1,))
+            start, cap = end, height
+    return True
 
 
 # ---------- Motzkin paths with isolated, descent-anchored flat steps ----------
@@ -302,9 +385,9 @@ def _motzkin_moves(h, last):
         yield "H", h
 
 
-def enum_motzkin_avoiding(n: int) -> list[str]:
+def iter_motzkin_avoiding(n: int) -> Iterator[str]:
     """Motzkin paths whose flat steps each follow a down-step and precede a
-    down-step or the end.
+    down-step or the end, one at a time (U before D before H).
 
     Equivalently: no factor UH, HU, or HH, and no leading flat step (the
     leading-H clause only matters at length 1, where HU/HH cannot bite).
@@ -312,25 +395,28 @@ def enum_motzkin_avoiding(n: int) -> list[str]:
     if n < 0:
         raise BadParams("length must be nonnegative")
     if n == 0:
-        return [""]
-    out: list[str] = []
-    word = [""] * n
-    pending: list[tuple[int, str, int]] = []  # index, step, height after
+        yield ""
+        return
+    pending: list[tuple[int, str, int, str]] = []  # index, step, height, parent
 
-    def push(i, h, last):
+    def push(i, h, last, text):
         for step, h2 in reversed(list(_motzkin_moves(h, last))):
             if h2 < n - i:  # can still come back down in time
-                pending.append((i, step, h2))
+                pending.append((i, step, h2, text))
 
-    push(0, 0, "")
+    push(0, 0, "", "")
     while pending:
-        i, step, h = pending.pop()
-        word[i] = step
+        i, step, h, parent = pending.pop()
+        text = parent + step
         if i < n - 1:
-            push(i + 1, h, step)
+            push(i + 1, h, step, text)
         else:  # the last step can only land on the axis
-            out.append("".join(word))
-    return out
+            yield text
+
+
+def enum_motzkin_avoiding(n: int) -> list[str]:
+    """iter_motzkin_avoiding(n) as a list."""
+    return list(iter_motzkin_avoiding(n))
 
 
 def count_motzkin_avoiding(n: int) -> int:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import airpockets
+from airpockets.enumeration import FamilySpec, enum_h, enum_paths
 
 CHILD = Path(__file__).resolve().parent.parent / "bench" / "child.py"
 
@@ -51,3 +52,14 @@ def test_traced_verify_counts_series_products(tmp_path):
     calls = sum(counters.get("series.mul.calls", 0)
                 for counters in trace["span_counters"].values())
     assert calls > 0
+
+
+def test_traced_listing_runs(tmp_path):
+    # the tracer wraps enum_h and enum_paths by module attribute and counts
+    # the paths enum_paths returns with len(); the CLI streams its listings
+    # past both, but they must stay and stay lists
+    spans = _traced_child(tmp_path, "cli", "enumerate", "--family", "H",
+                          "--length", "6", "--list")["spans"]
+    assert any(span[2] == "cli.main" for span in spans)
+    assert isinstance(enum_paths(4, FamilySpec("dap")), list)
+    assert isinstance(enum_h(4), list)

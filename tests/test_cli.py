@@ -1,5 +1,7 @@
 """Command line: spec'd examples, exit codes, formats, stream discipline."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -13,6 +15,7 @@ from airpockets import cli, errors
 from airpockets import reference as ref
 from airpockets import verify
 from airpockets.cli import main
+from airpockets.enumeration import FamilySpec, enum_motzkin_avoiding, enum_paths
 from airpockets.errors import (
     ConsistencyError,
     DomainError,
@@ -275,6 +278,72 @@ def test_enumerate_requires_list_or_count(capsys):
     with pytest.raises(SystemExit) as info:
         main(["enumerate", "--family", "dap", "--length", "4"])
     assert info.value.code == 3
+
+
+# (family, length, window and endpoint flags) of small listings, the empty
+# ones and those of length 0 included
+LISTINGS = [
+    ("gdap", 0, {}), ("gdap", 5, {}), ("gdap", 0, {"start_step": "up"}),
+    ("gdap", 7, {"min_y": -1, "max_y": 1}),
+    ("gdap", 6, {"max_y": 1, "end_step": "down"}),
+    ("dap", 0, {}), ("dap", 1, {}), ("dap", 8, {}),
+    ("prime", 2, {}), ("prime", 8, {}),
+    ("prefix", 0, {"min_y": 0}), ("prefix", 5, {"min_y": -1}),
+    ("prefix", 6, {"end_ordinate": -1}), ("prefix", 0, {"end_ordinate": -2}),
+    ("prefix", 6, {"min_y": -2, "start_step": "down", "end_step": "up"}),
+    ("prefix", 6, {"end_ordinate": 2, "start_step": "up",
+                   "end_step": "down"}),
+    ("H", 0, {}), ("H", 1, {}), ("H", 9, {}),
+    ("motzkin", 0, {}), ("motzkin", 1, {}), ("motzkin", 8, {}),
+]
+
+
+def _reference_listing(family, length, fields, fmt):
+    """The listing as one record, rows or text, rendered from the list API."""
+    if family == "motzkin":
+        members = enum_motzkin_avoiding(length)
+    else:
+        spec = FamilySpec(cli.FAMILY_KINDS[family], **fields)
+        members = [str(p) for p in enum_paths(length, spec)]
+    paths = [member or "ε" for member in members]
+    if fmt == "json":
+        record = {"family": family, "length": length, "paths": paths}
+        return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+    if fmt == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows(
+            [("path",), *zip(paths)])
+        return buffer.getvalue()
+    return "\n".join(paths) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+@pytest.mark.parametrize("family, length, fields", LISTINGS)
+def test_listing_is_the_list_api_rendered(capsys, family, length, fields,
+                                          fmt):
+    flags = [part for name, value in fields.items()
+             for part in ("--" + name.replace("_", "-"), str(value))]
+    code, out, err = run(capsys, "enumerate", "--family", family,
+                         "--length", str(length), *flags, "--list",
+                         "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == _reference_listing(family, length, fields, fmt)
+
+
+@pytest.mark.parametrize("fmt, out", [
+    ("plain", "\n"), ("csv", "path\n"),
+    ("json", '{"family":"prime","length":2,"paths":[]}\n')])
+def test_empty_listing(capsys, fmt, out):
+    assert run(capsys, "enumerate", "--family", "prime", "--length", "2",
+               "--list", "--format", fmt) == (0, out, "")
+
+
+@pytest.mark.parametrize("fmt, out", [
+    ("plain", "ε\n"), ("csv", "path\nε\n"),
+    ("json", '{"family":"H","length":0,"paths":["\\u03b5"]}\n')])
+def test_listing_of_length_0(capsys, fmt, out):
+    assert run(capsys, "enumerate", "--family", "H", "--length", "0",
+               "--list", "--format", fmt) == (0, out, "")
 
 
 # ------------------------------------------------------------------- map
@@ -605,6 +674,24 @@ def test_module_entry_point():
         env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0
     assert proc.stdout == "0 0 1 1 2 4 8\n"
+
+
+def test_closed_stdout_ends_a_listing_quietly():
+    # the reader leaves after one line, as `| head -1` does, while most of
+    # the listing (about 0.8 MB) is still to be written
+    src = os.path.dirname(os.path.dirname(airpockets.__file__))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "airpockets", "enumerate", "--family", "dap",
+         "--length", "16", "--list"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src})
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 0
+    assert first == b"U" * 15 + b"D15\n"
+    assert "Traceback" not in err and err == ""
 
 
 def test_unknown_command_is_usage_error():

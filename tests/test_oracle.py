@@ -1,6 +1,8 @@
 """The brute-force enumerators against frozen counts, the structural maps
 against exhaustive slices, and the composition/Motzkin side families."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +17,7 @@ from airpockets.enumeration import (
     enum_motzkin_avoiding,
     enum_paths,
     is_special_height,
+    iter_paths,
     lex_key,
 )
 from airpockets.errors import InfeasibleSpec
@@ -86,8 +89,14 @@ def test_count_is_number_listed(n, spec):
 
 
 def test_special_h_count_is_number_built():
-    for n in range(17):
-        assert count_paths(n, FamilySpec("special_h")) == len(enum_h(n))
+    # the walker's members, counted on the arch grammar, each a member by
+    # peeling, in strictly increasing lexicographic order
+    for n in range(19):
+        members = enum_h(n)
+        assert count_paths(n, FamilySpec("special_h")) == len(members)
+        assert all(map(is_special_height, members))
+        keys = [lex_key(p) for p in members]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_motzkin_count_past_the_recursion_limit():
@@ -240,6 +249,27 @@ def test_special_h_grammar_equals_filtering():
         filtered = {p for p in enum_paths(n, DAP) if is_special_height(p)}
         assert set(enum_h(n)) == filtered
     assert is_special_height(EMPTY)
+
+
+@pytest.mark.parametrize("text, member", [
+    ("UD" * 1200, True),
+    ("U" * 2399 + "D2399", True),
+    ("UD" * 1198 + "UUUD3", False),
+    ("UD" + "U" * 2397 + "D2397", False),
+], ids=["axis-arches", "one-arch", "taller-last-arch", "tall-arch-after-UD"])
+def test_special_height_membership_at_length_2400(text, member):
+    path = P(text)
+    assert len(path) == 2400
+    assert is_special_height(path) is member
+
+
+@pytest.mark.parametrize("n, spec", [(1000, DAP),
+                                     (400, FamilySpec("special_h"))])
+def test_walker_yields_before_walking_the_family(n, spec):
+    start = time.perf_counter()
+    first = next(iter_paths(n, spec))
+    assert time.perf_counter() - start < 1.0
+    assert first == "U" * (n - 1) + f"D{n - 1}"
 
 
 def test_special_h_via_family_spec():
