@@ -12,7 +12,7 @@ from .catalog import (
     gf_prefix_positive,
     series_names,
 )
-from .enumeration import FamilySpec, count_paths, enum_compositions, enum_paths, iter_paths
+from .enumeration import FamilySpec, count_paths, count_paths_upto, enum_compositions, enum_paths, iter_paths
 from .oeis import SequenceRecord, align_and_compare, fetch_sequence
 from .paths import EMPTY, UD, LatticePath, classify, parse_path
 from .series import TruncatedSeries
@@ -35,6 +35,7 @@ __all__ = [
     "block_decompose",
     "classify",
     "count_paths",
+    "count_paths_upto",
     "enum_compositions",
     "enum_paths",
     "evaluate",

@@ -46,7 +46,7 @@ from .errors import (
     UnknownName,
     _require,
 )
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _div_lists, _mul_lists
 
 # An integer polynomial is a tuple of coefficients, ascending, no trailing
 # zeros; the zero polynomial is the empty tuple.
@@ -120,18 +120,12 @@ def _pdiv_exact(a: Poly, b: Poly) -> Poly:
     return _ptrim(quot)
 
 
-def poly_det(rows: list[list[Poly]]) -> Poly:
-    """Fraction-free determinant of a square matrix of integer polynomials.
-
-    Bareiss elimination: every intermediate entry stays in the integer
-    polynomial ring, with exact divisions by the previous pivot.
-    """
-    n = len(rows)
-    if n == 0:
-        return P_ONE
-    m = [[_ptrim(entry) for entry in row] for row in rows]
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
+def _eliminate(m: list[list[Poly]]) -> int:
+    # Bareiss forward elimination in place: below the diagonal of the n
+    # leading columns every entry becomes zero, and every entry left is a
+    # minor of m, reached by exact division by the previous pivot.  Returns
+    # the sign of the row swaps, or 0 when a column has no nonzero pivot.
+    n, width = len(m), len(m[0])
     sign = 1
     prev: Poly = P_ONE
     for k in range(n - 1):
@@ -142,18 +136,79 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
                     sign = -sign
                     break
             else:
-                return P_ZERO
-        pivot = m[k][k]
+                return 0
+        pivot, row_k = m[k][k], m[k]
         for i in range(k + 1, n):
-            left = m[i][k]
-            row_i, row_k = m[i], m[k]
-            for j in range(k + 1, n):
+            row_i = m[i]
+            left = row_i[k]
+            for j in range(k + 1, width):
                 num = _psub(_pmul(row_i[j], pivot), _pmul(left, row_k[j]))
                 row_i[j] = _pdiv_exact(num, prev)
             row_i[k] = P_ZERO
         prev = pivot
-    det = m[n - 1][n - 1]
+    return sign
+
+
+def _square_rows(rows) -> list[list[Poly]]:
+    m = [[_ptrim(entry) for entry in row] for row in rows]
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    return m
+
+
+def poly_det(rows: list[list[Poly]]) -> Poly:
+    """Fraction-free determinant of a square matrix of integer polynomials.
+
+    Bareiss elimination: every intermediate entry stays in the integer
+    polynomial ring, with exact divisions by the previous pivot.
+    """
+    if not rows:
+        return P_ONE
+    m = _square_rows(rows)
+    sign = _eliminate(m)
+    det = m[-1][-1] if sign else P_ZERO
     return _pneg(det) if sign < 0 else det
+
+
+def cramer_numerators(rows: list[list[Poly]],
+                      rhs: list[Poly]) -> tuple[Poly, list[Poly]]:
+    """det(A) and every Cramer numerator det(A_i) of A·x = b, where A_i is
+    A with column i replaced by b, from one fraction-free elimination.
+
+    Bareiss elimination of the augmented matrix [A | b] leaves an upper
+    triangle whose last pivot P is ±det(A); back substitution then gives
+    P·x exactly, each entry by one exact division by its diagonal pivot.
+    The result is checked as polynomials: A·N = det(A)·b.  Raises
+    ValueError on a singular matrix.
+    """
+    a = _square_rows(rows)
+    if len(rhs) != len(a):
+        raise ValueError("right-hand side length does not match")
+    if not a:
+        return P_ONE, []
+    n = len(a)
+    b = [_ptrim(entry) for entry in rhs]
+    m = [row + [entry] for row, entry in zip(a, b)]
+    sign = _eliminate(m)
+    last = m[-1][n - 1] if sign else P_ZERO
+    if not last:
+        raise ValueError("singular matrix: no Cramer numerators")
+    scaled = [P_ZERO] * n    # last·x
+    for i in range(n - 1, -1, -1):
+        row = m[i]
+        acc = _pmul(last, row[n])
+        for j in range(i + 1, n):
+            acc = _psub(acc, _pmul(row[j], scaled[j]))
+        scaled[i] = _pdiv_exact(acc, row[i])
+    det, nums = (last, scaled) if sign > 0 else \
+        (_pneg(last), [_pneg(c) for c in scaled])
+    for i, row in enumerate(a):
+        acc = P_ZERO
+        for entry, num in zip(row, nums):
+            acc = _padd(acc, _pmul(entry, num))
+        _require(acc == _pmul(det, b[i]),
+                 f"Cramer numerators fail equation {i} of A·N = det(A)·b")
+    return det, nums
 
 
 # ---------- linear systems over series ----------
@@ -201,45 +256,77 @@ class SeriesSystem(namedtuple("SeriesSystem", "dimension matrix rhs")):
         return self.rhs[0].order
 
 
-def solve_series_system(system: SeriesSystem) -> list[TruncatedSeries]:
-    """Gauss-Jordan elimination, pivoting on the lowest-valuation entry.
+def _minus(a, b):
+    # a - b on coefficient lists, None standing for zero
+    if a is None:
+        out = [-c for c in b]
+    else:
+        out = [p - q for p, q in zip(a, b)]
+    return out if any(out) else None
 
-    A column whose remaining entries all have positive valuation means the
-    determinant's constant term is zero: SingularToOrder.  The solution is
-    substituted back into the original system before being returned.
+
+def solve_series_system(system: SeriesSystem) -> list[TruncatedSeries]:
+    """Forward elimination, then back substitution, on coefficient lists.
+
+    Each column pivots on its lowest-valuation entry on or below the
+    diagonal: the first with a nonzero constant term.  A column whose
+    remaining entries all have positive valuation means the determinant's
+    constant term is zero: SingularToOrder.  Zero entries are kept as None
+    and skipped, so a sparse band pays only for its fill-in.  Coefficients
+    may be ints or Fractions.  The solution is substituted back into the
+    original system before being returned.
     """
-    n = system.dimension
-    a = [list(row) for row in system.matrix]
-    b = list(system.rhs)
-    one = TruncatedSeries.one(system.order)
+    n, order = system.dimension, system.order
+
+    def lists(entries):
+        return [None if e.is_zero() else list(e.coeffs) for e in entries]
+
+    a = [lists(row) for row in system.matrix]
+    b = lists(system.rhs)
+    inverses = []
     for col in range(n):
-        pivot = min(range(col, n), key=lambda r: a[r][col].valuation)
-        if a[pivot][col].valuation > 0:
+        pivot = next((r for r in range(col, n)
+                      if a[r][col] is not None and a[r][col][0]), None)
+        if pivot is None:
             raise SingularToOrder(
                 f"no unit pivot in column {col}; "
                 "the determinant has zero constant term")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            b[col], b[pivot] = b[pivot], b[col]
-        inv = one / a[col][col]
-        a[col] = [entry * inv for entry in a[col]]
-        b[col] = b[col] * inv
-        for r in range(n):
-            factor = a[r][col]
-            if r == col or factor.is_zero():
+        a[col], a[pivot] = a[pivot], a[col]
+        b[col], b[pivot] = b[pivot], b[col]
+        pivot_row, pivot_rhs = a[col], b[col]
+        inverse = _div_lists([1], pivot_row[col], order)
+        inverses.append(inverse)
+        for row_index in range(col + 1, n):
+            row = a[row_index]
+            if row[col] is None:
                 continue
-            pivot_row = a[col]
-            a[r] = [er - factor * ep for er, ep in zip(a[r], pivot_row)]
-            b[r] = b[r] - factor * b[col]
+            factor = _mul_lists(row[col], inverse, order)
+            row[col] = None
+            for j in range(col + 1, n):
+                if pivot_row[j] is not None:
+                    row[j] = _minus(row[j],
+                                    _mul_lists(factor, pivot_row[j], order))
+            if pivot_rhs is not None:
+                b[row_index] = _minus(b[row_index],
+                                      _mul_lists(factor, pivot_rhs, order))
+    x = [None] * n
+    for i in range(n - 1, -1, -1):
+        acc = b[i]
+        for j in range(i + 1, n):
+            if a[i][j] is not None and x[j] is not None:
+                acc = _minus(acc, _mul_lists(a[i][j], x[j], order))
+        if acc is not None:
+            x[i] = _mul_lists(acc, inverses[i], order)
+    solution = [TruncatedSeries(() if c is None else c, order) for c in x]
     for i in range(n):
         acc = TruncatedSeries.zero(system.order)
         for j in range(n):
             entry = system.matrix[i][j]
-            if not entry.is_zero() and not b[j].is_zero():
-                acc = acc + entry * b[j]
+            if not entry.is_zero() and not solution[j].is_zero():
+                acc = acc + entry * solution[j]
         _require(acc == system.rhs[i],
                  f"solution fails to reproduce equation {i}")
-    return b
+    return solution
 
 
 # ---------- the ordinate-band transfer system ----------
@@ -284,15 +371,21 @@ def band_series_system(lo: int, hi: int, order: int) -> SeriesSystem:
         [TruncatedSeries.polynomial(e, order) for e in rhs])
 
 
+def band_cramer_numerators(lo: int, hi: int) -> tuple[Poly, list[Poly]]:
+    """The band determinant and the Cramer numerator of every unknown, in
+    the layout of band_poly_matrix, from one elimination."""
+    return cramer_numerators(*band_poly_matrix(lo, hi))
+
+
 def band_cramer_numerator(lo: int, hi: int, column: int) -> Poly:
     """Determinant of the band matrix with one column replaced by the
-    right-hand side: the Cramer numerator of that unknown."""
-    rows, rhs = band_poly_matrix(lo, hi)
-    if not 0 <= column < len(rows):
-        raise IndexOutOfRange(f"column {column} outside 0..{len(rows) - 1}")
-    for i, row in enumerate(rows):
-        row[column] = rhs[i]
-    return poly_det(rows)
+    right-hand side: the Cramer numerator of that unknown, read off
+    band_cramer_numerators."""
+    numerators = band_cramer_numerators(lo, hi)[1]
+    if not 0 <= column < len(numerators):
+        raise IndexOutOfRange(
+            f"column {column} outside 0..{len(numerators) - 1}")
+    return numerators[column]
 
 
 # ---------- the integer series kernel ----------

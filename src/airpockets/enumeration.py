@@ -22,7 +22,7 @@ state between calls, so everything here is safe to run concurrently.
 
 from __future__ import annotations
 
-from itertools import accumulate, repeat
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .errors import BadParams, InfeasibleSpec
@@ -33,12 +33,17 @@ KINDS = PATH_KINDS + (
     "special_h", "motzkin_avoid", "composition_alt", "composition_alt_odd_even")
 
 
+# the end_ordinate of a prefix family that pools every end above the axis
+POSITIVE = "positive"
+
+
 class FamilySpec(NamedTuple):
     """A path family: which kind, plus optional window and endpoint filters.
 
     min_y / max_y bound the whole profile; end_ordinate pins the final
-    height (kinds other than prefix_gdap force 0); start_step / end_step
-    ("up" or "down") filter the first and last step kind.
+    height (kinds other than prefix_gdap force 0), or is POSITIVE for a
+    prefix ending anywhere above the axis; start_step / end_step ("up" or
+    "down") filter the first and last step kind.
     """
 
     kind: str
@@ -54,7 +59,16 @@ def lex_key(path: LatticePath) -> tuple[int, ...]:
     return tuple(0 if s == UP else -s for s in path.steps)
 
 
-def _check_spec(n: int, spec: FamilySpec):
+def _lowest_end(spec: FamilySpec) -> int | None:
+    """The lowest final ordinate a member may have; None for a free end."""
+    if spec.kind in ("gdap", "dap", "prime"):
+        return 0
+    return 1 if spec.end_ordinate == POSITIVE else spec.end_ordinate
+
+
+def _check_spec(n: int, spec: FamilySpec, reach: bool = True):
+    # reach=False skips the one check a longer length could pass: that
+    # the end ordinate is reachable in n steps
     if n < 0:
         raise BadParams("length must be nonnegative")
     if spec.kind not in KINDS:
@@ -75,11 +89,11 @@ def _check_spec(n: int, spec: FamilySpec):
         if spec.min_y is None and spec.end_ordinate is None:
             raise InfeasibleSpec(
                 "prefix family with no floor and free end is infinite")
+    end = _lowest_end(spec)
     if spec.end_ordinate is not None:
-        if spec.end_ordinate > n:
-            raise InfeasibleSpec(f"cannot reach ordinate {spec.end_ordinate} "
-                                 f"in {n} steps")
-        if spec.min_y is not None and spec.end_ordinate < spec.min_y:
+        if reach and end > n:
+            raise InfeasibleSpec(f"cannot reach ordinate {end} in {n} steps")
+        if spec.min_y is not None and end < spec.min_y:
             raise InfeasibleSpec("end_ordinate lies below min_y")
     if spec.kind == "special_h":
         if any(getattr(spec, f) is not None for f in
@@ -93,36 +107,33 @@ def _check_spec(n: int, spec: FamilySpec):
             "enum_motzkin_avoiding or enum_compositions")
 
 
-def _window(n: int, spec: FamilySpec):
-    """Lowest and highest useful ordinate at each position 0..n, plus the
-    target final ordinate (None for a free end).
+def _window(n: int, spec: FamilySpec) -> tuple[list[int], list[int]]:
+    """Lowest and highest useful ordinate at each position 0..n.
 
-    A point below the floor, or too deep to climb back to the target in
-    the steps left (each step gains at most one level), completes nothing;
-    no point lies above the ceiling or above its own position, and the
-    last point of a pinned end lies on the target.
+    A point below the floor, or too deep to climb back to the lowest end
+    in the steps left (each step gains at most one level), completes
+    nothing; no point lies above the ceiling or above its own position, and
+    the last point of a pinned end lies on it.
     """
     if spec.kind == "prime":
         # interior strictly above the axis, entered from height >= 2
         floors = [0] + [1] * (n - 2) + [2, 0]
-        target = 0
     elif spec.kind == "dap":
         floors = [0] * (n + 1)
-        target = 0
     else:
         floors = [spec.min_y] * (n + 1)
-        target = 0 if spec.kind == "gdap" else spec.end_ordinate
+    end = _lowest_end(spec)
     low = []
     for j, floor in enumerate(floors):
-        if target is not None:
-            reach = target - (n - j)
+        if end is not None:
+            reach = end - (n - j)
             floor = reach if floor is None else max(floor, reach)
         low.append(floor)
     high = [j if spec.max_y is None else min(spec.max_y, j)
             for j in range(n + 1)]
-    if target is not None:
-        high[n] = min(high[n], target)
-    return low, high, target
+    if end is not None and spec.end_ordinate != POSITIVE:
+        high[n] = min(high[n], end)
+    return low, high
 
 
 def _step_kinds(i: int, n: int, spec: FamilySpec) -> tuple[bool, bool]:
@@ -158,9 +169,10 @@ def iter_paths(n: int, spec: FamilySpec) -> Iterator[str]:
     """The step text of every length-n member of the family, in
     lexicographic step order, one at a time.
 
-    A pending step holds its parent's text, shared by all its siblings,
-    and its own step code; its text is built only when it is popped, so
-    the stack holds one prefix per position, not one per sibling.
+    The stack holds one entry per position: the parent's text and height,
+    and the code of the next sibling step to take there and of the last.
+    A popped entry goes back with its next sibling before the step's own
+    child is pushed, so the stack never holds more than n entries.
     """
     _check_spec(n, spec)
     if spec.kind == "special_h":
@@ -170,7 +182,7 @@ def iter_paths(n: int, spec: FamilySpec) -> Iterator[str]:
     if short is not None:
         yield from short
         return
-    low, high, _ = _window(n, spec)
+    low, high = _window(n, spec)
     kinds = [_step_kinds(i, n, spec) for i in range(n)]
     tokens = _tokens(max(high) - min(low))
     # where a drop may land: one before the end, only where an up-step
@@ -180,26 +192,33 @@ def iter_paths(n: int, spec: FamilySpec) -> Iterator[str]:
     land_high[-2] = min(high[-2], high[-1] - 1)
     if not kinds[-1][0]:
         land_high[-2] = land_low[-2] - 1
-    pending: list[tuple[int, int, int, str]] = []  # index, code, height, parent
+
+    def shallowest(i, h):
+        return max(h - land_high[i + 1], 1)
+
+    # index, code of this step, code of the last sibling, height, parent
+    pending: list[tuple[int, int, int, int, str]] = []
 
     def push(i, h, dropped, text):
-        # the steps open at index i, pushed so that U, D1, D2, ... pop first
+        # the steps open at index i, taken in the order U, D1, D2, ...
         ups, drops = kinds[i]
-        if drops and not dropped:
-            deepest = h - land_low[i + 1]
-            shallowest = max(h - land_high[i + 1], 1)
-            pending.extend(zip(repeat(i), range(deepest, shallowest - 1, -1),
-                               range(h - deepest, h - shallowest + 1),
-                               repeat(text)))
-        if ups and low[i + 1] <= h + 1 <= high[i + 1]:
-            pending.append((i, 0, h + 1, text))
+        up = ups and low[i + 1] <= h + 1 <= high[i + 1]
+        deepest = h - land_low[i + 1] if drops and not dropped else 0
+        if deepest < shallowest(i, h):
+            deepest = 0  # no drop lands in the window
+        if up or deepest:
+            pending.append((i, 0 if up else shallowest(i, h), deepest, h,
+                            text))
 
     push(0, 0, False, "")
     while pending:
-        i, k, h, parent = pending.pop()
+        i, k, last, h, parent = pending.pop()
+        if k < last:
+            pending.append((i, k + 1 if k else shallowest(i, h), last, h,
+                            parent))
         text = parent + tokens[k]
         if i < n - 1:
-            push(i + 1, h, k, text)  # k > 0: this step dropped
+            push(i + 1, h - k if k else h + 1, k, text)  # k > 0: dropped
         else:  # the window leaves the last step only the final ordinates
             yield text
 
@@ -210,46 +229,84 @@ def enum_paths(n: int, spec: FamilySpec) -> list[LatticePath]:
 
 
 def count_paths(n: int, spec: FamilySpec) -> int:
-    """|enum_paths(n, spec)| by one forward sweep, without materializing.
+    """|enum_paths(n, spec)| without materializing, raising InfeasibleSpec
+    where no length-n member can exist: the sweep of count_paths_upto(n,
+    spec), read out at length n alone."""
+    _check_spec(n, spec)
+    return _sweep_counts(n, spec, n)[n]
+
+
+def count_paths_upto(max_n: int, spec: FamilySpec) -> list[int]:
+    """count_paths(n, spec) for every n in 0..max_n from one forward sweep;
+    a length too short to reach the end ordinate reads 0."""
+    return _sweep_counts(max_n, spec, 0)
+
+
+def _sweep_counts(max_n: int, spec: FamilySpec, read_from: int) -> list[int]:
+    """count_paths_upto(max_n, spec) read out at the lengths from
+    read_from on and at the short lengths _short answers; the other
+    entries are left 0, since a read-out may sum a whole vector.
 
     The state after each position is two vectors indexed by height: the
     prefixes whose last step went up (or that have no step yet), and those
     whose last step dropped.  An up-step shifts both by one level; a drop
     may only follow the first kind and reaches every lower level, so the
-    new drop vector is a suffix sum of the old up vector.
+    new drop vector is a suffix sum of the old up vector.  One fixed floor
+    serves every length: the higher of min_y and e - max_n for a lowest
+    end e, since a length-n path ending at e sits at or above e - (n - i)
+    at position i.  The length-n count is read off the vectors after n steps:
+    the end-step filter picks the vector, and a pinned end one height, a
+    POSITIVE end the heights above 0.  A prime arch is read one step early,
+    from the up-ending prefixes at height >= 2 that its last drop closes.
     """
-    _check_spec(n, spec)
+    _check_spec(max_n, spec, reach=False)
     if spec.kind == "special_h":
-        return sum(_special_h_table(n)[n])
-    short = _short(n, spec)
-    if short is not None:
-        return len(short)
-    low, high, target = _window(n, spec)
-    base = min(low)
-    size = max(high) - base + 1
+        return [sum(row) for row in _special_h_table(max_n)]
+    counts = [0] * (max_n + 1)
+    end = _lowest_end(spec)
+    if end is not None and end > max_n:
+        return counts
+    prime = spec.kind == "prime"
+    if prime or spec.kind == "dap":
+        base = 0
+    else:
+        base = spec.min_y
+        if end is not None:
+            base = end - max_n if base is None else max(base, end - max_n)
+    top = max_n if spec.max_y is None else min(spec.max_y, max_n)
+    size = top - base + 1
     up = [0] * size
     down = [0] * size
     up[-base] = 1
-    for i in range(n):
-        ups, drops = _step_kinds(i, n, spec)
+    for n in range(1, max_n + 1):
+        read = n >= read_from
+        if prime and read and spec.end_step != "up":
+            counts[n] = sum(up[2:])
+        first = n == 1
         new_up = [0] * size
-        if ups:
+        if not (first and spec.start_step == "down"):
             new_up[1:] = [u + d for u, d in zip(up, down)][:-1]
         new_down = [0] * size
-        if drops:
+        if not (first and spec.start_step == "up"):
             tails = list(accumulate(reversed(up)))  # sums of up[size-1-r:]
             new_down[:-1] = tails[-2::-1]
-        keep_from = min(low[i + 1] - base, size)
-        keep_to = max(high[i + 1] - base + 1, keep_from)
-        for vec in (new_up, new_down):
-            vec[:keep_from] = [0] * keep_from
-            vec[keep_to:] = [0] * (size - keep_to)
+        if prime:  # the arch stays above the axis until its last drop
+            new_up[0] = new_down[0] = 0
         up, down = new_up, new_down
-    if target is None:
-        return sum(up) + sum(down)
-    if not base <= target < base + size:
-        return 0
-    return up[target - base] + down[target - base]
+        if prime or not read:
+            continue
+        ends = {"up": (up,), "down": (down,)}.get(spec.end_step, (up, down))
+        if end is None:
+            counts[n] = sum(map(sum, ends))
+        elif spec.end_ordinate == POSITIVE:
+            counts[n] = sum(sum(v[1 - base:]) for v in ends)
+        elif end - base < size:
+            counts[n] = sum(v[end - base] for v in ends)
+    for n in range(min(max_n, 2) + 1):
+        short = _short(n, spec)
+        if short is not None:
+            counts[n] = len(short)
+    return counts
 
 
 # ---------- the special-height family ----------

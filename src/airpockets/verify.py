@@ -27,15 +27,21 @@ from .catalog import (
     CEILING_RADICAND,
     KERNEL_RADICAND,
     SeriesSystem,
-    band_cramer_numerator,
+    band_cramer_numerators,
     band_poly_matrix,
     band_series_system,
     evaluate,
     poly_det,
     solve_series_system,
 )
-from .enumeration import FamilySpec, count_paths, enum_compositions, enum_paths
-from .errors import BadParams, ConsistencyError, InfeasibleSpec
+from .enumeration import (
+    POSITIVE,
+    FamilySpec,
+    count_paths_upto,
+    enum_compositions,
+    enum_paths,
+)
+from .errors import BadParams, ConsistencyError
 from .oeis import CITED_PAIRS, align_and_compare, fetch_sequence
 from .paths import parse_path
 from .series import TruncatedSeries
@@ -305,9 +311,9 @@ def _by_bareiss(order, t):
 
 
 def _by_cramer(order, t):
-    return [("N", {"k": k, "t": t},
-             _whole(band_cramer_numerator(0, t, k), order))
-            for k in range(2 * t + 2)]
+    numerators = band_cramer_numerators(0, t)[1]
+    return [("N", {"k": k, "t": t}, _whole(num, order))
+            for k, num in enumerate(numerators)]
 
 
 def _by_centered_elimination(order, t):
@@ -416,7 +422,7 @@ ORACLE_TABLE = (
     ("prefix_pos", {"k": 3}, {"kind": "prefix_gdap",
                               "end_ordinate": 3}, 0, False),
     ("prefix_pos_total", {}, {"kind": "prefix_gdap",
-                              "end_ordinate": "positive"}, 0, False),
+                              "end_ordinate": POSITIVE}, 0, False),
     ("prefix_neg", {"k": -1}, {"kind": "prefix_gdap",
                                "end_ordinate": -1}, 0, False),
     ("prefix_neg", {"k": -2}, {"kind": "prefix_gdap",
@@ -444,31 +450,13 @@ ORACLE_TABLE = (
 )
 
 
-def _oracle_count(n, spec_fields):
-    fields = dict(spec_fields)
-    # a "positive" end ordinate means summing every strictly positive one
-    if fields.get("end_ordinate") == "positive":
-        total = 0
-        for k in range(1, n + 1):
-            fields["end_ordinate"] = k
-            try:
-                total += count_paths(n, FamilySpec(**fields))
-            except InfeasibleSpec:
-                pass
-        return total
-    try:
-        return count_paths(n, FamilySpec(**fields))
-    except InfeasibleSpec:
-        return 0  # endpoint unreachable at this length
-
-
 def _check_series_oracle(name, params, spec_fields, epsilon, max_n):
     got = evaluate(name, max_n, **params).series
-    for n in range(max_n + 1):
-        want = _oracle_count(n, spec_fields) + (epsilon if n == 0 else 0)
-        have = got.coefficient(n)
-        if have != want:
-            return f"n={n}: series {have} != oracle {want}"
+    counts = count_paths_upto(max_n, FamilySpec(**spec_fields))
+    counts[0] += epsilon
+    n = _first_difference(got.coeffs, counts)
+    if n is not None:
+        return f"n={n}: series {got.coeffs[n]} != oracle {counts[n]}"
     return None
 
 

@@ -17,8 +17,10 @@ from airpockets.catalog import (
     NamedSeries,
     SeriesSystem,
     band_cramer_numerator,
+    band_cramer_numerators,
     band_poly_matrix,
     band_series_system,
+    cramer_numerators,
     evaluate,
     gf_H,
     gf_H_bounded,
@@ -226,6 +228,140 @@ def test_system_singular_to_order():
     system = SeriesSystem.build(((x, one), (x, one)), (one, one))
     with pytest.raises(SingularToOrder):
         solve_series_system(system)
+
+
+def test_system_fraction_solution():
+    # 2u + v = 1, u + (3 + x)v = x: the constant terms alone give 3/5, -1/5
+    order = 6
+    one = TruncatedSeries.one(order)
+    x = TruncatedSeries.monomial(1, order)
+    a = ((2 * one, one), (one, 3 + x))
+    rhs = (one, x)
+    u, v = solve_series_system(SeriesSystem.build(a, rhs))
+    assert (u.coefficient(0), v.coefficient(0)) == (Fraction(3, 5),
+                                                    Fraction(-1, 5))
+    assert 2 * u + v == one
+    assert u + (3 + x) * v == x
+
+
+def test_system_pivots_past_a_positive_valuation():
+    # x·u + v = 1, u + v = 2: column 0 pivots on the second row, and
+    # u = 1/(1 - x), v = 2 - 1/(1 - x)
+    order = 8
+    one = TruncatedSeries.one(order)
+    x = TruncatedSeries.monomial(1, order)
+    u, v = solve_series_system(SeriesSystem.build(((x, one), (one, one)),
+                                                  (one, 2 * one)))
+    geometric = one / (one - x)
+    assert (u, v) == (geometric, 2 - geometric)
+
+
+def test_system_singular_after_elimination():
+    # the second column's pivot loses its constant term to the first
+    order = 5
+    one = TruncatedSeries.one(order)
+    x = TruncatedSeries.monomial(1, order)
+    system = SeriesSystem.build(((one, one), (one, one + x)), (one, one))
+    with pytest.raises(SingularToOrder):
+        solve_series_system(system)
+
+
+def test_wrong_elimination_fails_the_substitution(monkeypatch):
+    # the solution is checked against the original series system, so a
+    # wrong pivot inverse cannot slip through
+    divide = catalog._div_lists
+
+    def off_at_the_top(a, b, order):
+        quotient = divide(a, b, order)
+        quotient[-1] += 1
+        return quotient
+
+    monkeypatch.setattr(catalog, "_div_lists", off_at_the_top)
+    with pytest.raises(ConsistencyError, match="fails to reproduce"):
+        solve_series_system(band_series_system(0, 2, 8))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
+                                    (-1, 1), (-2, 2), (-3, 3)])
+def test_system_matches_gauss_jordan_on_bands(lo, hi):
+    # the band solved by plain Gauss-Jordan on series objects
+    system = band_series_system(lo, hi, 14)
+    n = system.dimension
+    a = [list(row) for row in system.matrix]
+    b = list(system.rhs)
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if a[r][col].coefficient(0))
+        a[col], a[pivot], b[col], b[pivot] = a[pivot], a[col], b[pivot], b[col]
+        inv = TruncatedSeries.one(14) / a[col][col]
+        a[col] = [e * inv for e in a[col]]
+        b[col] = b[col] * inv
+        for r in range(n):
+            if r != col:
+                f = a[r][col]
+                a[r] = [e - f * p for e, p in zip(a[r], a[col])]
+                b[r] = b[r] - f * b[col]
+    assert solve_series_system(system) == b
+
+
+def _column_replaced(rows, rhs, column):
+    return [row[:column] + [b] + row[column + 1:] for row, b in zip(rows, rhs)]
+
+
+@pytest.mark.parametrize("lo, hi", [(0, t) for t in range(5)]
+                         + [(-t, t) for t in range(1, 4)])
+def test_band_cramer_numerators_are_column_determinants(lo, hi):
+    rows, rhs = band_poly_matrix(lo, hi)
+    det, numerators = band_cramer_numerators(lo, hi)
+    assert det == poly_det(rows)
+    assert numerators == [poly_det(_column_replaced(rows, rhs, c))
+                          for c in range(len(rows))]
+    assert [band_cramer_numerator(lo, hi, c) for c in range(len(rows))] \
+        == numerators
+
+
+@pytest.mark.parametrize("rows, rhs", [
+    # a zero leading entry: one row swap
+    ([[(), (1,), (2, 1)], [(1, 1), (0, 1), ()], [(3,), (), (1, 0, 1)]],
+     [(1,), (0, 2), (-1, 1)]),
+    # zeros on the diagonal in two columns: two swaps
+    ([[(), (), (1,)], [(), (1, 1), (2,)], [(1, -1), (0, 1), ()]],
+     [(2,), (), (0, 0, 3)]),
+    ([[(0, 2)]], [(1, 1)]),
+])
+def test_cramer_numerators_of_generic_matrices(rows, rhs):
+    det, numerators = cramer_numerators(rows, rhs)
+    assert det == poly_det(rows)
+    assert numerators == [poly_det(_column_replaced(rows, rhs, c))
+                          for c in range(len(rows))]
+
+
+def test_cramer_numerators_reject_singular_and_misshapen():
+    with pytest.raises(ValueError):
+        cramer_numerators([[(1,), (0, 1)], [(2,), (0, 2)]], [(1,), ()])
+    with pytest.raises(ValueError):
+        cramer_numerators([[(1,), (0, 1)]], [(1,)])
+    with pytest.raises(ValueError):
+        cramer_numerators([[(1,)]], [(1,), (2,)])
+    assert cramer_numerators([], []) == ((1,), [])
+
+
+def test_corrupted_cramer_elimination_is_caught(monkeypatch):
+    # shifting the last right-hand entry by the product of the diagonal
+    # keeps every back-substitution division exact, so only the check
+    # A·N = det(A)·b can catch it
+    eliminate = catalog._eliminate
+
+    def corrupted(m):
+        sign = eliminate(m)
+        shift = (1,)
+        for i in range(len(m)):
+            shift = catalog._pmul(shift, m[i][i])
+        m[-1][-1] = catalog._padd(m[-1][-1], shift)
+        return sign
+
+    monkeypatch.setattr(catalog, "_eliminate", corrupted)
+    with pytest.raises(ConsistencyError):
+        band_cramer_numerators(0, 2)
 
 
 def test_system_rejects_mixed_orders():

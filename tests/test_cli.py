@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -440,6 +442,25 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "[fail]" in out
     assert "verification failed" in err
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("fixture, size", [
+    ("verify_all_default.json", ()),
+    ("verify_all_max_n_11_order_25.json", ("--max-n", "11", "--order", "25")),
+])
+def test_verify_all_report_is_frozen(capsys, fixture, size):
+    # the whole offline report, byte for byte, at the benchmark's two sizes
+    code, out, err = run(capsys, "verify", "--offline", "--suite", "all",
+                         "--format", "json", *size)
+    assert code == 0
+    assert err == ""
+    assert out.encode() == (GOLDEN / fixture).read_bytes()
+    kinds = Counter(c["check_kind"] for c in json.loads(out)["checks"])
+    assert kinds == {"dual_path": 23, "oracle_vs_gf": 28,
+                     "bijection_roundtrip": 4, "gf_vs_oeis": 18}
 
 
 def test_verify_bad_max_n(capsys):

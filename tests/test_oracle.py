@@ -2,16 +2,20 @@
 against exhaustive slices, and the composition/Motzkin side families."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airpockets import reference as ref
+from airpockets import verify
 from airpockets.enumeration import (
+    POSITIVE,
     FamilySpec,
     count_motzkin_avoiding,
     count_paths,
+    count_paths_upto,
     enum_compositions,
     enum_h,
     enum_motzkin_avoiding,
@@ -20,7 +24,7 @@ from airpockets.enumeration import (
     iter_paths,
     lex_key,
 )
-from airpockets.errors import InfeasibleSpec
+from airpockets.errors import BadParams, InfeasibleSpec
 from airpockets.paths import (
     EMPTY,
     classify,
@@ -86,6 +90,80 @@ def test_count_is_number_listed(n, spec):
         return
     assert count_paths(n, spec) == len(listed)
     assert [lex_key(p) for p in listed] == sorted(lex_key(p) for p in listed)
+
+
+# every oracle row, then the prime rule, the step filters, floor and
+# ceiling windows, negative and pooled ends, and the special heights
+UPTO_SPECS = [FamilySpec(**fields) for _, _, fields, _, _ in
+              verify.ORACLE_TABLE] + [
+    PRIME,
+    FamilySpec("prime", max_y=3, end_step="down"),
+    FamilySpec("prime", end_step="up"),
+    FamilySpec("prime", start_step="down"),
+    FamilySpec("dap", max_y=2, start_step="up"),
+    FamilySpec("gdap", start_step="down", end_step="up"),
+    FamilySpec("gdap", min_y=-1, max_y=2, end_step="down"),
+    FamilySpec("gdap", min_y=0),
+    FamilySpec("prefix_gdap", min_y=-3, max_y=2),
+    FamilySpec("prefix_gdap", min_y=-2, start_step="down", end_step="up"),
+    FamilySpec("prefix_gdap", end_ordinate=-7, max_y=1, start_step="up"),
+    FamilySpec("prefix_gdap", end_ordinate=-12),
+    FamilySpec("prefix_gdap", min_y=-2, end_ordinate=4, end_step="up"),
+    FamilySpec("prefix_gdap", end_ordinate=12, max_y=20),
+    FamilySpec("prefix_gdap", end_ordinate=POSITIVE, min_y=-2, max_y=3),
+    FamilySpec("special_h"),
+]
+
+
+@pytest.mark.parametrize("spec", UPTO_SPECS, ids=str)
+def test_count_upto_reads_every_length(spec):
+    # one sweep to 30 against a sweep per length, each with its own floor;
+    # a length the old per-length count refused as unreachable reads 0
+    upto = count_paths_upto(30, spec)
+    assert len(upto) == 31
+    for n, got in enumerate(upto):
+        try:
+            want = count_paths(n, spec)
+        except InfeasibleSpec as exc:
+            assert "cannot reach" in str(exc)
+            want = 0
+        assert got == want, n
+    assert count_paths_upto(10, spec) == upto[:11]
+
+
+@pytest.mark.parametrize("spec", UPTO_SPECS, ids=str)
+def test_count_upto_is_number_listed(spec):
+    upto = count_paths_upto(9, spec)
+    for n in range(10):
+        try:
+            listed = sum(1 for _ in iter_paths(n, spec))
+        except InfeasibleSpec:
+            listed = 0
+        assert upto[n] == listed, n
+
+
+def test_count_upto_zero_where_no_length_reaches():
+    spec = FamilySpec("prefix_gdap", end_ordinate=8)
+    assert count_paths_upto(7, spec) == [0] * 8
+    assert count_paths_upto(8, spec)[8] == 1
+    with pytest.raises(InfeasibleSpec):
+        count_paths(7, spec)
+
+
+@pytest.mark.parametrize("n, spec, error", [
+    (-1, GDAP, BadParams),
+    (5, FamilySpec("zigzag"), BadParams),
+    (5, FamilySpec("prefix_gdap"), InfeasibleSpec),
+    (5, FamilySpec("prefix_gdap", max_y=3), InfeasibleSpec),
+    (5, FamilySpec("special_h", max_y=3), InfeasibleSpec),
+    (5, FamilySpec("motzkin_avoid"), InfeasibleSpec),
+    (5, FamilySpec("gdap", end_ordinate=POSITIVE), InfeasibleSpec),
+])
+def test_count_upto_rejects_what_count_rejects(n, spec, error):
+    with pytest.raises(error):
+        count_paths_upto(n, spec)
+    with pytest.raises(error):
+        count_paths(n, spec)
 
 
 def test_special_h_count_is_number_built():
@@ -178,10 +256,14 @@ def test_enumeration_agrees_with_counts(spec, expected):
 
 
 def test_positive_prefix_counts_pool_over_ordinates():
-    for n, want in spans(ref.PREFIX_POSITIVE_COUNTS):
-        got = sum(count_paths(n, FamilySpec("prefix_gdap", end_ordinate=k))
-                  for k in range(1, n + 1))
-        assert got == want
+    pooled = count_paths_upto(30, FamilySpec("prefix_gdap",
+                                             end_ordinate=POSITIVE))
+    for n, got in enumerate(pooled):
+        assert got == sum(
+            count_paths(n, FamilySpec("prefix_gdap", end_ordinate=k))
+            for k in range(1, n + 1))
+    assert pooled[:len(ref.PREFIX_POSITIVE_COUNTS)] == \
+        list(ref.PREFIX_POSITIVE_COUNTS)
 
 
 def test_enumerated_members_satisfy_their_spec():
@@ -270,6 +352,31 @@ def test_walker_yields_before_walking_the_family(n, spec):
     first = next(iter_paths(n, spec))
     assert time.perf_counter() - start < 1.0
     assert first == "U" * (n - 1) + f"D{n - 1}"
+
+
+def test_first_long_path_keeps_one_stack_entry_per_position():
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        first = next(iter_paths(2000, GDAP))
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == "U" * 1999 + "D1999"
+    assert elapsed < 1.0
+    assert peak < 20 * 2**20
+
+
+def test_positive_end_lists_every_end_above_the_axis():
+    spec = FamilySpec("prefix_gdap", end_ordinate=POSITIVE)
+    for n in range(1, 7):
+        listed = list(iter_paths(n, spec))
+        pinned = sorted(text for k in range(1, n + 1) for text in
+                        iter_paths(n, spec._replace(end_ordinate=k)))
+        assert sorted(listed) == pinned
+        assert [lex_key(P(t)) for t in listed] == \
+            sorted(lex_key(P(t)) for t in listed)
 
 
 def test_special_h_via_family_spec():

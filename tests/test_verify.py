@@ -1,5 +1,7 @@
 """Verification harness: suite assembly, determinism, failure reporting."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -42,6 +44,30 @@ def test_bounded_families_run_two_lengths_further():
     assert scopes["G"] == "n <= 8"
     assert scopes["g0t t=2"] == "n <= 10"
     assert scopes["B"] == "n <= 10"
+
+
+def test_every_oracle_row_holds_to_length_60():
+    # one counting sweep per row; height-bounded rows two lengths further
+    start = time.perf_counter()
+    for name, params, fields, epsilon, bounded in verify.ORACLE_TABLE:
+        limit = 62 if bounded else 60
+        mismatch = verify._check_series_oracle(name, params, fields, epsilon,
+                                               limit)
+        assert mismatch is None, (name, params, mismatch)
+    assert time.perf_counter() - start < 10
+
+
+def test_oracle_mismatch_names_the_first_length(monkeypatch):
+    counts = verify.count_paths_upto
+
+    def off_at_seven(max_n, spec):
+        out = counts(max_n, spec)
+        out[7] += 1
+        return out
+
+    monkeypatch.setattr(verify, "count_paths_upto", off_at_seven)
+    assert verify._check_series_oracle("dap", {}, {"kind": "dap"}, 0, 9) \
+        == "n=7: series 17 != oracle 18"
 
 
 def test_bijections_suite_passes():
