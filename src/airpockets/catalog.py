@@ -123,8 +123,10 @@ def _pdiv_exact(a: Poly, b: Poly) -> Poly:
 def _eliminate(m: list[list[Poly]]) -> int:
     # Bareiss forward elimination in place: below the diagonal of the n
     # leading columns every entry becomes zero, and every entry left is a
-    # minor of m, reached by exact division by the previous pivot.  Returns
-    # the sign of the row swaps, or 0 when a column has no nonzero pivot.
+    # minor of m, reached by exact division by the previous pivot; without
+    # a cross term (left or row_k[j] zero) that is entry·pivot / prev, and a
+    # zero entry stays zero.  Returns the sign of the row swaps, or 0 when
+    # a column has no nonzero pivot.
     n, width = len(m), len(m[0])
     sign = 1
     prev: Poly = P_ONE
@@ -142,7 +144,13 @@ def _eliminate(m: list[list[Poly]]) -> int:
             row_i = m[i]
             left = row_i[k]
             for j in range(k + 1, width):
-                num = _psub(_pmul(row_i[j], pivot), _pmul(left, row_k[j]))
+                entry, cross = row_i[j], row_k[j]
+                if left and cross:
+                    num = _psub(_pmul(entry, pivot), _pmul(left, cross))
+                elif entry:
+                    num = _pmul(entry, pivot)
+                else:
+                    continue
                 row_i[j] = _pdiv_exact(num, prev)
             row_i[k] = P_ZERO
         prev = pivot

@@ -15,16 +15,16 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
 from .bijections import parse_composition, phi, phi_inv, psi, psi_inv
 from .catalog import evaluate
 from .enumeration import (
     FamilySpec,
+    _batched,
+    _path_blocks,
     count_motzkin_avoiding,
     count_paths,
     iter_motzkin_avoiding,
-    iter_paths,
 )
 from .errors import (
     BadParams,
@@ -58,7 +58,8 @@ MAX_LENGTH = 2000               # enumerate --length, |--min-y|,
 MAX_H_LENGTH = 400              # enumerate --family H --length: a cubic count
 MAX_LISTED_PATHS = 2_000_000    # enumerate --list, checked by counting first;
                                 # listings stream, so this bounds the time
-                                # (about 13 s), not the memory
+                                # (about 10 s, for H at length 24), not
+                                # the memory
 MAX_N = 100                     # verify --max-n
 MAX_ROUNDTRIP_N = 22            # verify --max-n for the listing bijection suites
 
@@ -151,11 +152,11 @@ def _cmd_enumerate(args) -> int:
             raise InfeasibleSpec(
                 "the motzkin family takes no window or endpoint flags")
         total = count_motzkin_avoiding(args.length)
-        listing = iter_motzkin_avoiding
+        blocks = _batched(iter_motzkin_avoiding(args.length))
     else:
         spec = FamilySpec(**fields)
         total = count_paths(args.length, spec)
-        listing = partial(iter_paths, spec=spec)
+        blocks = _path_blocks(args.length, spec)
     head = {"family": args.family, "length": args.length}
     if not args.list:
         _write(args.format, lambda: {**head, "count": total},
@@ -164,36 +165,35 @@ def _cmd_enumerate(args) -> int:
     if total > MAX_LISTED_PATHS:
         raise BadParams(f"--list would print {total} paths, above the "
                         f"ceiling of {MAX_LISTED_PATHS}; use --count")
-    _write_listing(args.format, head,
-                   (text or "ε" for text in listing(args.length)))
+    _write_listing(args.format, head, blocks)
     return EXIT_OK
 
 
-def _write_listing(fmt: str, head: dict, paths) -> None:
+def _write_listing(fmt: str, head: dict, blocks) -> None:
     """Print a listing byte for byte as _write prints the record
     {**head, "paths": [...]}, the rows ("path",), *paths, or the paths one
-    per line, but write each path as it comes."""
-    out = sys.stdout
-    first = next(paths, None)
+    per line, but write each (prefix, completions) block as it comes, with
+    one join.  A path's text needs no quoting or escaping in JSON or CSV;
+    the one empty path, at length 0, prints as ε."""
     if fmt == "json":
         opening, closing = json.dumps(
             {**head, "paths": []}, sort_keys=True,
             separators=(",", ":")).rsplit("[]", 1)
-        out.write(opening + "[" + ("" if first is None else json.dumps(first)))
-        out.writelines("," + json.dumps(path) for path in paths)
-        out.write("]" + closing + "\n")
-    elif fmt == "csv":
-        import csv
-
-        rows = csv.writer(out, lineterminator="\n")
-        rows.writerow(("path",))
-        if first is not None:
-            rows.writerow((first,))
-            rows.writerows(zip(paths))
-    else:  # an empty listing is one blank line
-        out.write("" if first is None else first)
-        out.writelines("\n" + path for path in paths)
-        out.write("\n")
+        start, quote, sep, end = opening + "[", '"', ",", "]" + closing
+    else:  # csv: the header row, then one row per path; plain: an empty
+        # listing is one blank line
+        start, quote, sep, end = "path" if fmt == "csv" else "", "", "\n", ""
+    empty = json.dumps("ε")[1:-1] if fmt == "json" else "ε"
+    joint = quote + sep + quote
+    lead = "\n" if fmt == "csv" else ""  # what comes before the first path
+    out = sys.stdout
+    out.write(start)
+    for prefix, texts in blocks:
+        if not prefix and texts == [""]:
+            texts = [empty]
+        out.write(lead + quote + prefix + (joint + prefix).join(texts) + quote)
+        lead = sep
+    out.write(end + "\n")
 
 
 # ------------------------------------------------------------------- map

@@ -8,21 +8,27 @@ go arbitrarily deep, by the requirement that the remaining steps (each
 gaining at most one level) can still reach the target ordinate; a spec with
 neither cap describes an infinite family and is rejected.
 
-Enumeration walks every admissible step sequence with an explicit stack
-and yields each member's step text as it finds it, lexicographically with
-U < D1 < D2 < ...; the special-height walker follows its open arches the
-same way.  A listing holds only its walker's stack, and the list functions
-are built from the generators.  Counting never materializes paths: one
-forward sweep carries, per height, the number of prefixes ending in an
-up-step and in a drop (the step-set view of Banderier and Flajolet), and
-the special-height family is counted over (length, height) on its arch
-grammar.  No walker or counter recurses once per step, and nothing keeps
-state between calls, so everything here is safe to run concurrently.
+Enumeration hands the members' step text out in blocks, lexicographically
+with U < D1 < D2 < ...: an explicit stack walks every admissible prefix
+down to the last few positions, where the completions of a state
+(position, height, whether the last step dropped) are listed once and
+shared by every prefix that reaches it, as in generation by shared
+prefixes (Ruskey, Combinatorial Generation, ch. 4).  The special-height
+walker follows its open arches with its own stack, and its members come in
+batches.  A listing holds only the stack and a table of completions
+bounded by the tail's depth, and the one-at-a-time and list functions are
+built from the blocks.  Counting never materializes paths: one forward
+sweep carries, per height, the number of prefixes ending in an up-step and
+in a drop (the step-set view of Banderier and Flajolet), and the
+special-height family is counted over (length, height) on its arch
+grammar.  No walker or counter recurses once per step (the completion
+table recurses only through the tail), and nothing keeps state between
+calls, so everything here is safe to run concurrently.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterator, NamedTuple
 
 from .errors import BadParams, InfeasibleSpec
@@ -165,62 +171,107 @@ def _tokens(top: int) -> list[str]:
     return ["U", "D"] + [f"D{k}" for k in range(2, top + 1)]
 
 
-def iter_paths(n: int, spec: FamilySpec) -> Iterator[str]:
-    """The step text of every length-n member of the family, in
-    lexicographic step order, one at a time.
+# The last _TAIL steps of a path are listed once per (position, height,
+# whether the last step dropped) and handed out with every prefix that
+# reaches that state; a state with more than _BLOCK completions (one far
+# above its end, as early in a long dap) is walked a step further instead.
+# _BLOCK also caps the batches of the walkers that share no prefixes.  A
+# tail of 6 lists `prime 16` and `prefix 12 --end-ordinate -1` in about 40%
+# less time again, but its table is about twice as large and raises those
+# processes' peak RSS by about 0.1 MB.
+_TAIL = 5
+_BLOCK = 256
 
-    The stack holds one entry per position: the parent's text and height,
-    and the code of the next sibling step to take there and of the last.
-    A popped entry goes back with its next sibling before the step's own
-    child is pushed, so the stack never holds more than n entries.
+
+def _batched(texts: Iterator[str]) -> Iterator[tuple[str, list[str]]]:
+    """A walker's step texts as blocks with an empty prefix, the first of
+    one text and each next one twice as long, up to _BLOCK."""
+    size = 1
+    while block := list(islice(texts, size)):
+        yield "", block
+        size = min(2 * size, _BLOCK)
+
+
+def _path_blocks(n: int, spec: FamilySpec) -> Iterator[tuple[str, list[str]]]:
+    """The length-n members of the family as (prefix, completions) blocks,
+    in lexicographic step order: each member is a prefix followed by one of
+    its completions, and no block is empty.
+
+    Above the last _TAIL positions an explicit stack holds one step
+    generator per position, with the text of the prefix it extends.  A
+    prefix that reaches the tail takes its completions from a table local
+    to the call, each entry built on first use from the entries one
+    position later, so it recurses at most _TAIL + 1 deep.  The table's
+    keys are states of the tail and its lists hold at most _BLOCK texts:
+    it does not grow with the number of members.
     """
     _check_spec(n, spec)
     if spec.kind == "special_h":
-        yield from _iter_special_h(n)
+        yield from _batched(_iter_special_h(n))
         return
     short = _short(n, spec)
     if short is not None:
-        yield from short
+        if short:
+            yield "", short
         return
     low, high = _window(n, spec)
     kinds = [_step_kinds(i, n, spec) for i in range(n)]
     tokens = _tokens(max(high) - min(low))
-    # where a drop may land: one before the end, only where an up-step
-    # into the window can follow
-    land_low, land_high = low[:], high[:]
-    land_low[-2] = max(low[-2], low[-1] - 1)
-    land_high[-2] = min(high[-2], high[-1] - 1)
-    if not kinds[-1][0]:
-        land_high[-2] = land_low[-2] - 1
 
-    def shallowest(i, h):
-        return max(h - land_high[i + 1], 1)
-
-    # index, code of this step, code of the last sibling, height, parent
-    pending: list[tuple[int, int, int, int, str]] = []
-
-    def push(i, h, dropped, text):
-        # the steps open at index i, taken in the order U, D1, D2, ...
+    def steps(i, h, dropped):
+        # (code, height after) of the steps open at index i: U, D1, D2, ...
         ups, drops = kinds[i]
-        up = ups and low[i + 1] <= h + 1 <= high[i + 1]
-        deepest = h - land_low[i + 1] if drops and not dropped else 0
-        if deepest < shallowest(i, h):
-            deepest = 0  # no drop lands in the window
-        if up or deepest:
-            pending.append((i, 0 if up else shallowest(i, h), deepest, h,
-                            text))
+        if ups and low[i + 1] <= h + 1 <= high[i + 1]:
+            yield 0, h + 1
+        if drops and not dropped:
+            for k in range(max(h - high[i + 1], 1), h - low[i + 1] + 1):
+                yield k, h - k
 
-    push(0, 0, False, "")
+    table: dict[tuple[int, int, bool], list[str] | None] = {}
+
+    def completions(i, h, dropped):
+        # the texts that complete a prefix at position i and height h, or
+        # None for more than _BLOCK of them
+        if i == n:
+            return [""]
+        key = (i, h, dropped)
+        if key not in table:
+            block: list[str] | None = []
+            for k, after in steps(i, h, dropped):
+                rest = completions(i + 1, after, k > 0)
+                if rest is None or len(block) + len(rest) > _BLOCK:
+                    block = None
+                    break
+                token = tokens[k]
+                block += [token + text for text in rest]
+            table[key] = block
+        return table[key]
+
+    tail = n - _TAIL
+    pending = [("", steps(0, 0, False))]
     while pending:
-        i, k, last, h, parent = pending.pop()
-        if k < last:
-            pending.append((i, k + 1 if k else shallowest(i, h), last, h,
-                            parent))
+        parent, options = pending[-1]
+        step = next(options, None)
+        if step is None:
+            pending.pop()
+            continue
+        k, h = step
         text = parent + tokens[k]
-        if i < n - 1:
-            push(i + 1, h - k if k else h + 1, k, text)  # k > 0: dropped
-        else:  # the window leaves the last step only the final ordinates
-            yield text
+        i = len(pending)  # the position after this step
+        block = completions(i, h, k > 0) if i >= tail else None
+        if block is None:
+            pending.append((text, steps(i, h, k > 0)))
+        elif block:
+            yield text, block
+
+
+def iter_paths(n: int, spec: FamilySpec) -> Iterator[str]:
+    """The step text of every length-n member of the family, in
+    lexicographic step order, one at a time: each block of _path_blocks,
+    its prefix joined to each completion in turn."""
+    for prefix, block in _path_blocks(n, spec):
+        for text in block:
+            yield prefix + text
 
 
 def enum_paths(n: int, spec: FamilySpec) -> list[LatticePath]:

@@ -1,9 +1,11 @@
 """The series catalog against frozen expansions, brute-force counts, printed
 closed forms, and its own dual-route plumbing (determinants, band systems)."""
 
+import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -333,6 +335,40 @@ def test_cramer_numerators_of_generic_matrices(rows, rhs):
     assert det == poly_det(rows)
     assert numerators == [poly_det(_column_replaced(rows, rhs, c))
                           for c in range(len(rows))]
+
+
+# det and Cramer numerators of the bands (0, t), t <= 7, and (-t, t),
+# t <= 3, as the elimination that updated every entry computed them
+BAND_ELIMINATIONS = json.loads(
+    (Path(__file__).parent / "golden" / "band_cramer.json").read_text())
+
+
+@pytest.mark.parametrize("case", BAND_ELIMINATIONS,
+                         ids=lambda case: "band{}".format(tuple(case["band"])))
+def test_band_eliminations_are_pinned(case):
+    lo, hi = case["band"]
+    want = tuple(case["det"])
+    assert poly_det(band_poly_matrix(lo, hi)[0]) == want
+    assert band_cramer_numerators(lo, hi) == \
+        (want, [tuple(num) for num in case["numerators"]])
+
+
+def test_generic_elimination_with_a_row_swap_is_pinned():
+    # a zero leading entry, zeros in and beside the pivot columns, and a
+    # zero right-hand entry
+    rows = [[(), (0, 1), (1,), (2, 0, 1)],
+            [(1, 1), (2,), (0, 1), ()],
+            [(0, 1), (), (3,), (1, -1)],
+            [(), (0, 0, 1), (), (1,)]]
+    rhs = [(1,), (), (0, 1), (-1, 2)]
+    det = (0, -5, 2, 7, 2, 3, -1)
+    assert poly_det(rows) == det
+    assert cramer_numerators(rows, rhs) == (det, [
+        (16, -20, 3, -13, -1, 0, -1), (-8, 2, 12, 1, 7, -2),
+        (0, -7, 8, 0, 5, 1, 1), (0, 5, -4, -5)])
+    permutation = [[(), (1,), ()], [(), (), (1,)], [(1,), (), ()]]
+    assert cramer_numerators(permutation, [(1,), (0, 1), (0, 0, 1)]) == \
+        ((1,), [(0, 0, 1), (1,), (0, 1)])
 
 
 def test_cramer_numerators_reject_singular_and_misshapen():

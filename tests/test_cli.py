@@ -1,29 +1,33 @@
 """Command line: spec'd examples, exit codes, formats, stream discipline."""
 
 import csv
+import hashlib
 import io
 import json
 import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import airpockets
-from airpockets import cli, errors
+from airpockets import cli, enumeration, errors
 from airpockets import reference as ref
 from airpockets import verify
 from airpockets.cli import main
-from airpockets.enumeration import FamilySpec, enum_motzkin_avoiding, enum_paths
+from airpockets.enumeration import FamilySpec, _path_blocks
 from airpockets.errors import (
     ConsistencyError,
     DomainError,
     InputError,
     UnknownName,
 )
+
+import brute_force
 
 
 @pytest.fixture(autouse=True)
@@ -283,7 +287,9 @@ def test_enumerate_requires_list_or_count(capsys):
 
 
 # (family, length, window and endpoint flags) of small listings, the empty
-# ones and those of length 0 included
+# ones and those of length 0 included, and lengths on both sides of the
+# depth below which the walker shares completions between prefixes
+DEPTH = enumeration._TAIL
 LISTINGS = [
     ("gdap", 0, {}), ("gdap", 5, {}), ("gdap", 0, {"start_step": "up"}),
     ("gdap", 7, {"min_y": -1, "max_y": 1}),
@@ -297,16 +303,25 @@ LISTINGS = [
                    "end_step": "down"}),
     ("H", 0, {}), ("H", 1, {}), ("H", 9, {}),
     ("motzkin", 0, {}), ("motzkin", 1, {}), ("motzkin", 8, {}),
-]
+    ("prime", 3, {}), ("prefix", 7, {"end_ordinate": 3}),
+    ("gdap", 7, {"end_step": "up"}),
+    ("prefix", 7, {"min_y": -1, "end_step": "down"}),
+] + [(family, DEPTH + d, fields)
+     for d in (-1, 0, 1, 2)
+     for family, fields in [("gdap", {}), ("prime", {}),
+                            ("prefix", {"min_y": -2, "end_step": "up"})]]
 
 
 def _reference_listing(family, length, fields, fmt):
-    """The listing as one record, rows or text, rendered from the list API."""
+    """The listing as one record, rows or text, rendered from the members
+    found by exhaustive search."""
     if family == "motzkin":
-        members = enum_motzkin_avoiding(length)
+        members = brute_force.motzkin_words(length)
+    elif family == "H":
+        members = map(str, brute_force.special_heights(length))
     else:
         spec = FamilySpec(cli.FAMILY_KINDS[family], **fields)
-        members = [str(p) for p in enum_paths(length, spec)]
+        members = map(str, brute_force.members(length, spec))
     paths = [member or "ε" for member in members]
     if fmt == "json":
         record = {"family": family, "length": length, "paths": paths}
@@ -346,6 +361,42 @@ def test_empty_listing(capsys, fmt, out):
 def test_listing_of_length_0(capsys, fmt, out):
     assert run(capsys, "enumerate", "--family", "H", "--length", "0",
                "--list", "--format", fmt) == (0, out, "")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# SHA-256 of every benchmark --list job and of dap at length 16, in each
+# format, as the per-path writer printed them before listings came in blocks
+LISTING_DIGESTS = json.loads((GOLDEN / "listing_digests.json").read_text())
+
+
+@pytest.mark.parametrize("case", LISTING_DIGESTS,
+                         ids=lambda c: f"{c['args']} {c['format']}")
+def test_listing_bytes_are_frozen(capsys, case):
+    code, out, err = run(capsys, "enumerate", *case["args"].split(),
+                         "--list", "--format", case["format"])
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == case["sha256"]
+
+
+class _NullSink:
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
+def test_listing_memory_does_not_grow_with_its_size(monkeypatch, fmt):
+    # 175,502 paths, about 4 MB of text: the walker's table of completions
+    # is bounded by its depth, and each block is written and dropped
+    monkeypatch.setattr(sys, "stdout", _NullSink())
+    tracemalloc.start()
+    try:
+        cli._write_listing(fmt, {"family": "dap", "length": 18},
+                           _path_blocks(18, FamilySpec("dap")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 # ------------------------------------------------------------------- map
@@ -442,9 +493,6 @@ def test_verify_failure_exits_one(capsys, monkeypatch):
     assert code == 1
     assert "[fail]" in out
     assert "verification failed" in err
-
-
-GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.parametrize("fixture, size", [

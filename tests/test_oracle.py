@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airpockets import reference as ref
-from airpockets import verify
+from airpockets import enumeration, verify
 from airpockets.enumeration import (
     POSITIVE,
     FamilySpec,
@@ -34,6 +34,8 @@ from airpockets.paths import (
     parse_path,
     sharp,
 )
+
+import brute_force
 
 P = parse_path
 
@@ -90,6 +92,34 @@ def test_count_is_number_listed(n, spec):
         return
     assert count_paths(n, spec) == len(listed)
     assert [lex_key(p) for p in listed] == sorted(lex_key(p) for p in listed)
+    if n <= 9:
+        assert listed == brute_force.members(n, spec)
+
+
+# specs whose tails differ: free, floored, capped, pinned and pooled ends,
+# step filters on the first and the final step
+BLOCK_SPECS = [GDAP, DAP, PRIME,
+               FamilySpec("gdap", min_y=-1, max_y=2, end_step="up"),
+               FamilySpec("prefix_gdap", min_y=-2, start_step="down"),
+               FamilySpec("prefix_gdap", end_ordinate=-3, end_step="down"),
+               FamilySpec("prefix_gdap", end_ordinate=POSITIVE, max_y=3)]
+
+
+@pytest.mark.parametrize("tail, block", [(0, 1), (1, 1), (2, 3), (3, 2),
+                                         (6, 5), (20, 10**6)])
+def test_every_split_lists_every_member(monkeypatch, tail, block):
+    # a tail deeper than the path, no tail, and caps small enough that the
+    # walker steps past full states again and again
+    monkeypatch.setattr(enumeration, "_TAIL", tail)
+    monkeypatch.setattr(enumeration, "_BLOCK", block)
+    for spec in BLOCK_SPECS:
+        for n in range(1, 9):
+            want = [str(p) for p in brute_force.members(n, spec)]
+            blocks = list(enumeration._path_blocks(n, spec))
+            assert all(texts and len(texts) <= block
+                       for _, texts in blocks)
+            assert [prefix + text for prefix, texts in blocks
+                    for text in texts] == want, (spec, n)
 
 
 # every oracle row, then the prime rule, the step filters, floor and
