@@ -15,17 +15,16 @@ The independent derivations that tie a family to a second route (fixed
 points, first-return systems, band eliminations, radical closed forms,
 Bareiss determinants, the ceiling recurrence run backward) live in
 verify.DUAL_PATHS and run in `verify --suite paper-series` and the tests.
-The checks that stay in the call are exactness checks: each new root
-coefficient must zero its quadratic, and every division and halving must
-leave no remainder.  A failed check raises ConsistencyError and always
-means a bug in this package, never bad input.
+The checks that stay in the call are exactness checks: every division
+and halving must leave no remainder, and each square root must square to
+its radicand at the last coefficient.  A failed check raises
+ConsistencyError and always means a bug in this package, never bad input.
 
-The two roots are computed online, each coefficient from the ones below
-it, and live in two order-monotone caches (_climb and _special, each with
-a cache_clear): one held prefix serves every lower order and is extended
-to a higher one by building a longer tuple and rebinding it, so threads
-may share them.  They are the only state that outlives a call; every
-other quantity is recomputed from them per call.
+Both roots are rational in x and the square root of a fixed polynomial
+radicand, and that square root comes from the linear recurrence its
+differential equation gives, in O(order) integer operations.  So every
+call computes its roots afresh: the module holds no state between calls,
+and threads may call it freely.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from collections import deque, namedtuple
 from functools import wraps
 from itertools import accumulate, islice
 from operator import mul
-from threading import Lock
 from typing import NamedTuple
 
 from .errors import (
@@ -472,87 +470,39 @@ def _over_x(a, j: int) -> list[int]:
     return list(a[j:])
 
 
-# ---------- the two roots ----------
+# ---------- the roots ----------
 
-def _folded_square(a, m: int) -> int:
-    # coefficient m of a^2, each symmetric pair of terms taken once
-    total = 2 * sum(map(mul, a[:(m + 1) // 2], a[m:m // 2:-1]))
-    return total + a[m // 2] ** 2 if m % 2 == 0 else total
-
-
-def _square(a, m: int) -> int:
-    # coefficient m of a^2, term by term
-    return sum(map(mul, a[:m + 1], a[m::-1])) if m >= 0 else 0
-
-
-def _online_root(what, step, residual):
-    """An order-monotone cache of one power-series root.
-
-    step(cs, n) is coefficient n from coefficients 0..n-1; residual(cs, n)
-    is coefficient n of the root's quadratic, and each new coefficient must
-    make it vanish.  A call extends a copy of the held prefix and rebinds
-    it whole, so a concurrent caller reads either the old prefix or a
-    longer one, never a half-built list; a lower order is a slice of it.
-    Only the rebind is locked, so a shorter prefix never replaces a longer
-    one.
-    """
-    rebind = Lock()
-
-    def coeffs(order: int) -> tuple[int, ...]:
-        held = coeffs.held
-        if len(held) <= order:
-            cs = list(held)
-            for n in range(len(cs), order + 1):
-                cs.append(coeffs.step(cs, n))
-                _require(residual(cs, n) == 0, f"{what} fails its quadratic")
-            held = tuple(cs)
-            with rebind:
-                if len(held) > len(coeffs.held):
-                    coeffs.held = held
-        return held[:order + 1]
-
-    def cache_clear() -> None:
-        coeffs.held = ()
-
-    coeffs.held = ()
-    coeffs.step = step
-    coeffs.cache_clear = cache_clear
-    return coeffs
+def _sqrt(radicand: Poly, order: int) -> list[int]:
+    # the power-series square root W of a radicand with constant term 1,
+    # from 2R·W' = R'·W read at x^(n-1):
+    # 2n·W_n = sum over j >= 1 of R_j·(3j - 2n)·W_{n-j}
+    #        = 3·sum of j·R_j·W_{n-j} - 2n·sum of R_j·W_{n-j}
+    tail = radicand[1:]
+    weighted = [j * r for j, r in enumerate(tail, 1)]
+    recent = deque([1], maxlen=len(tail))    # W_{n-1} down to W_{n-deg R}
+    inexact = f"square root of {radicand} is not integral"
+    w = [1]
+    for n in range(1, order + 1):
+        q, rem = divmod(3 * sum(map(mul, weighted, recent))
+                        - 2 * n * sum(map(mul, tail, recent)), 2 * n)
+        _require(not rem, inexact)
+        w.append(q)
+        recent.appendleft(q)
+    _require(sum(map(mul, w, reversed(w))) == _at(radicand, order),
+             f"square root of {radicand} fails its square at x^{order}")
+    return w
 
 
-def _climb_step(s, n: int) -> int:
-    # s = 1 - x·s + x^2·s + x·s^2 read at x^n
-    if n == 0:
-        return 1
-    return _folded_square(s, n - 1) - s[n - 1] + (s[n - 2] if n > 1 else 0)
+def _kernel_root(order: int) -> list[int]:
+    # W, the square root of the kernel radicand
+    return _sqrt(KERNEL_RADICAND, order)
 
 
-def _climb_residual(s, n: int) -> int:
-    # x·s^2 - (1+x-x^2)·s + 1 at x^n
-    return (_square(s, n - 1) - s[n] - (s[n - 1] if n else 0)
-            + (s[n - 2] if n > 1 else 0) + (n == 0))
-
-
-def _special_step(b, n: int) -> int:
-    # b = 1 + x^3·b + x^2·b^2 read at x^n
-    if n == 0:
-        return 1
-    square = _folded_square(b, n - 2) if n > 1 else 0
-    return square + (b[n - 3] if n > 2 else 0)
-
-
-def _special_residual(b, n: int) -> int:
-    # x^2·b^2 - (1-x^3)·b + 1 at x^n
-    return (_square(b, n - 2) - b[n] + (b[n - 3] if n > 2 else 0)
-            + (n == 0))
-
-
-# the power-series root s of x·s^2 - (1+x-x^2)·s + 1 = 0; s drives every
-# whole-path and prefix family
-_climb = _online_root("climb series", _climb_step, _climb_residual)
-# the special-height root b of x^2·b^2 - (1-x^3)·b + 1 = 0
-_special = _online_root("special-height series", _special_step,
-                        _special_residual)
+def _climb_root(order: int) -> list[int]:
+    # the power-series root s of x·s^2 - (1+x-x^2)·s + 1 = 0, which drives
+    # every whole-path and prefix family: s = (1 + x - x^2 - W) / (2x)
+    w = _kernel_root(order + 1)
+    return _half(_over_x(_sub((1, 1, -1), w, order + 1), 1))
 
 
 def _series_route(route):
@@ -570,19 +520,13 @@ def _series_route(route):
 
 # ---------- the dap series and the whole-path family ----------
 
-def _kernel_root(order: int) -> list[int]:
-    # W = 1 + x - x^2 - 2x·s, the square root of the kernel radicand
-    return _sub((1, 1, -1), _times_x([2 * c for c in _climb(order)], 1, order),
-                order)
-
-
 @_series_route
 def gf_dap(order: int) -> list[int]:
     """Nonempty axis-to-axis path counts, one coefficient per length.
 
     The climb root less its constant term.
     """
-    return _sub(_climb(order), (1,), order)
+    return _sub(_climb_root(order), (1,), order)
 
 
 GDAP_NAMES = ("Gp1", "Gp2", "Gp", "Gm", "G", "Gm1", "Gm2", "f0", "g0")
@@ -638,14 +582,14 @@ def _ordinate_factor(k: int, order: int) -> list[int]:
         raise ValueError("ordinate must be >= 0")
     if k > order:
         return [0] * (order + 1)
-    return _times_x(_pow(_climb(order - k), k + 1, order - k), k, order)
+    return _times_x(_pow(_climb_root(order - k), k + 1, order - k), k, order)
 
 
 def _drop_factor(k: int, order: int) -> list[int]:
     # the mirror factor below the axis, weighted down by one x
     if k > -1:
         raise ValueError("ordinate must be <= -1")
-    s = _climb(order + 1)
+    s = _climb_root(order + 1)
     return _over_x(_mul(_sub(s, (1,), order + 1), _pow(s, -k - 1, order + 1),
                         order + 1), 1)
 
@@ -689,7 +633,7 @@ def gf_minorized(m: int, order: int) -> list[int]:
     if m > 0:
         raise ValueError("floor must be <= 0")
     big = order + 3
-    s = _climb(big)
+    s = _climb_root(big)
     below = _pow(s, -1 - m, big) if m < 0 else _div((1,), s, big)
     return _over_x(_sub(_sub(_pow(s, -m, big), below, big), (0, 0, 1), big), 3)
 
@@ -817,8 +761,13 @@ def gf_bounded_sym_ordinate(k: int, t: int, kind: str,
 
 @_series_route
 def gf_H(order: int) -> list[int]:
-    """Length counts of the special-height family (dominating-arch rule)."""
-    return _special(order)
+    """Length counts of the special-height family (dominating-arch rule).
+
+    The root b of x^2·b^2 - (1-x^3)·b + 1 = 0 that is a power series:
+    b = (1 - x^3 - C^(1/2)) / (2x^2), with C the ceiling radicand.
+    """
+    c = _sqrt(CEILING_RADICAND, order + 2)
+    return _half(_over_x(_sub((1, 0, 0, -1), c, order + 2), 2))
 
 
 def _ceiling_levels(k: int, order: int) -> tuple[list[int], list[int]]:
@@ -896,8 +845,8 @@ CATALOG = {
                  "whole paths ending with an up step"),
     "g0": _Entry((), lambda order: gf_gdap.ints("g0", order),
                  "whole paths ending with a down step"),
-    "s2": _Entry((), _climb, "power-series root of the kernel quadratic"),
-    "r2": _Entry((), _climb, "power-series root of the kernel quadratic"),
+    "s2": _Entry((), _climb_root, "power-series root of the kernel quadratic"),
+    "r2": _Entry((), _climb_root, "power-series root of the kernel quadratic"),
     "Tk": _Entry(("k",), _ordinate_factor,
                  "climb factor to ordinate k, never touching down again"),
     "Rk": _Entry(("k",), _drop_factor,

@@ -362,6 +362,13 @@ def _by_ceiling_radical(order):
     return [("B", {}, (num / 2).shift(-2))]
 
 
+def _by_quadratic_map(order):
+    # b -> 1 + x^3·b + x^2·b^2 fixes exactly one power series, the root of
+    # x^2·b^2 - (1-x^3)·b + 1 = 0, so one pass must give b back
+    b = _series("B", order)
+    return [("B", {}, 1 + b.shift(3) + (b * b).shift(2))]
+
+
 def _by_full_series(order):
     # heights above the length are unreachable, so ceiling k agrees with
     # the full series through k + 1
@@ -389,6 +396,7 @@ DUAL_PATHS = {
             ("doubled-band radical", _by_doubled_radical),
             ("doubled-band Bareiss", _by_doubled_bareiss)),
     "B": (("ceiling radical", _by_ceiling_radical),
+          ("quadratic map", _by_quadratic_map),
           ("backward ceiling relation", _by_backward_relation),
           ("ceilings against the full series", _by_full_series)),
 }

