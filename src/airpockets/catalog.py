@@ -279,8 +279,9 @@ def solve_series_system(system: SeriesSystem) -> list[TruncatedSeries]:
     remaining entries all have positive valuation means the determinant's
     constant term is zero: SingularToOrder.  Zero entries are kept as None
     and skipped, so a sparse band pays only for its fill-in.  Coefficients
-    may be ints or Fractions.  The solution is substituted back into the
-    original system before being returned.
+    are ints, so a pivot whose constant term is not 1 or -1 raises
+    NonInvertible from the division.  The solution is substituted back into
+    the original system before being returned.
     """
     n, order = system.dimension, system.order
 

@@ -69,7 +69,7 @@ class BadConstantTerm(AirpocketsError):
 
 
 class NonInvertible(AirpocketsError):
-    """Negative power of a series whose constant term is 0."""
+    """A division or square root whose result is not an integer series."""
 
 
 class SingularToOrder(AirpocketsError):

@@ -1,12 +1,12 @@
-"""Truncated power series with exact rational coefficients.
+"""Truncated power series with integer coefficients.
 
 A :class:`TruncatedSeries` keeps the coefficients of x^0 .. x^order
-exactly: an integral value as a Python int, any other value as a
-`fractions.Fraction` in lowest terms, so a series of integers (every
-counting series here) never builds a Fraction.  All arithmetic is exact:
-a division that leaves no remainder gives an int, one that does gives a
-Fraction, and no coefficient is ever a float.  Equality, hashing and
-printing do not depend on the representation, since 3 == Fraction(3).
+exactly, as Python ints: every counting series here is a series of
+integers, so there is one number type end to end.  A coefficient that is
+not an integer (a Fraction, a float) raises TypeError on construction.
+Division and square root stay exact: a scalar divisor must divide every
+coefficient, a series divisor must have first nonzero coefficient 1 or
+-1, and a square root must halve exactly, or NonInvertible is raised.
 Binary operations require both operands to share the same order; truncate
 explicitly when mixing orders.  Operations that lose low-order information
 return a series of *smaller* order, so the order of a series is always an
@@ -21,8 +21,8 @@ share between threads.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Iterable, Union
+from operator import index
+from typing import Iterable
 
 from .errors import (
     BadConstantTerm,
@@ -32,32 +32,16 @@ from .errors import (
     ValuationUnderflow,
 )
 
-Scalar = Union[int, Fraction]
 
-_ZERO = 0
-_ONE = 1
-
-
-def _scalar(value) -> Scalar:
-    # an integral value as an int, any other rational as a Fraction
-    if isinstance(value, int):
-        return int(value)
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    raise TypeError(f"coefficient must be int or Fraction, not {type(value).__name__}")
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise NonInvertible(f"division by {b} leaves a remainder")
+    return q
 
 
-def _exact_div(a: Scalar, b: Scalar) -> Scalar:
-    # a / b without a float: an int when b divides a, else a Fraction
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        if not r:
-            return q
-    return _scalar(Fraction(a) / b)
-
-
-def _mul_lists(a: list[Scalar], b: list[Scalar], order: int) -> list[Scalar]:
-    out = [_ZERO] * (order + 1)
+def _mul_lists(a: list[int], b: list[int], order: int) -> list[int]:
+    out = [0] * (order + 1)
     for i in range(min(len(a), order + 1)):
         ai = a[i]
         if not ai:
@@ -70,13 +54,16 @@ def _mul_lists(a: list[Scalar], b: list[Scalar], order: int) -> list[Scalar]:
     return out
 
 
-def _div_lists(a: list[Scalar], b: list[Scalar], order: int) -> list[Scalar]:
-    # long division, b[0] must be nonzero; exact to the given order, and
-    # integral when a is and b[0] is a unit
-    inv0 = b[0] if b[0] in (1, -1) else Fraction(1, b[0])
-    q = [_ZERO] * (order + 1)
+def _div_lists(a: list[int], b: list[int], order: int) -> list[int]:
+    # long division, exact to the given order; b[0] must be 1 or -1, so
+    # that 1/b[0] = b[0] and the quotient stays integral
+    inv0 = b[0]
+    if inv0 not in (1, -1):
+        raise NonInvertible(
+            f"divisor's first nonzero coefficient {inv0} is not 1 or -1")
+    q = [0] * (order + 1)
     for n in range(order + 1):
-        acc = a[n] if n < len(a) else _ZERO
+        acc = a[n] if n < len(a) else 0
         for i in range(n):
             qi = q[i]
             if qi and n - i < len(b):
@@ -90,10 +77,8 @@ class TruncatedSeries:
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[Scalar], order: int | None = None):
-        cs = list(coeffs)
-        if not all(type(c) is int for c in cs):
-            cs = [_scalar(c) for c in cs]
+    def __init__(self, coeffs: Iterable[int], order: int | None = None):
+        cs = list(map(index, coeffs))
         if order is None:
             if not cs:
                 raise ValueError("an empty coefficient list needs an explicit order")
@@ -101,7 +86,7 @@ class TruncatedSeries:
         if order < 0:
             raise ValueError("order must be nonnegative")
         if len(cs) < order + 1:
-            cs.extend([_ZERO] * (order + 1 - len(cs)))
+            cs.extend([0] * (order + 1 - len(cs)))
         elif len(cs) > order + 1:
             del cs[order + 1:]
         object.__setattr__(self, "order", order)
@@ -121,24 +106,24 @@ class TruncatedSeries:
         return cls([1], order)
 
     @classmethod
-    def constant(cls, c: Scalar, order: int) -> "TruncatedSeries":
+    def constant(cls, c: int, order: int) -> "TruncatedSeries":
         return cls([c], order)
 
     @classmethod
-    def monomial(cls, n: int, order: int, c: Scalar = 1) -> "TruncatedSeries":
+    def monomial(cls, n: int, order: int, c: int = 1) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("monomial exponent must be nonnegative")
         coeffs = [0] * n + [c] if n <= order else []
         return cls(coeffs, order)
 
     @classmethod
-    def polynomial(cls, coeffs: Iterable[Scalar], order: int) -> "TruncatedSeries":
+    def polynomial(cls, coeffs: Iterable[int], order: int) -> "TruncatedSeries":
         """Polynomial given by its coefficient list, truncated to the order."""
         return cls(coeffs, order)
 
     # ---------- inspection ----------
 
-    def coefficient(self, n: int) -> int | Fraction:
+    def coefficient(self, n: int) -> int:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside known range 0..{self.order}")
         return self.coeffs[n]
@@ -155,10 +140,7 @@ class TruncatedSeries:
         return self.valuation > self.order
 
     def integer_coefficients(self) -> tuple[int, ...]:
-        """Coefficients as ints; raises ValueError on a non-integer coefficient."""
-        for i, c in enumerate(self.coeffs):
-            if type(c) is not int:
-                raise ValueError(f"coefficient of x^{i} is non-integer: {c}")
+        """Coefficients of x^0 .. x^order, as ints."""
         return self.coeffs
 
     # ---------- order management ----------
@@ -187,7 +169,7 @@ class TruncatedSeries:
     def _coerce(self, other) -> "TruncatedSeries | None":
         if isinstance(other, TruncatedSeries):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return TruncatedSeries.constant(other, self.order)
         return None
 
@@ -221,7 +203,7 @@ class TruncatedSeries:
         return rhs - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return TruncatedSeries([c * other for c in self.coeffs],
                                    self.order)
         if isinstance(other, TruncatedSeries):
@@ -234,11 +216,9 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("division by zero scalar")
-            f = _scalar(other)
-            return TruncatedSeries([_exact_div(c, f) for c in self.coeffs],
+        if isinstance(other, int):
+            # a zero divisor raises ZeroDivisionError from divmod
+            return TruncatedSeries([_exact_div(c, other) for c in self.coeffs],
                                    self.order)
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
@@ -264,10 +244,7 @@ class TruncatedSeries:
         if not isinstance(exponent, int):
             return NotImplemented
         if exponent < 0:
-            if not self.coeffs[0]:
-                raise NonInvertible(
-                    "negative power of a series with zero constant term")
-            return (TruncatedSeries.one(self.order) / self) ** (-exponent)
+            raise ValueError("series exponent must be nonnegative")
         result = TruncatedSeries.one(self.order)
         base = self
         e = exponent
@@ -281,19 +258,21 @@ class TruncatedSeries:
     def sqrt(self) -> "TruncatedSeries":
         """Square root by Newton iteration with order doubling.
 
-        The constant term must be 1 (raises BadConstantTerm otherwise).
+        The constant term must be 1 (raises BadConstantTerm otherwise),
+        and the root must have integer coefficients (raises NonInvertible
+        otherwise).
         """
         if self.coeffs[0] != 1:
             raise BadConstantTerm(
                 f"sqrt needs constant term 1, got {self.coeffs[0]}")
         a = list(self.coeffs)
-        s = [_ONE]
+        s = [1]
         prec = 0
         while prec < self.order:
             prec = min(2 * prec + 1, self.order)
-            t = _div_lists(a, s + [_ZERO] * (prec + 1 - len(s)), prec)
-            s = [_exact_div(si + ti, 2) for si, ti in
-                 zip(s + [_ZERO] * (prec + 1 - len(s)), t)]
+            s += [0] * (prec + 1 - len(s))
+            t = _div_lists(a, s, prec)
+            s = [_exact_div(si + ti, 2) for si, ti in zip(s, t)]
         return TruncatedSeries(s, self.order)
 
     def shift(self, j: int) -> "TruncatedSeries":

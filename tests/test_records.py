@@ -97,7 +97,8 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         check=True).stdout
     loaded = set(out.split())
-    assert not {"dataclasses", "inspect", "csv"} & loaded
+    assert not {"dataclasses", "inspect", "csv", "fractions",
+                "decimal"} & loaded
     modules = {"airpockets." + info.name
                for info in pkgutil.iter_modules(airpockets.__path__)
                if info.name != "__main__"}
