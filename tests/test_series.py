@@ -36,6 +36,10 @@ def test_only_integer_inputs_are_accepted():
     for bad in (Fraction(1, 2), Fraction(3), 3.0):
         with pytest.raises(TypeError):
             S([1, bad], 3)
+
+
+def test_coefficients_are_plain_ints():
+    # a bool, like any int subclass, is stored as the int it stands for
     from_bool = S([True, 0, -2, 1], 3)
     assert from_bool == S([1, 0, -2, 1], 3)
     assert hash(from_bool) == hash(S([1, 0, -2, 1], 3))

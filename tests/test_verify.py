@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airpockets import verify
+from airpockets.errors import NonInvertible
 from airpockets.series import TruncatedSeries
 from airpockets.verify import (
     CHECK_KINDS,
@@ -174,6 +175,19 @@ def test_every_dual_path_runs_in_paper_series():
                          ids=[verify._subject(*row) for row in DUAL_ROWS])
 def test_dual_paths_agree_at_order_30(name, params):
     assert verify._check_duals(name, params, 30) is None
+
+
+@pytest.mark.parametrize("name,params", DUAL_ROWS,
+                         ids=[verify._subject(*row) for row in DUAL_ROWS])
+def test_dual_derivations_keep_integer_coefficients(name, params):
+    # a step whose result is not an integer series raises NonInvertible;
+    # name the derivation that took it, which _check_duals does not
+    for label, derive in verify.DUAL_PATHS[name]:
+        try:
+            claims = list(derive(30, **params))
+        except NonInvertible as exc:
+            pytest.fail(f"{label}: {exc}")
+        assert claims, label
 
 
 def _perturbed(derive):
