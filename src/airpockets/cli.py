@@ -20,11 +20,10 @@ from .bijections import parse_composition, phi, phi_inv, psi, psi_inv
 from .catalog import evaluate
 from .enumeration import (
     FamilySpec,
-    _batched,
+    _motzkin_blocks,
     _path_blocks,
     count_motzkin_avoiding,
     count_paths,
-    iter_motzkin_avoiding,
 )
 from .errors import (
     BadParams,
@@ -152,7 +151,7 @@ def _cmd_enumerate(args) -> int:
             raise InfeasibleSpec(
                 "the motzkin family takes no window or endpoint flags")
         total = count_motzkin_avoiding(args.length)
-        blocks = _batched(iter_motzkin_avoiding(args.length))
+        blocks = _motzkin_blocks(args.length)
     else:
         spec = FamilySpec(**fields)
         total = count_paths(args.length, spec)

@@ -8,14 +8,14 @@ go arbitrarily deep, by the requirement that the remaining steps (each
 gaining at most one level) can still reach the target ordinate; a spec with
 neither cap describes an infinite family and is rejected.
 
-Enumeration hands the members' step text out in blocks, lexicographically
-with U < D1 < D2 < ...: an explicit stack walks every admissible prefix
-down to the last few positions, where the completions of a state
-(position, height, whether the last step dropped) are listed once and
-shared by every prefix that reaches it, as in generation by shared
-prefixes (Ruskey, Combinatorial Generation, ch. 4).  The special-height
-walker follows its open arches with its own stack, and its members come in
-batches.  A listing holds only the stack and a table of completions
+Enumeration hands the members' text out in blocks, and one walker serves
+every listing: the window families, the special heights and the Motzkin
+words are each a step rule over states of their own.  An explicit stack
+walks every admissible prefix down to the last few positions, where the
+completions of a state are listed once and shared by every prefix that
+reaches it, as in generation by shared prefixes (Ruskey, Combinatorial
+Generation, ch. 4).  Paths come in lexicographic step order, with U < D1 <
+D2 < ...  A listing holds only the stack and a table of completions
 bounded by the tail's depth, and the one-at-a-time and list functions are
 built from the blocks.  Counting never materializes paths: one forward
 sweep carries, per height, the number of prefixes ending in an up-step and
@@ -28,7 +28,7 @@ calls, so everything here is safe to run concurrently.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterator, NamedTuple
 
 from .errors import BadParams, InfeasibleSpec
@@ -171,43 +171,82 @@ def _tokens(top: int) -> list[str]:
     return ["U", "D"] + [f"D{k}" for k in range(2, top + 1)]
 
 
-# The last _TAIL steps of a path are listed once per (position, height,
-# whether the last step dropped) and handed out with every prefix that
-# reaches that state; a state with more than _BLOCK completions (one far
-# above its end, as early in a long dap) is walked a step further instead.
-# _BLOCK also caps the batches of the walkers that share no prefixes.  A
-# tail of 6 lists `prime 16` and `prefix 12 --end-ordinate -1` in about 40%
-# less time again, but its table is about twice as large and raises those
-# processes' peak RSS by about 0.1 MB.
+# The last _TAIL steps of a member are listed once per state and handed out
+# with every prefix that reaches that state; a state with more than _BLOCK
+# completions (one far above its end, as early in a long dap) is walked a
+# step further instead.  A tail of 6 lists `prime 16` and `prefix 12
+# --end-ordinate -1` in about 40% less time again, but its table is about
+# twice as large and raises those processes' peak RSS by about 0.1 MB.
 _TAIL = 5
 _BLOCK = 256
 
 
-def _batched(texts: Iterator[str]) -> Iterator[tuple[str, list[str]]]:
-    """A walker's step texts as blocks with an empty prefix, the first of
-    one text and each next one twice as long, up to _BLOCK."""
-    size = 1
-    while block := list(islice(texts, size)):
-        yield "", block
-        size = min(2 * size, _BLOCK)
+def _blocks(n: int, steps, start, key=None) -> Iterator[tuple[str, list[str]]]:
+    """The length-n words of a step rule as (prefix, completions) blocks, in
+    the rule's order: each word is a prefix followed by one of its
+    completions, and no block is empty.
+
+    steps(i, state) yields the (token, next state) pairs open at position
+    i, in order; start is the state at position 0.  Above the last _TAIL
+    positions an explicit stack holds one step generator per position,
+    with the text of the prefix it extends.  A prefix that reaches the tail
+    (the empty one too, when n <= _TAIL) takes its completions from a table
+    local to the call, each entry built on first use from the entries one
+    position later, so it recurses at most _TAIL + 1 deep.  The table has a
+    dict per position, keyed on the state, or on key(i, state) where that
+    coarser key determines the completions, and its lists hold at most
+    _BLOCK texts: it does not grow with the number of words.
+    """
+    tables: list[dict] = [{} for _ in range(n)]
+
+    def completions(i, state):
+        # the texts that complete a prefix at position i in this state, or
+        # None for more than _BLOCK of them
+        if i == n:
+            return [""]
+        table = tables[i]
+        entry = state if key is None else key(i, state)
+        if entry not in table:
+            block: list[str] | None = []
+            for token, after in steps(i, state):
+                rest = completions(i + 1, after)
+                if rest is None or len(block) + len(rest) > _BLOCK:
+                    block = None
+                    break
+                block += [token + text for text in rest]
+            table[entry] = block
+        return table[entry]
+
+    tail = n - _TAIL
+    pending = [("", iter([("", start)]))]  # the empty prefix, at position 0
+    while pending:
+        parent, options = pending[-1]
+        step = next(options, None)
+        if step is None:
+            pending.pop()
+            continue
+        token, state = step
+        text = parent + token
+        i = len(pending) - 1  # the position after this step
+        block = completions(i, state) if i >= tail else None
+        if block is None:
+            pending.append((text, steps(i, state)))
+        elif block:
+            yield text, block
+
+
+def _texts(blocks) -> Iterator[str]:
+    """Each block's prefix joined to each of its completions in turn."""
+    return (prefix + text for prefix, block in blocks for text in block)
 
 
 def _path_blocks(n: int, spec: FamilySpec) -> Iterator[tuple[str, list[str]]]:
-    """The length-n members of the family as (prefix, completions) blocks,
-    in lexicographic step order: each member is a prefix followed by one of
-    its completions, and no block is empty.
-
-    Above the last _TAIL positions an explicit stack holds one step
-    generator per position, with the text of the prefix it extends.  A
-    prefix that reaches the tail takes its completions from a table local
-    to the call, each entry built on first use from the entries one
-    position later, so it recurses at most _TAIL + 1 deep.  The table's
-    keys are states of the tail and its lists hold at most _BLOCK texts:
-    it does not grow with the number of members.
-    """
+    """The length-n members of the family as _blocks, in lexicographic step
+    order.  A window family's state is 2 * height + whether the last step
+    dropped: an int key hashes faster than a tuple."""
     _check_spec(n, spec)
     if spec.kind == "special_h":
-        yield from _batched(_iter_special_h(n))
+        yield from _special_h_blocks(n)
         return
     short = _short(n, spec)
     if short is not None:
@@ -218,60 +257,23 @@ def _path_blocks(n: int, spec: FamilySpec) -> Iterator[tuple[str, list[str]]]:
     kinds = [_step_kinds(i, n, spec) for i in range(n)]
     tokens = _tokens(max(high) - min(low))
 
-    def steps(i, h, dropped):
-        # (code, height after) of the steps open at index i: U, D1, D2, ...
+    def steps(i, state):
+        # U, D1, D2, ... open at position i
+        h, dropped = state >> 1, state & 1
         ups, drops = kinds[i]
         if ups and low[i + 1] <= h + 1 <= high[i + 1]:
-            yield 0, h + 1
+            yield "U", 2 * h + 2
         if drops and not dropped:
             for k in range(max(h - high[i + 1], 1), h - low[i + 1] + 1):
-                yield k, h - k
+                yield tokens[k], 2 * (h - k) + 1
 
-    table: dict[tuple[int, int, bool], list[str] | None] = {}
-
-    def completions(i, h, dropped):
-        # the texts that complete a prefix at position i and height h, or
-        # None for more than _BLOCK of them
-        if i == n:
-            return [""]
-        key = (i, h, dropped)
-        if key not in table:
-            block: list[str] | None = []
-            for k, after in steps(i, h, dropped):
-                rest = completions(i + 1, after, k > 0)
-                if rest is None or len(block) + len(rest) > _BLOCK:
-                    block = None
-                    break
-                token = tokens[k]
-                block += [token + text for text in rest]
-            table[key] = block
-        return table[key]
-
-    tail = n - _TAIL
-    pending = [("", steps(0, 0, False))]
-    while pending:
-        parent, options = pending[-1]
-        step = next(options, None)
-        if step is None:
-            pending.pop()
-            continue
-        k, h = step
-        text = parent + tokens[k]
-        i = len(pending)  # the position after this step
-        block = completions(i, h, k > 0) if i >= tail else None
-        if block is None:
-            pending.append((text, steps(i, h, k > 0)))
-        elif block:
-            yield text, block
+    yield from _blocks(n, steps, 0)
 
 
 def iter_paths(n: int, spec: FamilySpec) -> Iterator[str]:
     """The step text of every length-n member of the family, in
-    lexicographic step order, one at a time: each block of _path_blocks,
-    its prefix joined to each completion in turn."""
-    for prefix, block in _path_blocks(n, spec):
-        for text in block:
-            yield prefix + text
+    lexicographic step order, one at a time."""
+    return _texts(_path_blocks(n, spec))
 
 
 def enum_paths(n: int, spec: FamilySpec) -> list[LatticePath]:
@@ -362,8 +364,8 @@ def _sweep_counts(max_n: int, spec: FamilySpec, read_from: int) -> list[int]:
 
 # ---------- the special-height family ----------
 
-def _iter_special_h(n: int) -> Iterator[str]:
-    """The special-height members of length n, lexicographically.
+def _special_h_blocks(n: int) -> Iterator[tuple[str, list[str]]]:
+    """The special-height members of length n as _blocks, lexicographically.
 
     A member is a run of arches of non-increasing height; an arch is UD, or
     U followed by a smaller member lifted one level whose last drop goes
@@ -374,51 +376,55 @@ def _iter_special_h(n: int) -> Iterator[str]:
     the highest level its current arch has reached (its peak); an up-step
     is allowed while no open frame's arch would outgrow its cap.
 
-    Frames form a linked list, top first: (top, peak, frames below), where
-    top is the highest level any open arch at or below the frame may
-    reach.  A pending step keeps its parent's text, frames, and the cap
-    of the frame at the parent's level (n for none, when the parent
-    stepped up), and builds its own state when popped.
+    The state is (level, cap, frames): cap is the height of the arch the
+    last step closed (0 after an up-step, n at the start), and frames a
+    linked list, top first, of (top, peak, frames below) down to a ground
+    frame under the axis, where top is the highest level any open arch at
+    or below the frame may reach.  A drop raises only the peak of the
+    frame it lands in, so a frame's true peak is the highest stored from
+    the top down.  With r steps left, the table key is the level, then cap
+    and, for the top r + 1 frames, each top and true peak relative to the
+    frame's level (one above its base), all clipped at r, since no arch
+    rises r levels in r steps.  That loses nothing: relative tops fall by at
+    least one per frame going up and every true peak is at least the level,
+    so below those frames every clipped value is r.
     """
-    if n < 2:
-        if n == 0:
-            yield ""
-        return
     tokens = _tokens(n)
-    # index, code, level and cap before the step, parent text, frames
-    pending: list[tuple[int, int, int, int, str, tuple | None]] = \
-        [(0, 0, 0, n, "", None)]
-    while pending:
-        i, k, level, cap, parent, frames = pending.pop()
-        text = parent + tokens[k]
-        left = n - 2 - i  # steps left after the child of this step
-        if k:  # a drop to level b: fold the peaks of the frames it closes
-            b = level - k
-            peak = 0
-            for _ in range(k):
-                _, top_peak, frames = frames
-                peak = max(peak, top_peak)
-            if frames is not None and frames[1] < peak:
-                frames = (frames[0], peak, frames[2])
-            if left < 0:
-                yield text  # pushed only if it lands on the axis
-            else:  # only an up-step may follow, and it is always allowed
-                pending.append((i + 1, 0, b, peak - b, text, frames))
-            continue
-        top = level + cap if frames is None else min(frames[0], level + cap)
-        level += 1
-        frames = (top, level, frames)
-        # a drop must leave no step (landing on the axis) or room for an
-        # arch; after a lone UD on the axis only UD arches follow, so an odd
-        # number of steps cannot be filled
-        if left == 0:
-            pending.append((i + 1, level, level, n, text, frames))
-        elif left > 1:
-            shallowest = 2 if level == 1 and left % 2 else 1
-            pending.extend((i + 1, d, level, n, text, frames)
-                           for d in range(level, shallowest - 1, -1))
+
+    def steps(i, state):
+        level, cap, frames = state
+        left = n - 1 - i  # steps after this one
+        top = min(frames[0], level + (cap or n))
         if left and level < top:
-            pending.append((i + 1, 0, level, n, text, frames))
+            yield "U", (level + 1, 0, (top, level + 1, frames))
+        # only an up-step follows a drop; a drop must leave no step (landing
+        # on the axis) or room for an arch, and after a lone UD on the axis
+        # only UD arches follow, so an odd number of steps cannot be filled
+        if cap or left == 1:
+            return
+        first = level if not left else 2 if level == 1 and left % 2 else 1
+        for k in range(first, level + 1):
+            # a drop of k levels closes the top k frames, and the frame it
+            # lands in keeps the highest of their peaks
+            below, peak = frames, 0
+            for _ in range(k):
+                _, top_peak, below = below
+                peak = max(peak, top_peak)
+            below = (below[0], max(below[1], peak), below[2])
+            b = level - k
+            yield tokens[k], (b, peak - b, below)
+
+    def trimmed(i, state):
+        level, cap, frames = state
+        r = n - i
+        kept, peak = [], 0
+        for base in range(level - 1, max(level - r - 2, -1), -1):
+            top, top_peak, frames = frames
+            peak = max(peak, top_peak)
+            kept += (min(top - base - 1, r), min(peak - base - 1, r))
+        return level, min(cap, r), tuple(kept)
+
+    yield from _blocks(n, steps, (0, n, (n, 0, None)), trimmed)
 
 
 def enum_h(n: int) -> list[LatticePath]:
@@ -493,6 +499,20 @@ def _motzkin_moves(h, last):
         yield "H", h
 
 
+def _motzkin_blocks(n: int) -> Iterator[tuple[str, list[str]]]:
+    """The words of iter_motzkin_avoiding(n) as _blocks; the state is
+    (height, last step)."""
+    if n < 0:
+        raise BadParams("length must be nonnegative")
+
+    def steps(i, state):
+        # each step must leave room to come back down in time
+        return ((step, (h, step)) for step, h in _motzkin_moves(*state)
+                if h < n - i)
+
+    yield from _blocks(n, steps, (0, ""))
+
+
 def iter_motzkin_avoiding(n: int) -> Iterator[str]:
     """Motzkin paths whose flat steps each follow a down-step and precede a
     down-step or the end, one at a time (U before D before H).
@@ -500,26 +520,7 @@ def iter_motzkin_avoiding(n: int) -> Iterator[str]:
     Equivalently: no factor UH, HU, or HH, and no leading flat step (the
     leading-H clause only matters at length 1, where HU/HH cannot bite).
     """
-    if n < 0:
-        raise BadParams("length must be nonnegative")
-    if n == 0:
-        yield ""
-        return
-    pending: list[tuple[int, str, int, str]] = []  # index, step, height, parent
-
-    def push(i, h, last, text):
-        for step, h2 in reversed(list(_motzkin_moves(h, last))):
-            if h2 < n - i:  # can still come back down in time
-                pending.append((i, step, h2, text))
-
-    push(0, 0, "", "")
-    while pending:
-        i, step, h, parent = pending.pop()
-        text = parent + step
-        if i < n - 1:
-            push(i + 1, h, step, text)
-        else:  # the last step can only land on the axis
-            yield text
+    return _texts(_motzkin_blocks(n))
 
 
 def enum_motzkin_avoiding(n: int) -> list[str]:

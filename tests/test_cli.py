@@ -19,7 +19,7 @@ from airpockets import cli, enumeration, errors
 from airpockets import reference as ref
 from airpockets import verify
 from airpockets.cli import main
-from airpockets.enumeration import FamilySpec, _path_blocks
+from airpockets.enumeration import FamilySpec, _motzkin_blocks, _path_blocks
 from airpockets.errors import (
     ConsistencyError,
     DomainError,
@@ -366,7 +366,9 @@ def test_listing_of_length_0(capsys, fmt, out):
 GOLDEN = Path(__file__).parent / "golden"
 
 # SHA-256 of every benchmark --list job and of dap at length 16, in each
-# format, as the per-path writer printed them before listings came in blocks
+# format, as the per-path writer printed them before listings came in
+# blocks, and of motzkin at 18 and H at 20 as their own walkers printed them
+# before every listing came from one block walker
 LISTING_DIGESTS = json.loads((GOLDEN / "listing_digests.json").read_text())
 
 
@@ -384,15 +386,21 @@ class _NullSink:
         pass
 
 
-@pytest.mark.parametrize("fmt", ["plain", "json", "csv"])
-def test_listing_memory_does_not_grow_with_its_size(monkeypatch, fmt):
-    # 175,502 paths, about 4 MB of text: the walker's table of completions
-    # is bounded by its depth, and each block is written and dropped
+@pytest.mark.parametrize("fmt, family, length", [
+    ("plain", "dap", 18), ("json", "dap", 18), ("csv", "dap", 18),
+    ("plain", "H", 20), ("plain", "motzkin", 20),
+], ids=["plain", "json", "csv", "H-20", "motzkin-20"])
+def test_listing_memory_does_not_grow_with_its_size(monkeypatch, fmt, family,
+                                                   length):
+    # dap 18 has 175,502 paths, about 4 MB of text; H 20 and motzkin 20
+    # have 75,234 each: the walker's table of completions is bounded by
+    # its depth, and each block is written and dropped
     monkeypatch.setattr(sys, "stdout", _NullSink())
     tracemalloc.start()
     try:
-        cli._write_listing(fmt, {"family": "dap", "length": 18},
-                           _path_blocks(18, FamilySpec("dap")))
+        blocks = _motzkin_blocks(length) if family == "motzkin" else \
+            _path_blocks(length, FamilySpec(cli.FAMILY_KINDS[family]))
+        cli._write_listing(fmt, {"family": family, "length": length}, blocks)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

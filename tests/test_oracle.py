@@ -1,6 +1,7 @@
 """The brute-force enumerators against frozen counts, the structural maps
 against exhaustive slices, and the composition/Motzkin side families."""
 
+import functools
 import time
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from airpockets import reference as ref
 from airpockets import enumeration, verify
+from airpockets.catalog import evaluate
 from airpockets.enumeration import (
     POSITIVE,
     FamilySpec,
@@ -105,21 +107,35 @@ BLOCK_SPECS = [GDAP, DAP, PRIME,
                FamilySpec("prefix_gdap", end_ordinate=POSITIVE, max_y=3)]
 
 
+@functools.cache
+def _listed_by_search(family, n):
+    if family == "H":
+        return [str(p) for p in brute_force.special_heights(n)]
+    return brute_force.motzkin_words(n)
+
+
 @pytest.mark.parametrize("tail, block", [(0, 1), (1, 1), (2, 3), (3, 2),
                                          (6, 5), (20, 10**6)])
 def test_every_split_lists_every_member(monkeypatch, tail, block):
     # a tail deeper than the path, no tail, and caps small enough that the
-    # walker steps past full states again and again
+    # walker steps past full states again and again; the special heights
+    # and the Motzkin words walk their own step rules through the same
+    # table, the special heights on a trimmed key
     monkeypatch.setattr(enumeration, "_TAIL", tail)
     monkeypatch.setattr(enumeration, "_BLOCK", block)
-    for spec in BLOCK_SPECS:
-        for n in range(1, 9):
-            want = [str(p) for p in brute_force.members(n, spec)]
-            blocks = list(enumeration._path_blocks(n, spec))
-            assert all(texts and len(texts) <= block
-                       for _, texts in blocks)
-            assert [prefix + text for prefix, texts in blocks
-                    for text in texts] == want, (spec, n)
+    listings = [(spec, n, enumeration._path_blocks(n, spec),
+                 [str(p) for p in brute_force.members(n, spec)])
+                for spec in BLOCK_SPECS for n in range(1, 9)]
+    listings += [("H", n, enumeration._path_blocks(n, FamilySpec("special_h")),
+                  _listed_by_search("H", n)) for n in range(13)]
+    listings += [("motzkin", n, enumeration._motzkin_blocks(n),
+                  _listed_by_search("motzkin", n)) for n in range(12)]
+    for family, n, blocks, want in listings:
+        blocks = list(blocks)
+        assert all(texts and len(texts) <= block
+                   for _, texts in blocks), (family, n)
+        assert [prefix + text for prefix, texts in blocks
+                for text in texts] == want, (family, n)
 
 
 # every oracle row, then the prime rule, the step filters, floor and
@@ -407,6 +423,19 @@ def test_positive_end_lists_every_end_above_the_axis():
         assert sorted(listed) == pinned
         assert [lex_key(P(t)) for t in listed] == \
             sorted(lex_key(P(t)) for t in listed)
+
+
+def test_height_slices_count_the_listed_members():
+    # coefficient n of Ak counts the members of height exactly k, and of
+    # Bk those of height at most k, against exhaustive search
+    heights = [[classify(p).max_height for p in brute_force.special_heights(n)]
+               for n in range(15)]
+    for k in range(15):
+        exact = evaluate("Ak", 14, k=k).series.coeffs
+        bounded = evaluate("Bk", 14, k=k).series.coeffs
+        for n in range(k, 15):
+            assert exact[n] == heights[n].count(k), (n, k)
+            assert bounded[n] == sum(h <= k for h in heights[n]), (n, k)
 
 
 def test_special_h_via_family_spec():
