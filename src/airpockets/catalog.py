@@ -11,8 +11,9 @@ two algebraic roots (the climb root s, the special-height root b) and of
 the band determinants D_t, whose denominators all have constant term ±1
 once a power of 2 is cleared.  Routes work on lists of Python ints, and
 each public evaluator builds a single TruncatedSeries at its boundary.
-The independent derivations that tie a family to a second route (fixed
-points, first-return systems, band eliminations, radical closed forms,
+The independent derivations that tie a family to a second route (the
+first-return equation and the band substitution solved one coefficient
+at a time, first-return systems, band eliminations, radical closed forms,
 Bareiss determinants, the ceiling recurrence run backward) live in
 verify.DUAL_PATHS and run in `verify --suite paper-series` and the tests.
 The checks that stay in the call are exactness checks: every division
@@ -29,7 +30,7 @@ and threads may call it freely.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import deque
 from functools import wraps
 from itertools import accumulate, islice
 from operator import mul
@@ -219,49 +220,6 @@ def cramer_numerators(rows: list[list[Poly]],
 
 # ---------- linear systems over series ----------
 
-class SeriesSystem(namedtuple("SeriesSystem", "dimension matrix rhs")):
-    """A square linear system A·x = b with TruncatedSeries entries: the
-    dimension, the rows of A and the right-hand sides b.
-
-    All entries and right-hand sides must share one truncation order.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        n = self.dimension
-        if n < 1:
-            raise ValueError("system dimension must be positive")
-        if len(self.matrix) != n or any(len(row) != n for row in self.matrix):
-            raise ValueError("matrix shape does not match the dimension")
-        if len(self.rhs) != n:
-            raise ValueError("right-hand side length does not match")
-        order = self.rhs[0].order
-        for row in self.matrix:
-            for entry in row:
-                if entry.order != order:
-                    raise OrderMismatch("system entries must share one order")
-        for entry in self.rhs:
-            if entry.order != order:
-                raise OrderMismatch("system entries must share one order")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make, which would skip the checks
-        return cls(*iterable)
-
-    @classmethod
-    def build(cls, matrix, rhs) -> "SeriesSystem":
-        rows = tuple(tuple(row) for row in matrix)
-        return cls(len(rows), rows, tuple(rhs))
-
-    @property
-    def order(self) -> int:
-        return self.rhs[0].order
-
-
 def _minus(a, b):
     # a - b on coefficient lists, None standing for zero
     if a is None:
@@ -271,9 +229,13 @@ def _minus(a, b):
     return out if any(out) else None
 
 
-def solve_series_system(system: SeriesSystem) -> list[TruncatedSeries]:
-    """Forward elimination, then back substitution, on coefficient lists.
+def solve_series_system(matrix, rhs) -> list[TruncatedSeries]:
+    """Solve the square system matrix·x = rhs of TruncatedSeries entries,
+    all at one order, by forward elimination, then back substitution, on
+    coefficient lists.
 
+    A matrix that is empty or not square, or a right-hand side of another
+    length, raises ValueError; entries of mixed orders raise OrderMismatch.
     Each column pivots on its lowest-valuation entry on or below the
     diagonal: the first with a nonzero constant term.  A column whose
     remaining entries all have positive valuation means the determinant's
@@ -283,13 +245,22 @@ def solve_series_system(system: SeriesSystem) -> list[TruncatedSeries]:
     NonInvertible from the division.  The solution is substituted back into
     the original system before being returned.
     """
-    n, order = system.dimension, system.order
+    n = len(matrix)
+    if n < 1:
+        raise ValueError("system dimension must be positive")
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix shape does not match the dimension")
+    if len(rhs) != n:
+        raise ValueError("right-hand side length does not match")
+    order = rhs[0].order
+    if any(entry.order != order for row in (*matrix, rhs) for entry in row):
+        raise OrderMismatch("system entries must share one order")
 
     def lists(entries):
         return [None if e.is_zero() else list(e.coeffs) for e in entries]
 
-    a = [lists(row) for row in system.matrix]
-    b = lists(system.rhs)
+    a = [lists(row) for row in matrix]
+    b = lists(rhs)
     inverses = []
     for col in range(n):
         pivot = next((r for r in range(col, n)
@@ -326,12 +297,11 @@ def solve_series_system(system: SeriesSystem) -> list[TruncatedSeries]:
             x[i] = _mul_lists(acc, inverses[i], order)
     solution = [TruncatedSeries(() if c is None else c, order) for c in x]
     for i in range(n):
-        acc = TruncatedSeries.zero(system.order)
-        for j in range(n):
-            entry = system.matrix[i][j]
-            if not entry.is_zero() and not solution[j].is_zero():
-                acc = acc + entry * solution[j]
-        _require(acc == system.rhs[i],
+        acc = TruncatedSeries.zero(order)
+        for entry, value in zip(matrix[i], solution):
+            if not entry.is_zero() and not value.is_zero():
+                acc = acc + entry * value
+        _require(acc == rhs[i],
                  f"solution fails to reproduce equation {i}")
     return solution
 
@@ -370,29 +340,20 @@ def band_poly_matrix(lo: int, hi: int) -> tuple[list[list[Poly]], list[Poly]]:
     return rows, rhs
 
 
-def band_series_system(lo: int, hi: int, order: int) -> SeriesSystem:
-    """The same band system with entries lifted to TruncatedSeries."""
+def band_series_system(lo: int, hi: int, order: int) \
+        -> tuple[list[list[TruncatedSeries]], list[TruncatedSeries]]:
+    """The same band system, (matrix, rhs), with entries lifted to
+    TruncatedSeries."""
     rows, rhs = band_poly_matrix(lo, hi)
-    return SeriesSystem.build(
-        [[TruncatedSeries.polynomial(e, order) for e in row] for row in rows],
-        [TruncatedSeries.polynomial(e, order) for e in rhs])
+    return ([[TruncatedSeries.polynomial(e, order) for e in row]
+             for row in rows],
+            [TruncatedSeries.polynomial(e, order) for e in rhs])
 
 
 def band_cramer_numerators(lo: int, hi: int) -> tuple[Poly, list[Poly]]:
     """The band determinant and the Cramer numerator of every unknown, in
     the layout of band_poly_matrix, from one elimination."""
     return cramer_numerators(*band_poly_matrix(lo, hi))
-
-
-def band_cramer_numerator(lo: int, hi: int, column: int) -> Poly:
-    """Determinant of the band matrix with one column replaced by the
-    right-hand side: the Cramer numerator of that unknown, read off
-    band_cramer_numerators."""
-    numerators = band_cramer_numerators(lo, hi)[1]
-    if not 0 <= column < len(numerators):
-        raise IndexOutOfRange(
-            f"column {column} outside 0..{len(numerators) - 1}")
-    return numerators[column]
 
 
 # ---------- the integer series kernel ----------
@@ -730,32 +691,35 @@ def gf_bounded_sym(t: int, order: int) -> list[int]:
     return _div(num, full, order)
 
 
+def _band_walk(lo: int, hi: int, order: int):
+    # forward substitution on the band between ordinates lo and hi: the
+    # system reads -I + x·M on f_lo..f_hi, g_lo..g_hi with right-hand side
+    # -1 at f_0, so x^n of every unknown is M applied to x^(n-1): f_j gains
+    # f_{j-1} + g_{j-1} and g_j the sum of f above j.  Yields the (f, g)
+    # coefficient lists, indexed by ordinate - lo, for n = 0..order.
+    f = [0] * (hi - lo + 1)
+    f[-lo] = 1    # the empty path
+    g = [0] * (hi - lo + 1)
+    yield f, g
+    for _ in range(order):
+        above = list(accumulate(reversed(f)))[::-1]   # f_j + f_{j+1} + ...
+        f, g = [0] + [a + b for a, b in zip(f, g)][:-1], above[1:] + [0]
+        yield f, g
+
+
 @_series_route
 def gf_bounded_sym_ordinate(k: int, t: int, kind: str,
                             order: int) -> list[int]:
-    """Per-ordinate series of the centered band, by forward substitution.
-
-    The band system reads -I + x·M on the unknowns f_-t..f_t, g_-t..g_t
-    with right-hand side -1 at f_0, so the coefficients of x^n of every
-    unknown are M applied to those of x^(n-1): f_j gains f_{j-1} + g_{j-1}
-    and g_j the sum of f above j.
-    """
+    """Per-ordinate series of the centered band, by forward substitution
+    on the band system, one coefficient of every unknown per step."""
     if t < 1:
         raise ValueError("band half-height must be >= 1")
     if kind not in ("f", "g"):
         raise ValueError('kind must be "f" or "g"')
     if not -t <= k <= t:
         raise IndexOutOfRange(f"ordinate {k} outside -{t}..{t}")
-    f = [0] * (2 * t + 1)
-    f[t] = 1    # the empty path
-    g = [0] * (2 * t + 1)
-    out = []
-    for n in range(order + 1):
-        if n:
-            above = list(accumulate(reversed(f)))[::-1]   # f_j + f_{j+1} + ...
-            f, g = [0] + [a + b for a, b in zip(f, g)][:-1], above[1:] + [0]
-        out.append((f if kind == "f" else g)[k + t])
-    return out
+    return [(f if kind == "f" else g)[k + t]
+            for f, g in _band_walk(-t, t, order)]
 
 
 # ---------- the special-height family ----------

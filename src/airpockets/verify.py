@@ -4,7 +4,9 @@ Four suites, four check kinds:
 
 - paper-series: every catalog series against its frozen reference
   expansion and against each independent derivation that DUAL_PATHS
-  lists for its name (dual_path); evaluate itself runs one route only;
+  lists for its name (dual_path), each reaching its series in one pass
+  over the coefficients, never by iterating until nothing changes;
+  evaluate itself runs one route only;
 - oracle: catalog coefficients against live exhaustive enumeration
   (oracle_vs_gf), height-bounded families two lengths further;
 - bijections: exhaustive round trips plus image discipline and the
@@ -19,6 +21,7 @@ than aborting the suite.
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import mul
 from typing import NamedTuple
 
 from . import reference as ref
@@ -26,7 +29,7 @@ from .bijections import phi, phi_inv, psi, psi_inv
 from .catalog import (
     CEILING_RADICAND,
     KERNEL_RADICAND,
-    SeriesSystem,
+    _band_walk,
     band_cramer_numerators,
     band_poly_matrix,
     band_series_system,
@@ -41,7 +44,7 @@ from .enumeration import (
     enum_compositions,
     enum_paths,
 )
-from .errors import BadParams, ConsistencyError
+from .errors import BadParams
 from .oeis import CITED_PAIRS, align_and_compare, fetch_sequence
 from .paths import parse_path
 from .series import TruncatedSeries
@@ -159,18 +162,16 @@ def _whole(poly, order):
 
 
 def _dap_fixed_point(order):
-    # iterate the first-return equation a = x^2 + x^2 a + x a + x a^2;
-    # every right-hand term carries a factor x or x^2, so each pass pins
-    # at least one more coefficient
-    x = TruncatedSeries.monomial(1, order)
-    x2 = TruncatedSeries.monomial(2, order)
-    a = TruncatedSeries.zero(order)
-    for _ in range(order + 2):
-        nxt = x2 + x2 * a + x * a + x * (a * a)
-        if nxt == a:
-            return a
-        a = nxt
-    raise ConsistencyError("first-return fixed point did not stabilize")
+    # the first-return equation a = x^2 + x^2 a + x a + x a^2, solved one
+    # coefficient at a time: every right-hand term carries a factor x or
+    # x^2, so a_n = [n=2] + a_{n-2} + a_{n-1} + sum of a_i·a_{n-1-i} over
+    # 1 <= i <= n-2 reads only coefficients below n
+    a = [0, 0]
+    for n in range(2, order + 1):
+        inner = a[1:n - 1]
+        a.append((n == 2) + a[n - 2] + a[n - 1]
+                 + sum(map(mul, inner, reversed(inner))))
+    return TruncatedSeries(a, order)
 
 
 def _by_fixed_point(order):
@@ -187,23 +188,21 @@ def _by_radical_root(order):
 
 
 def _by_first_return_systems(order):
-    # the step weights come from the fixed-point dap series, no radical
+    # the step weights come from the first-return dap series, no radical
     a = _dap_fixed_point(order)
     arch = TruncatedSeries.monomial(2, order) + a.shift(1)   # x^2 + x·a
     x = TruncatedSeries.monomial(1, order)
     one = TruncatedSeries.one(order)
     zero = TruncatedSeries.zero(order)
-    upper = SeriesSystem.build(
+    gp1, gp2, gp = solve_series_system(
         ((one, zero, -arch),
          (-(x + a), one - arch, zero),
          (-one, -one, one)),
         (zero, zero, one))
-    gp1, gp2, gp = solve_series_system(upper)
-    lower = SeriesSystem.build(
+    gm, g = solve_series_system(
         ((one, -arch),
          (zero, one - arch)),
         (zero, gp))
-    gm, g = solve_series_system(lower)
     return [("Gp1", {}, gp1), ("Gp2", {}, gp2), ("Gp", {}, gp),
             ("Gm", {}, gm), ("G", {}, g)]
 
@@ -217,11 +216,11 @@ def _by_last_step(order):
 
 
 def _by_ordinate_sum(order):
-    # ordinates above the order cannot contribute
-    total = TruncatedSeries.zero(order)
-    for k in range(1, order + 1):
-        total = total + _series("prefix_pos", order, k=k)
-    return [("prefix_pos_total", {}, total)]
+    # prefix_pos(k + 1) = x·s·prefix_pos(k), so the sum over every
+    # ordinate k >= 1 is prefix_pos(1) / (1 - x·s)
+    climb = _series("s2", order).shift(1)
+    return [("prefix_pos_total", {},
+             _series("prefix_pos", order, k=1) / (1 - climb))]
 
 
 def _by_shift_correspondence(order, k):
@@ -232,35 +231,11 @@ def _by_shift_correspondence(order, k):
 
 
 def _minorized_band_total(m, order):
-    # substitution sweeps over the [m, order] band: a length-n prefix
-    # cannot climb above n, so a ceiling at the order is exact
-    hi = order
-    zero = TruncatedSeries.zero(order)
-    one = TruncatedSeries.one(order)
-    f = {k: zero for k in range(m, hi + 1)}
-    g = dict(f)
-    for _ in range(order + 2):
-        changed = False
-        for k in range(m, hi + 1):
-            val = one if k == 0 else zero
-            if k - 1 >= m:
-                val = val + (f[k - 1] + g[k - 1]).shift(1)
-            if val != f[k]:
-                f[k] = val
-                changed = True
-        suffix = zero
-        for k in range(hi, m - 1, -1):
-            val = suffix.shift(1)
-            if val != g[k]:
-                g[k] = val
-                changed = True
-            suffix = suffix + f[k]
-        if not changed:
-            total = zero
-            for k in range(m, hi + 1):
-                total = total + f[k] + g[k]
-            return total
-    raise ConsistencyError("band substitution did not reach a fixed point")
+    # every unknown of the [m, order] band, one coefficient per step: a
+    # length-n prefix cannot climb above n, so a ceiling at the order is
+    # exact
+    return TruncatedSeries([sum(f) + sum(g)
+                            for f, g in _band_walk(m, order, order)], order)
 
 
 def _by_band_substitution(order, m):
@@ -268,7 +243,7 @@ def _by_band_substitution(order, m):
 
 
 def _by_band_elimination(order, t):
-    solved = solve_series_system(band_series_system(0, t, order))
+    solved = solve_series_system(*band_series_system(0, t, order))
     claims = []
     for k in range(t + 1):
         claims.append(("fkt", {"k": k, "t": t}, solved[k]))
@@ -319,7 +294,7 @@ def _by_cramer(order, t):
 def _by_centered_elimination(order, t):
     # the centered band system solved outright: every per-ordinate series,
     # and the axis total as the sum of the two axis unknowns
-    solved = solve_series_system(band_series_system(-t, t, order))
+    solved = solve_series_system(*band_series_system(-t, t, order))
     width = 2 * t + 1
     claims = []
     for k in range(-t, t + 1):

@@ -8,7 +8,7 @@ import pytest
 
 from airpockets import verify
 from airpockets.catalog import (
-    band_cramer_numerator,
+    band_cramer_numerators,
     band_poly_matrix,
     evaluate,
     gf_dap,
@@ -195,10 +195,11 @@ def test_criterion_06_centered_band_identities():
         doubled = poly_det(band_poly_matrix(-t, t)[0])
         assert doubled == poly(poly_D(2 * t, 30)), f"doubled determinant, t={t}"
     for t in range(1, 4):
-        axis = band_cramer_numerator(-t, t, t)
+        numerators = band_cramer_numerators(-t, t)[1]
+        axis = numerators[t]
         assert axis == conv(poly(poly_D(t - 1, 30)),
                             poly(poly_D(t, 30))), f"axis, t={t}"
-        gate = band_cramer_numerator(-t, t, 3 * t + 1)
+        gate = numerators[3 * t + 1]
         assert gate == conv(poly(poly_D(t - 1, 30)),
                             poly(poly_N(t + 1, t, 30))), f"gate, t={t}"
     for t, expected in SYM_EXPECTED.items():

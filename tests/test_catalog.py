@@ -15,8 +15,6 @@ from airpockets import verify
 from airpockets.catalog import (
     GDAP_NAMES,
     NamedSeries,
-    SeriesSystem,
-    band_cramer_numerator,
     band_cramer_numerators,
     band_poly_matrix,
     band_series_system,
@@ -199,8 +197,7 @@ def test_system_identity_solve():
     zero = TruncatedSeries.zero(6)
     rhs = (TruncatedSeries.polynomial((1, 2, 3), 6),
            TruncatedSeries.polynomial((0, 1), 6))
-    system = SeriesSystem.build(((one, zero), (zero, one)), rhs)
-    assert solve_series_system(system) == list(rhs)
+    assert solve_series_system(((one, zero), (zero, one)), rhs) == list(rhs)
 
 
 def test_system_triangular_solve():
@@ -208,15 +205,13 @@ def test_system_triangular_solve():
     x = TruncatedSeries.monomial(1, 8)
     zero = TruncatedSeries.zero(8)
     # u + x v = x, v = 1  =>  u = x - x = 0... use rhs v = x so u = x - x^2
-    system = SeriesSystem.build(((one, x), (zero, one)), (x, x))
-    u, v = solve_series_system(system)
+    u, v = solve_series_system(((one, x), (zero, one)), (x, x))
     assert v == x
     assert u == x - x * x
 
 
 def test_system_band_matches_cramer_quotients():
-    system = band_series_system(0, 2, 12)
-    solved = solve_series_system(system)
+    solved = solve_series_system(*band_series_system(0, 2, 12))
     den = TruncatedSeries.polynomial(D_POLYS[2], 12)
     for k in range(6):
         want = TruncatedSeries.polynomial(N_TABLE[(k, 2)], 12) / den
@@ -226,9 +221,8 @@ def test_system_band_matches_cramer_quotients():
 def test_system_singular_to_order():
     x = TruncatedSeries.monomial(1, 5)
     one = TruncatedSeries.one(5)
-    system = SeriesSystem.build(((x, one), (x, one)), (one, one))
     with pytest.raises(SingularToOrder):
-        solve_series_system(system)
+        solve_series_system(((x, one), (x, one)), (one, one))
 
 
 def test_system_non_unit_pivot_raises():
@@ -240,7 +234,7 @@ def test_system_non_unit_pivot_raises():
     a = ((2 * one, one), (one, 3 + x))
     rhs = (one, x)
     with pytest.raises(NonInvertible):
-        solve_series_system(SeriesSystem.build(a, rhs))
+        solve_series_system(a, rhs)
 
 
 def test_system_pivots_past_a_positive_valuation():
@@ -249,8 +243,7 @@ def test_system_pivots_past_a_positive_valuation():
     order = 8
     one = TruncatedSeries.one(order)
     x = TruncatedSeries.monomial(1, order)
-    u, v = solve_series_system(SeriesSystem.build(((x, one), (one, one)),
-                                                  (one, 2 * one)))
+    u, v = solve_series_system(((x, one), (one, one)), (one, 2 * one))
     geometric = one / (one - x)
     assert (u, v) == (geometric, 2 - geometric)
 
@@ -260,9 +253,8 @@ def test_system_singular_after_elimination():
     order = 5
     one = TruncatedSeries.one(order)
     x = TruncatedSeries.monomial(1, order)
-    system = SeriesSystem.build(((one, one), (one, one + x)), (one, one))
     with pytest.raises(SingularToOrder):
-        solve_series_system(system)
+        solve_series_system(((one, one), (one, one + x)), (one, one))
 
 
 def test_wrong_elimination_fails_the_substitution(monkeypatch):
@@ -277,17 +269,17 @@ def test_wrong_elimination_fails_the_substitution(monkeypatch):
 
     monkeypatch.setattr(catalog, "_div_lists", off_at_the_top)
     with pytest.raises(ConsistencyError, match="fails to reproduce"):
-        solve_series_system(band_series_system(0, 2, 8))
+        solve_series_system(*band_series_system(0, 2, 8))
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
                                     (-1, 1), (-2, 2), (-3, 3)])
 def test_system_matches_gauss_jordan_on_bands(lo, hi):
     # the band solved by plain Gauss-Jordan on series objects
-    system = band_series_system(lo, hi, 14)
-    n = system.dimension
-    a = [list(row) for row in system.matrix]
-    b = list(system.rhs)
+    matrix, rhs = band_series_system(lo, hi, 14)
+    n = len(matrix)
+    a = [list(row) for row in matrix]
+    b = list(rhs)
     for col in range(n):
         pivot = next(r for r in range(col, n) if a[r][col].coefficient(0))
         a[col], a[pivot], b[col], b[pivot] = a[pivot], a[col], b[pivot], b[col]
@@ -299,7 +291,7 @@ def test_system_matches_gauss_jordan_on_bands(lo, hi):
                 f = a[r][col]
                 a[r] = [e - f * p for e, p in zip(a[r], a[col])]
                 b[r] = b[r] - f * b[col]
-    assert solve_series_system(system) == b
+    assert solve_series_system(matrix, rhs) == b
 
 
 def _column_replaced(rows, rhs, column):
@@ -314,8 +306,6 @@ def test_band_cramer_numerators_are_column_determinants(lo, hi):
     assert det == poly_det(rows)
     assert numerators == [poly_det(_column_replaced(rows, rhs, c))
                           for c in range(len(rows))]
-    assert [band_cramer_numerator(lo, hi, c) for c in range(len(rows))] \
-        == numerators
 
 
 @pytest.mark.parametrize("rows, rhs", [
@@ -400,15 +390,19 @@ def test_corrupted_cramer_elimination_is_caught(monkeypatch):
 def test_system_rejects_mixed_orders():
     one5, one6 = TruncatedSeries.one(5), TruncatedSeries.one(6)
     with pytest.raises(OrderMismatch):
-        SeriesSystem.build(((one5,),), (one6,))
+        solve_series_system(((one5,),), (one6,))
+    with pytest.raises(OrderMismatch):
+        solve_series_system(((one5, one5), (one5, one6)), (one5, one5))
 
 
 def test_system_rejects_bad_shapes():
     one = TruncatedSeries.one(4)
-    with pytest.raises(ValueError):
-        SeriesSystem.build(((one, one),), (one,))
-    with pytest.raises(ValueError):
-        SeriesSystem.build((), ())
+    with pytest.raises(ValueError, match="shape"):
+        solve_series_system(((one, one),), (one,))
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        solve_series_system((), ())
+    with pytest.raises(ValueError, match="right-hand side"):
+        solve_series_system(((one,),), (one, one))
 
 
 def test_band_matrix_requires_zero_inside():
@@ -416,11 +410,6 @@ def test_band_matrix_requires_zero_inside():
         band_poly_matrix(1, 3)
     with pytest.raises(ValueError):
         band_poly_matrix(-3, -1)
-
-
-def test_band_cramer_column_range():
-    with pytest.raises(IndexOutOfRange):
-        band_cramer_numerator(0, 1, 4)
 
 
 # ---------- the axis-to-axis series ----------
@@ -683,7 +672,7 @@ def test_bounded_per_ordinate_against_oracle(t):
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_bounded_matches_cramer_quotients(t):
     # the catalog's Cramer quotients against the band elimination
-    solved = solve_series_system(band_series_system(0, t, 30))
+    solved = solve_series_system(*band_series_system(0, t, 30))
     for k in range(t + 1):
         assert gf_bounded_0t(k, t, "f", 30) == solved[k]
         assert gf_bounded_0t(k, t, "g", 30) == solved[t + 1 + k]
@@ -720,18 +709,18 @@ def test_sym_determinant_is_doubled_band(t):
 @pytest.mark.parametrize("t", [1, 2, 3])
 def test_sym_numerators_factor(t):
     d_prev = trim(ints(poly_D(t - 1, 2 * t)))
-    assert band_cramer_numerator(-t, t, t) \
-        == conv(d_prev, trim(ints(poly_D(t, 2 * t))))
-    assert band_cramer_numerator(-t, t, 3 * t + 1) \
+    numerators = band_cramer_numerators(-t, t)[1]
+    assert numerators[t] == conv(d_prev, trim(ints(poly_D(t, 2 * t))))
+    assert numerators[3 * t + 1] \
         == conv(d_prev, trim(ints(poly_N(t + 1, t, 2 * t + 2))))
     # the outermost ordinates admit no path of their ending kind
-    assert band_cramer_numerator(-t, t, 0) == ()
-    assert band_cramer_numerator(-t, t, 4 * t + 1) == ()
+    assert numerators[0] == ()
+    assert numerators[4 * t + 1] == ()
 
 
 @pytest.mark.parametrize("j,t", sorted(TILDE_SPOTS))
 def test_sym_numerator_spot_values(j, t):
-    assert band_cramer_numerator(-t, t, j + t) == TILDE_SPOTS[(j, t)]
+    assert band_cramer_numerators(-t, t)[1][j + t] == TILDE_SPOTS[(j, t)]
 
 
 @pytest.mark.parametrize("t", [1, 2])
@@ -745,6 +734,21 @@ def test_sym_per_ordinate_against_oracle(t):
         assert ints(gf_bounded_sym_ordinate(k, t, "g", 9)) == counts(
             9, kind="prefix_gdap", min_y=-t, max_y=t,
             end_ordinate=k, end_step="down")
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 3), (-1, 4), (-2, 9),
+                                    (-3, 3)])
+def test_band_walk_matches_the_band_elimination(lo, hi):
+    # the forward substitution on any band, lopsided ones included,
+    # against the same band system solved by elimination
+    order = 16
+    steps = list(catalog._band_walk(lo, hi, order))
+    solved = solve_series_system(*band_series_system(lo, hi, order))
+    width = hi - lo + 1
+    for i in range(width):
+        assert TruncatedSeries([f[i] for f, _ in steps], order) == solved[i]
+        assert TruncatedSeries([g[i] for _, g in steps], order) \
+            == solved[width + i]
 
 
 def test_sym_total_is_axis_sum():

@@ -9,7 +9,7 @@ import pytest
 
 import airpockets
 from airpockets.bijections import BlockDecomposition
-from airpockets.catalog import NamedSeries, SeriesSystem, _Entry
+from airpockets.catalog import NamedSeries, _Entry
 from airpockets.enumeration import FamilySpec
 from airpockets.oeis import Alignment, SequenceRecord
 from airpockets.paths import UD, PathClassification
@@ -22,7 +22,6 @@ ONE = TruncatedSeries.one(3)
 # each dict in field order
 RECORDS = [
     (BlockDecomposition, {"blocks": (UD,), "lengths": (2,)}, {}),
-    (SeriesSystem, {"dimension": 1, "matrix": ((ONE,),), "rhs": (ONE,)}, {}),
     (NamedSeries, {"name": "dap", "params": (), "series": ONE}, {}),
     (_Entry, {"params": ("k",), "fn": abs, "summary": "s"}, {}),
     (FamilySpec, {"kind": "gdap"},
@@ -79,9 +78,8 @@ def test_record_keyword_defaults_apply(record, given, defaults):
 
 @pytest.mark.parametrize("record, change", [
     (CheckResult, {"status": "fail"}),
-    (SeriesSystem, {"dimension": 2}),
     (SequenceRecord, {"terms": ()}),
-], ids=["CheckResult", "SeriesSystem", "SequenceRecord"])
+], ids=["CheckResult", "SequenceRecord"])
 def test_replace_runs_the_record_checks(record, change):
     given = next(given for cls, given, _ in RECORDS if cls is record)
     with pytest.raises(ValueError):

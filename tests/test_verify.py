@@ -173,8 +173,41 @@ def test_every_dual_path_runs_in_paper_series():
 
 @pytest.mark.parametrize("name,params", DUAL_ROWS,
                          ids=[verify._subject(*row) for row in DUAL_ROWS])
-def test_dual_paths_agree_at_order_30(name, params):
-    assert verify._check_duals(name, params, 30) is None
+def test_dual_paths_agree_at_order_200(name, params):
+    assert verify._check_duals(name, params, 200) is None
+
+
+def test_first_return_series_solves_its_equation():
+    # coefficient by coefficient is one way to solve it; the series itself
+    # must satisfy a = x^2 + x^2 a + x a + x a^2 through the order
+    order = 200
+    a = verify._dap_fixed_point(order)
+    x = TruncatedSeries.monomial(1, order)
+    assert a == x * x + (x * x) * a + x * a + x * (a * a)
+
+
+def test_ordinate_sum_is_the_sum_over_ordinates():
+    # the geometric form against the sum it replaces: ordinates above the
+    # order cannot contribute
+    order = 24
+    total = TruncatedSeries.zero(order)
+    for k in range(1, order + 1):
+        total = total + verify._series("prefix_pos", order, k=k)
+    assert verify._by_ordinate_sum(order) == [("prefix_pos_total", {}, total)]
+
+
+def test_band_substitution_ceiling_at_the_order_is_exact_and_needed(
+        monkeypatch):
+    # a length-n prefix climbs at most to ordinate n, so the [m, order] band
+    # holds every prefix through the order, and one ordinate less loses the
+    # all-up path at n = order
+    assert verify._check_duals("minorized", {"m": -1}, 20) is None
+    walk = verify._band_walk
+    monkeypatch.setattr(verify, "_band_walk",
+                        lambda lo, hi, order: walk(lo, order - 1, order))
+    mismatch = verify._check_duals("minorized", {"m": -1}, 20)
+    assert mismatch.startswith("band substitution:")
+    assert " n=20:" in mismatch
 
 
 @pytest.mark.parametrize("name,params", DUAL_ROWS,
