@@ -33,7 +33,7 @@ from __future__ import annotations
 from collections import deque
 from functools import wraps
 from itertools import accumulate, islice
-from operator import mul
+from operator import add, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -374,12 +374,17 @@ def _at(a, n: int) -> int:
     return a[n] if n < len(a) else 0
 
 
+def _fit(a, order: int) -> list[int]:
+    # coefficients 0..order of a, zeros past its end
+    return list(a[:order + 1]) + [0] * (order + 1 - len(a))
+
+
 def _add(a, b, order: int) -> list[int]:
-    return [_at(a, n) + _at(b, n) for n in range(order + 1)]
+    return list(map(add, _fit(a, order), _fit(b, order)))
 
 
 def _sub(a, b, order: int) -> list[int]:
-    return [_at(a, n) - _at(b, n) for n in range(order + 1)]
+    return list(map(sub, _fit(a, order), _fit(b, order)))
 
 
 def _mul(a, b, order: int) -> list[int]:
@@ -400,9 +405,9 @@ def _div(a, b, order: int) -> list[int]:
     _require(unit in (1, -1), f"division by a series with constant term {unit}")
     rev = b[:0:-1]     # b_{len-1} .. b_1
     q: list[int] = []
-    for n in range(order + 1):
+    for n, a_n in enumerate(_fit(a, order)):
         lo = max(0, n - len(rev))
-        acc = _at(a, n) - sum(map(mul, q[lo:n], rev[len(rev) - n + lo:]))
+        acc = a_n - sum(map(mul, q[lo:n], rev[len(rev) - n + lo:]))
         q.append(acc * unit)
     return q
 
@@ -420,11 +425,11 @@ def _pow(a, e: int, order: int) -> list[int]:
         e >>= 1
         if e:
             a = _mul(a, a, order)
-    return _add(result, (), order)
+    return _fit(result, order)
 
 
 def _times_x(a, j: int, order: int) -> list[int]:
-    return _add((0,) * j + tuple(a), (), order)
+    return _fit((0,) * j + tuple(a), order)
 
 
 def _over_x(a, j: int) -> list[int]:
@@ -741,7 +746,7 @@ def _ceiling_levels(k: int, order: int) -> tuple[list[int], list[int]]:
     # (B_{k-1}, B_k), with B_{-1} = 0.  No member of length n is taller
     # than n, so every level from the order up is the full series through
     # the order and the loop stops at level order + 1.
-    previous, level = [0] * (order + 1), _add((1,), (), order)
+    previous, level = [0] * (order + 1), _fit((1,), order)
     arch = level
     for i in range(1, min(k, order + 1) + 1):
         weight = (0, 0, 1) if i == 1 else (0, 1)

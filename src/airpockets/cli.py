@@ -12,7 +12,6 @@ traceback.  Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -102,6 +101,8 @@ def _write(fmt: str, record, rows, text) -> None:
     plain text.  Each comes as a function, so only the requested one is
     built."""
     if fmt == "json":
+        import json
+
         out = json.dumps(record(), sort_keys=True, separators=(",", ":"))
     elif fmt == "csv":
         import csv
@@ -175,14 +176,17 @@ def _write_listing(fmt: str, head: dict, blocks) -> None:
     one join.  A path's text needs no quoting or escaping in JSON or CSV;
     the one empty path, at length 0, prints as ε."""
     if fmt == "json":
+        import json
+
         opening, closing = json.dumps(
             {**head, "paths": []}, sort_keys=True,
             separators=(",", ":")).rsplit("[]", 1)
         start, quote, sep, end = opening + "[", '"', ",", "]" + closing
+        empty = json.dumps("ε")[1:-1]
     else:  # csv: the header row, then one row per path; plain: an empty
         # listing is one blank line
         start, quote, sep, end = "path" if fmt == "csv" else "", "", "\n", ""
-    empty = json.dumps("ε")[1:-1] if fmt == "json" else "ε"
+        empty = "ε"
     joint = quote + sep + quote
     lead = "\n" if fmt == "csv" else ""  # what comes before the first path
     out = sys.stdout

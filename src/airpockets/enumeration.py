@@ -195,26 +195,36 @@ def _blocks(n: int, steps, start, key=None) -> Iterator[tuple[str, list[str]]]:
     position later, so it recurses at most _TAIL + 1 deep.  The table has a
     dict per position, keyed on the state, or on key(i, state) where that
     coarser key determines the completions, and its lists hold at most
-    _BLOCK texts: it does not grow with the number of words.
+    _BLOCK texts: it does not grow with the number of words.  Entries whose
+    steps give the same tokens onto the same blocks share one list.
     """
     tables: list[dict] = [{} for _ in range(n)]
+    end = [""]
+    # (token, id(rest)) pairs -> block; every list lives as long as the
+    # call, so no id is reused
+    built: dict[tuple, list[str]] = {}
 
     def completions(i, state):
         # the texts that complete a prefix at position i in this state, or
-        # None for more than _BLOCK of them
+        # None for more than _BLOCK of them; blocks are shared, never changed
         if i == n:
-            return [""]
+            return end
         table = tables[i]
         entry = state if key is None else key(i, state)
         if entry not in table:
-            block: list[str] | None = []
+            parts, size = [], 0
             for token, after in steps(i, state):
                 rest = completions(i + 1, after)
-                if rest is None or len(block) + len(rest) > _BLOCK:
-                    block = None
-                    break
-                block += [token + text for text in rest]
-            table[entry] = block
+                if rest is None or size + len(rest) > _BLOCK:
+                    table[entry] = None
+                    return None
+                parts.append((token, rest))
+                size += len(rest)
+            signature = tuple((token, id(rest)) for token, rest in parts)
+            if signature not in built:
+                built[signature] = [token + text for token, rest in parts
+                                    for text in rest]
+            table[entry] = built[signature]
         return table[entry]
 
     tail = n - _TAIL

@@ -86,16 +86,21 @@ def test_replace_runs_the_record_checks(record, change):
         record(**given)._replace(**change)
 
 
-def test_cli_import_loads_every_module_and_no_dataclasses():
-    # pytest itself imports dataclasses and inspect, so ask a fresh process
+def _loaded_after(statement: str) -> set[str]:
+    # pytest itself imports the whole package, dataclasses and inspect, so
+    # ask a fresh process
     src = os.path.dirname(os.path.dirname(airpockets.__file__))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, airpockets.cli; print(' '.join(sorted(sys.modules)))"],
+         f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         check=True).stdout
-    loaded = set(out.split())
-    assert not {"dataclasses", "inspect", "csv", "fractions",
+    return set(out.split())
+
+
+def test_cli_import_loads_every_module_and_no_dataclasses():
+    loaded = _loaded_after("import airpockets.cli")
+    assert not {"dataclasses", "inspect", "csv", "json", "fractions",
                 "decimal"} & loaded
     modules = {"airpockets." + info.name
                for info in pkgutil.iter_modules(airpockets.__path__)
@@ -105,3 +110,41 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
         "bijections", "catalog", "enumeration", "oeis", "paths", "series",
         "verify")}
     assert traced <= modules <= loaded
+
+
+def _submodules(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name.startswith("airpockets.")}
+
+
+def test_package_import_loads_no_module():
+    assert _submodules(_loaded_after("import airpockets")) == set()
+
+
+def test_evaluate_import_loads_only_what_it_runs():
+    assert _submodules(_loaded_after("from airpockets import evaluate")) == {
+        "airpockets.catalog", "airpockets.series", "airpockets.errors"}
+
+
+def test_every_public_name_is_its_home_modules_object():
+    star: dict = {}
+    exec("from airpockets import *", star)
+    del star["__builtins__"]
+    assert set(star) == set(airpockets.__all__)
+    for name in airpockets.__all__:
+        if name == "__version__":
+            continue
+        value = getattr(airpockets, name)
+        # EMPTY and UD are paths: their class names the module
+        home = sys.modules[value.__module__]
+        assert home.__name__ != "airpockets"
+        assert getattr(home, name) is value is star[name]
+
+
+def test_package_dir_lists_every_public_name():
+    assert set(airpockets.__all__) <= set(dir(airpockets))
+
+
+def test_unknown_package_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        airpockets.no_such_name
+    assert not hasattr(airpockets, "_no_such_name")
