@@ -6,19 +6,20 @@ exact at the requested order: intermediate steps that shrink the order
 the end, so callers never receive fewer coefficients than asked for.
 
 Each catalog name has one route, and a call runs that route alone, in
-integer arithmetic: every family is a rational function of x, of one of
-two algebraic roots (the climb root s, the special-height root b) and of
-the band determinants D_t, whose denominators all have constant term ±1
-once a power of 2 is cleared.  Routes work on lists of Python ints, and
-each public evaluator builds a single TruncatedSeries at its boundary.
-The independent derivations that tie a family to a second route (the
-first-return equation and the band substitution solved one coefficient
-at a time, first-return systems, band eliminations, radical closed forms,
-Bareiss determinants, the ceiling recurrence run backward) live in
-verify.DUAL_PATHS and run in `verify --suite paper-series` and the tests.
-The checks that stay in the call are exactness checks: every division
-and halving must leave no remainder, and each square root must square to
-its radicand at the last coefficient.  A failed check raises
+integer arithmetic: a family confined to a band of heights is one forward
+substitution over the heights a path can reach, and every other family is
+a rational function of x and of one of two algebraic roots (the climb
+root s, the special-height root b), whose denominators all have constant
+term ±1 once a power of 2 is cleared.  Routes work on lists of Python
+ints, and each public evaluator builds a single TruncatedSeries at its
+boundary.  The independent derivations that tie a family to a second
+route (the first-return equation and the band substitution solved one
+coefficient at a time, first-return systems, band eliminations, radical
+closed forms, Bareiss determinants, the ceiling recurrence run backward)
+live in verify.DUAL_PATHS and run in `verify --suite paper-series` and
+the tests.  The checks that stay in the call are exactness checks: every
+division and halving must leave no remainder, and each square root must
+square to its radicand at the last coefficient.  A failed check raises
 ConsistencyError and always means a bug in this package, never bad input.
 
 Both roots are rational in x and the square root of a fixed polynomial
@@ -30,11 +31,10 @@ and threads may call it freely.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from functools import wraps
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add, mul, sub
-from typing import NamedTuple
 
 from .errors import (
     BadParams,
@@ -362,9 +362,9 @@ def band_cramer_numerators(lo: int, hi: int) -> tuple[Poly, list[Poly]]:
 # through the order it was built at; a shorter sequence (a polynomial) has
 # zeros above its end.  Products are cut at the order, and the only
 # divisions are by a series with constant term ±1, by 2 and by a power of
-# x, each checked for exactness: every family below is a rational
-# function of x, one algebraic root and band determinants, with such
-# denominators only.
+# x, each checked for exactness: every unconfined family below is a
+# rational function of x and one algebraic root, with such denominators
+# only.
 
 KERNEL_RADICAND: Poly = (1, -2, -1, -2, 1)    # W^2 for the climb root
 CEILING_RADICAND: Poly = (1, 0, -4, -2, 0, 0, 1)
@@ -607,27 +607,21 @@ def gf_minorized(m: int, order: int) -> list[int]:
 
 # ---------- band determinants and numerators ----------
 
-def _det_sweep(t: int, order: int):
-    # the sweep of D_i = (1+x-x^2)·D_{i-1} - x·D_{i-2} from D_{-1} = D_0 = 1,
-    # carrying the gate numerator N_{i+1}^i = x^2·D_{i-1} + x·N_i^{i-1}:
-    # yields (D_i, N_{i+1}^i) for i = 0..t.  Both have degree 2i, so cutting
-    # every step at min(order, 2t) costs O(t·order) and still gives them
-    # whole once order >= 2t.
+def _det_and_gate(t: int, order: int) -> tuple[list[int], list[int]]:
+    # (D_t, N_{t+1}^t) by the sweep of D_i = (1+x-x^2)·D_{i-1} - x·D_{i-2}
+    # from D_{-1} = D_0 = 1, carrying the gate numerator
+    # N_{i+1}^i = x^2·D_{i-1} + x·N_i^{i-1}.  Both have degree 2i, so
+    # cutting every step at min(order, 2t) costs O(t·order) and still gives
+    # them whole once order >= 2t.
     size = min(order, 2 * t) + 1
     before = det = [1] + [0] * (size - 1)
     gate = [0] * size
-    yield det, gate
     for _ in range(t):
         gate = [a + b for a, b in zip([0, 0, *det[:-2]], [0, *gate[:-1]])]
         before, det = det, [
             c + c1 - c2 - b1 for c, c1, c2, b1 in
             zip(det, [0, *det], [0, 0, *det], [0, *before])]
-        yield det, gate
-
-
-def _det_and_gate(t: int, order: int) -> tuple[list[int], list[int]]:
-    # (D_t, N_{t+1}^t), the last step of the sweep
-    return deque(_det_sweep(t, order), maxlen=1)[0]
+    return det, gate
 
 
 @_series_route
@@ -661,41 +655,6 @@ def poly_N(k: int, t: int, order: int) -> list[int]:
 
 # ---------- bounded-height tables ----------
 
-@_series_route
-def gf_bounded_0t(k: int, t: int, kind: str, order: int) -> list[int]:
-    """Prefixes confined to 0 <= y <= t ending at ordinate k.
-
-    kind "f" selects the up-ending series (empty path included at k = 0),
-    kind "g" the down-ending series; g at k = 0 counts the nonempty
-    confined paths that return to the axis.  Each is its Cramer quotient.
-    """
-    if t < 1:
-        raise ValueError("band height must be >= 1")
-    if kind not in ("f", "g"):
-        raise ValueError('kind must be "f" or "g"')
-    if not 0 <= k <= t:
-        raise IndexOutOfRange(f"ordinate {k} outside 0..{t}")
-    column = k if kind == "f" else t + 1 + k
-    return _div(poly_N.ints(column, t, order), poly_D.ints(t, order), order)
-
-
-@_series_route
-def gf_bounded_sym(t: int, order: int) -> list[int]:
-    """Paths confined to -t <= y <= t that end on the axis (empty included).
-
-    Closed form over the doubled-band determinant:
-    D_{t-1}·(D_t + N_{t+1}^t) / D_{2t}, all read off one sweep to 2t.
-    """
-    if t < 1:
-        raise ValueError("band half-height must be >= 1")
-    sweep = _det_sweep(2 * t, order)
-    lower, _ = next(islice(sweep, t - 1, None))
-    det, gate = next(sweep)
-    num = _mul(lower, _add(det, gate, order), order)
-    full, _ = deque(sweep, maxlen=1)[0]
-    return _div(num, full, order)
-
-
 def _band_walk(lo: int, hi: int, order: int):
     # forward substitution on the band between ordinates lo and hi: the
     # system reads -I + x·M on f_lo..f_hi, g_lo..g_hi with right-hand side
@@ -712,6 +671,50 @@ def _band_walk(lo: int, hi: int, order: int):
         yield f, g
 
 
+def _confined(lo: int, hi: int, k: int,
+              order: int) -> tuple[list[int], list[int]]:
+    # (f_k, g_k) of the band between ordinates lo and hi, from one walk over
+    # the ordinates a path can reach: a prefix of length n <= order never
+    # rises above n, and never sits below k - n, since each level it climbs
+    # back to k costs an up step.  So neither a ceiling above the order nor
+    # a floor below k - order binds, and for k > order both are zero.
+    if k > order:
+        return [0] * (order + 1), [0] * (order + 1)
+    low = max(lo, k - order)
+    steps = [(f[k - low], g[k - low])
+             for f, g in _band_walk(low, min(hi, order), order)]
+    return [f for f, _ in steps], [g for _, g in steps]
+
+
+@_series_route
+def gf_bounded_0t(k: int, t: int, kind: str, order: int) -> list[int]:
+    """Prefixes confined to 0 <= y <= t ending at ordinate k.
+
+    kind "f" selects the up-ending series (empty path included at k = 0),
+    kind "g" the down-ending series; g at k = 0 counts the nonempty
+    confined paths that return to the axis.  Both come from one walk.
+    """
+    if t < 1:
+        raise ValueError("band height must be >= 1")
+    if kind not in ("f", "g"):
+        raise ValueError('kind must be "f" or "g"')
+    if not 0 <= k <= t:
+        raise IndexOutOfRange(f"ordinate {k} outside 0..{t}")
+    f, g = _confined(0, t, k, order)
+    return f if kind == "f" else g
+
+
+@_series_route
+def gf_bounded_sym(t: int, order: int) -> list[int]:
+    """Paths confined to -t <= y <= t that end on the axis (empty included).
+
+    The sum of the two axis unknowns of one walk on the centered band.
+    """
+    if t < 1:
+        raise ValueError("band half-height must be >= 1")
+    return list(map(add, *_confined(-t, t, 0, order)))
+
+
 @_series_route
 def gf_bounded_sym_ordinate(k: int, t: int, kind: str,
                             order: int) -> list[int]:
@@ -723,8 +726,8 @@ def gf_bounded_sym_ordinate(k: int, t: int, kind: str,
         raise ValueError('kind must be "f" or "g"')
     if not -t <= k <= t:
         raise IndexOutOfRange(f"ordinate {k} outside -{t}..{t}")
-    return [(f if kind == "f" else g)[k + t]
-            for f, g in _band_walk(-t, t, order)]
+    f, g = _confined(-t, t, k, order)
+    return f if kind == "f" else g
 
 
 # ---------- the special-height family ----------
@@ -779,18 +782,14 @@ def gf_H_exact(k: int, order: int) -> list[int]:
 
 # ---------- the catalog surface ----------
 
-class NamedSeries(NamedTuple):
+class NamedSeries(namedtuple("NamedSeries", "name params series")):
     """A catalog evaluation: name, integer parameters, and the series."""
 
-    name: str
-    params: tuple[int, ...]
-    series: TruncatedSeries
+    __slots__ = ()
 
 
-class _Entry(NamedTuple):
-    params: tuple[str, ...]
-    fn: object
-    summary: str
+# a catalog entry: parameter names, the integer route, a one-line summary
+_Entry = namedtuple("_Entry", "params fn summary")
 
 
 CATALOG = {

@@ -45,9 +45,10 @@ EXIT_CODES = {UnknownName: EXIT_UNKNOWN_NAME, InputError: EXIT_BAD_PARAMS,
               DomainError: EXIT_OUT_OF_DOMAIN}
 
 # Size ceilings.  A request above one exits 3 before any work starts.  The
-# slowest accepted series request, `series sym --t 20000 --order 1000`,
-# takes about 36 s on a 2-CPU Xeon with Python 3.11; raise the ceilings as
-# routes get cheaper.
+# slowest accepted series requests, `series D --t 20000 --order 1000` (and
+# `N` at the same sizes) and `series sym_f --k -20000 --t 20000 --order
+# 1000`, take about 10-12 s each on a 2-CPU Xeon with Python 3.11; raise
+# the ceilings as routes get cheaper.
 MAX_ORDER = 1000                # series --order, verify --order
 MAX_T = 20_000                  # series --t
 MAX_ORDINATE = 2 * MAX_T + 1    # |series --k|, |series --m|
@@ -56,7 +57,7 @@ MAX_LENGTH = 2000               # enumerate --length, |--min-y|,
 MAX_H_LENGTH = 400              # enumerate --family H --length: a cubic count
 MAX_LISTED_PATHS = 2_000_000    # enumerate --list, checked by counting first;
                                 # listings stream, so this bounds the time
-                                # (about 10 s, for H at length 24), not
+                                # (1.2-2.3 s, for H at length 24), not
                                 # the memory
 MAX_N = 100                     # verify --max-n
 MAX_ROUNDTRIP_N = 22            # verify --max-n for the listing bijection suites

@@ -21,8 +21,8 @@ share between threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from operator import index
-from typing import Iterable
 
 from .errors import (
     BadConstantTerm,

@@ -2,6 +2,7 @@
 closed forms, and its own dual-route plumbing (determinants, band systems)."""
 
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -37,7 +38,12 @@ from airpockets.catalog import (
     series_names,
     solve_series_system,
 )
-from airpockets.enumeration import FamilySpec, count_paths, enum_h
+from airpockets.enumeration import (
+    FamilySpec,
+    count_paths,
+    count_paths_upto,
+    enum_h,
+)
 from airpockets.errors import (
     BadParams,
     ConsistencyError,
@@ -669,9 +675,19 @@ def test_bounded_per_ordinate_against_oracle(t):
             end_ordinate=k, end_step="down")
 
 
+@pytest.mark.parametrize("t", range(1, 7))
+def test_bounded_matches_its_cramer_quotients(t):
+    # N_col / D_t, each factor from its own sweep
+    for order in (5, 2 * t, 4 * t + 3):
+        for kind, offset in (("f", 0), ("g", t + 1)):
+            for k in range(t + 1):
+                quotient = poly_N(offset + k, t, order) / poly_D(t, order)
+                assert gf_bounded_0t(k, t, kind, order) == quotient
+
+
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_bounded_matches_cramer_quotients(t):
-    # the catalog's Cramer quotients against the band elimination
+    # the catalog's forward substitution against the band elimination
     solved = solve_series_system(*band_series_system(0, t, 30))
     for k in range(t + 1):
         assert gf_bounded_0t(k, t, "f", 30) == solved[k]
@@ -765,6 +781,69 @@ def test_sym_one_sweep_matches_its_closed_form(t):
         num = poly_D(t - 1, order) * (poly_D(t, order)
                                       + poly_N(t + 1, t, order))
         assert gf_bounded_sym(t, order) == num / poly_D(2 * t, order)
+
+
+# ---------- the reachable window ----------
+
+# confined name -> (the band's floor in units of t, "k" when the ending
+# ordinate is a parameter or 0 when it is the axis, the ending step); sym
+# pools both kinds on the axis
+CONFINED = {
+    "fkt": (0, "k", "up"), "gkt": (0, "k", "down"),
+    "f0t": (0, 0, "up"), "g0t": (0, 0, "down"),
+    "sym": (-1, 0, None),
+    "sym_f": (-1, "k", "up"), "sym_g": (-1, "k", "down"),
+}
+
+
+def _confined_brute(name, k, t, order):
+    floor, _, step = CONFINED[name]
+    spec = FamilySpec("prefix_gdap", min_y=floor * t, max_y=t,
+                      end_ordinate=k, end_step=step)
+    out = count_paths_upto(order, spec)
+    if k == 0 and step == "up":
+        out[0] += 1    # the empty prefix sits in f_0
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(CONFINED))
+def test_confined_window_thresholds_against_brute_force(name):
+    # the band clipped to the reachable window, at a ceiling just below,
+    # at and just above the order, with k at and next to both band edges;
+    # k = t = order + 1 lies above the order, where both series read zero
+    floor, pinned, _ = CONFINED[name]
+    for order in range(13):
+        for t in (order - 1, order, order + 1):
+            if t < 1:
+                continue
+            ks = {-t, -t + 1, 0, t - 1, t} if pinned == "k" else {0}
+            for k in sorted(ks):
+                if not floor * t <= k <= t:
+                    continue
+                params = {"k": k, "t": t} if pinned == "k" else {"t": t}
+                got = ints(evaluate(name, order, **params).series)
+                assert got == _confined_brute(name, k, t, order), \
+                    (name, k, t, order)
+
+
+def test_confined_window_is_not_a_clamp_of_the_height():
+    # t = 25 admits paths that rise above 5, or dip below -5 and climb
+    # back, before they end at -5 by length 12: the window comes from k
+    # and the order, not from clamping t
+    narrow = gf_bounded_sym_ordinate(-5, 5, "f", 12)
+    wide = gf_bounded_sym_ordinate(-5, 25, "f", 12)
+    assert narrow != wide
+    assert ints(wide) == _confined_brute("sym_f", -5, 25, 12)
+
+
+def test_confined_height_past_the_order_is_cheap():
+    # the walk covers the ordinates a path can reach, whatever the band's
+    # height; a route that sweeps every level to t takes seconds here
+    start = time.perf_counter()
+    evaluate("sym", 400, t=20000)
+    evaluate("f0t", 400, t=20000)
+    evaluate("sym_g", 400, k=0, t=20000)
+    assert time.perf_counter() - start < 3.0
 
 
 def test_sym_rejects_bad_params():

@@ -86,12 +86,12 @@ def test_replace_runs_the_record_checks(record, change):
         record(**given)._replace(**change)
 
 
-def _loaded_after(statement: str) -> set[str]:
+def _loaded_after(statement: str, *flags: str) -> set[str]:
     # pytest itself imports the whole package, dataclasses and inspect, so
     # ask a fresh process
     src = os.path.dirname(os.path.dirname(airpockets.__file__))
     out = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, *flags, "-c",
          f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
         check=True).stdout
@@ -123,6 +123,12 @@ def test_package_import_loads_no_module():
 def test_evaluate_import_loads_only_what_it_runs():
     assert _submodules(_loaded_after("from airpockets import evaluate")) == {
         "airpockets.catalog", "airpockets.series", "airpockets.errors"}
+
+
+def test_evaluate_import_loads_neither_typing_nor_re():
+    # under -S no site hook has loaded them already
+    loaded = _loaded_after("from airpockets import evaluate", "-S")
+    assert not {"typing", "re"} & loaded
 
 
 def test_every_public_name_is_its_home_modules_object():
