@@ -11,11 +11,13 @@ silently wrong answer.
 
 The shared primitive cuts a step sequence immediately after each up-step
 that is followed by another up-step or a two-level drop; block lengths are
-what both maps actually transport.
+what both maps actually transport, so they read the lengths straight off
+the steps and never build the blocks themselves.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import (
@@ -39,6 +41,19 @@ class BlockDecomposition(NamedTuple):
     lengths: tuple[int, ...]
 
 
+def _block_lengths(steps) -> tuple[int, ...]:
+    # the block lengths alone, read off the step tuple
+    lengths = []
+    start = 0
+    for i in range(len(steps) - 1):
+        if steps[i] == UP and steps[i + 1] in (UP, _D2):
+            lengths.append(i + 1 - start)
+            start = i + 1
+    if start < len(steps):
+        lengths.append(len(steps) - start)
+    return tuple(lengths)
+
+
 def block_decompose(path: LatticePath) -> BlockDecomposition:
     """Cut the path after each up-step followed by an up-step or a D2.
 
@@ -46,17 +61,11 @@ def block_decompose(path: LatticePath) -> BlockDecomposition:
     point is one single block.
     """
     steps = path.steps
-    blocks: list[LatticePath] = []
-    start = 0
-    for i in range(len(steps) - 1):
-        if steps[i] == UP and steps[i + 1] in (UP, _D2):
-            blocks.append(LatticePath(steps[start:i + 1]))
-            start = i + 1
-    if start < len(steps):
-        blocks.append(LatticePath(steps[start:]))
+    lengths = _block_lengths(steps)
     return BlockDecomposition(
-        blocks=tuple(blocks),
-        lengths=tuple(len(b) for b in blocks))
+        blocks=tuple(LatticePath(steps[end - n:end])
+                     for n, end in zip(lengths, accumulate(lengths))),
+        lengths=lengths)
 
 
 def _check_window(path: LatticePath, lo: int, hi: int, label: str) -> None:
@@ -114,7 +123,7 @@ def psi(path: LatticePath) -> Composition:
     _check_window(path, 0, 2, "psi")
     if len(path) < 2:
         raise NotInFamily("psi: the path must have at least two steps")
-    out = block_decompose(LatticePath(path.steps[1:-1])).lengths
+    out = _block_lengths(path.steps[1:-1])
     _require(sum(out) == len(path) - 2,
              "psi: block lengths fail to cover the interior")
     _require(_alternates(out),
@@ -165,7 +174,7 @@ def phi(path: LatticePath) -> Composition:
     if n == 0:
         out = (1, 2)
     else:
-        lengths = block_decompose(path).lengths
+        lengths = _block_lengths(path.steps)
         if len(lengths) == 1:
             if path.steps == (UP, _D1) * (n // 2):
                 out = (n + 1, 2)

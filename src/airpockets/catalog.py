@@ -14,10 +14,11 @@ term ±1 once a power of 2 is cleared.  Routes work on lists of Python
 ints, and each public evaluator builds a single TruncatedSeries at its
 boundary.  The independent derivations that tie a family to a second
 route (the first-return equation and the band substitution solved one
-coefficient at a time, first-return systems, band eliminations, radical
-closed forms, Bareiss determinants, the ceiling recurrence run backward)
-live in verify.DUAL_PATHS and run in `verify --suite paper-series` and
-the tests.  The checks that stay in the call are exactness checks: every
+coefficient at a time, first-return systems, one fraction-free Cramer
+elimination per band for its determinant, numerators and confined
+series, radical closed forms, the ceiling recurrence run backward) live
+in verify.DUAL_PATHS and run in `verify --suite paper-series` and the
+tests.  The checks that stay in the call are exactness checks: every
 division and halving must leave no remainder, and each square root must
 square to its radicand at the last coefficient.  A failed check raises
 ConsistencyError and always means a bug in this package, never bad input.

@@ -5,7 +5,9 @@ Four suites, four check kinds:
 - paper-series: every catalog series against its frozen reference
   expansion and against each independent derivation that DUAL_PATHS
   lists for its name (dual_path), each reaching its series in one pass
-  over the coefficients, never by iterating until nothing changes;
+  over the coefficients, never by iterating until nothing changes; a
+  band row reads its determinant, every Cramer numerator and every
+  confined series off one fraction-free elimination of its band;
   evaluate itself runs one route only;
 - oracle: catalog coefficients against live exhaustive enumeration
   (oracle_vs_gf), height-bounded families two lengths further;
@@ -31,10 +33,7 @@ from .catalog import (
     KERNEL_RADICAND,
     _band_walk,
     band_cramer_numerators,
-    band_poly_matrix,
-    band_series_system,
     evaluate,
-    poly_det,
     solve_series_system,
 )
 from .enumeration import (
@@ -242,15 +241,6 @@ def _by_band_substitution(order, m):
     return [("minorized", {"m": m}, _minorized_band_total(m, order))]
 
 
-def _by_band_elimination(order, t):
-    solved = solve_series_system(*band_series_system(0, t, order))
-    claims = []
-    for k in range(t + 1):
-        claims.append(("fkt", {"k": k, "t": t}, solved[k]))
-        claims.append(("gkt", {"k": k, "t": t}, solved[t + 1 + k]))
-    return claims
-
-
 def _radical_parts(order):
     # the kernel square root w and the conjugate denominators w ± (1+x-x^2)
     w = _series("W", order)
@@ -280,36 +270,39 @@ def _by_det_radical(order, t):
     return [("D", {"t": t}, det)]
 
 
-def _by_bareiss(order, t):
-    return [("D", {"t": t},
-             _whole(poly_det(band_poly_matrix(0, t)[0]), order))]
+def _band_cramer(lo, hi, order):
+    # one fraction-free elimination of the band between ordinates lo and
+    # hi: its determinant, every Cramer numerator, and every unknown as
+    # numerator / determinant at the order; the band matrix is -I at x = 0,
+    # so the determinant has constant term 1 and each division is exact
+    det, numerators = band_cramer_numerators(lo, hi)
+    divisor = TruncatedSeries.polynomial(det, order)
+    return det, numerators, [TruncatedSeries.polynomial(num, order) / divisor
+                             for num in numerators]
 
 
-def _by_cramer(order, t):
-    numerators = band_cramer_numerators(0, t)[1]
-    return [("N", {"k": k, "t": t}, _whole(num, order))
-            for k, num in enumerate(numerators)]
-
-
-def _by_centered_elimination(order, t):
-    # the centered band system solved outright: every per-ordinate series,
-    # and the axis total as the sum of the two axis unknowns
-    solved = solve_series_system(*band_series_system(-t, t, order))
-    width = 2 * t + 1
-    claims = []
-    for k in range(-t, t + 1):
-        claims.append(("sym_f", {"k": k, "t": t}, solved[t + k]))
-        claims.append(("sym_g", {"k": k, "t": t}, solved[width + t + k]))
-    claims.append(("sym", {"t": t}, solved[t] + solved[width + t]))
+def _by_band_cramer(order, t):
+    det, numerators, unknowns = _band_cramer(0, t, order)
+    claims = [("D", {"t": t}, _whole(det, order))]
+    claims += [("N", {"k": k, "t": t}, _whole(num, order))
+               for k, num in enumerate(numerators)]
+    for k in range(t + 1):
+        claims.append(("fkt", {"k": k, "t": t}, unknowns[k]))
+        claims.append(("gkt", {"k": k, "t": t}, unknowns[t + 1 + k]))
     return claims
 
 
-def _by_doubled_radical(order, t):
-    return _by_det_radical(order, 2 * t)
-
-
-def _by_doubled_bareiss(order, t):
-    return _by_bareiss(order, 2 * t)
+def _by_centered_cramer(order, t):
+    # the centered band's determinant is that of the band (0, 2t), and
+    # its axis total is the sum of the two axis unknowns
+    det, _, unknowns = _band_cramer(-t, t, order)
+    width = 2 * t + 1
+    claims = [("D", {"t": 2 * t}, _whole(det, order))]
+    for k in range(-t, t + 1):
+        claims.append(("sym_f", {"k": k, "t": t}, unknowns[t + k]))
+        claims.append(("sym_g", {"k": k, "t": t}, unknowns[width + t + k]))
+    claims.append(("sym", {"t": t}, unknowns[t] + unknowns[width + t]))
+    return claims
 
 
 _CEILINGS = range(7)
@@ -362,14 +355,10 @@ DUAL_PATHS = {
     "prefix_pos_total": (("per-ordinate sum", _by_ordinate_sum),),
     "prefix_neg": (("shift correspondence", _by_shift_correspondence),),
     "minorized": (("band substitution", _by_band_substitution),),
-    "g0t": (("band elimination", _by_band_elimination),
+    "g0t": (("band Cramer elimination", _by_band_cramer),
             ("axis radical", _by_axis_radical),
-            ("determinant radical", _by_det_radical),
-            ("Bareiss determinant", _by_bareiss),
-            ("Cramer numerators", _by_cramer)),
-    "sym": (("centered elimination", _by_centered_elimination),
-            ("doubled-band radical", _by_doubled_radical),
-            ("doubled-band Bareiss", _by_doubled_bareiss)),
+            ("determinant radical", _by_det_radical)),
+    "sym": (("centered Cramer elimination", _by_centered_cramer),),
     "B": (("ceiling radical", _by_ceiling_radical),
           ("quadratic map", _by_quadratic_map),
           ("backward ceiling relation", _by_backward_relation),

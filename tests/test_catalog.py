@@ -1041,8 +1041,9 @@ def test_evaluate_runs_no_dual_derivation(monkeypatch):
     for pairs in verify.DUAL_PATHS.values():
         for _, derive in pairs:
             monkeypatch.setattr(verify, derive.__name__, refuse)
-    # the Bareiss determinant and the series solver serve the dual paths
-    # alone, and every route runs on integer lists, not on series
+    # the Bareiss determinant serves the tests alone, the series solver
+    # the dual paths alone, and every route runs on integer lists, not on
+    # series
     monkeypatch.setattr(catalog, "poly_det", refuse)
     monkeypatch.setattr(catalog, "solve_series_system", refuse)
     for method in ("sqrt", "__mul__", "__rmul__", "__truediv__", "__pow__"):

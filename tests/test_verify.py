@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airpockets import verify
+from airpockets import catalog, verify
 from airpockets.errors import NonInvertible
 from airpockets.series import TruncatedSeries
 from airpockets.verify import (
@@ -173,8 +173,8 @@ def test_every_dual_path_runs_in_paper_series():
 
 @pytest.mark.parametrize("name,params", DUAL_ROWS,
                          ids=[verify._subject(*row) for row in DUAL_ROWS])
-def test_dual_paths_agree_at_order_200(name, params):
-    assert verify._check_duals(name, params, 200) is None
+def test_dual_paths_agree_at_order_400(name, params):
+    assert verify._check_duals(name, params, 400) is None
 
 
 def test_first_return_series_solves_its_equation():
@@ -245,6 +245,37 @@ def test_perturbed_dual_fails_its_rows(monkeypatch, name, label):
     for check in report.checks:
         assert check.status == "fail"
         assert check.first_mismatch.startswith(f"{label}: ")
+
+
+@pytest.mark.parametrize("mutant", ["D", "N", "fkt", "gkt", "g0t", "sym",
+                                    "sym_f", "sym_g"])
+def test_band_route_off_by_one_fails_a_band_row(monkeypatch, mutant):
+    # the catalog route gives its last coefficient one too many; the frozen
+    # references are frozen again from the mutant, so only a dual
+    # derivation can catch it
+    entry = catalog.CATALOG[mutant]
+
+    def off_by_one(*args):
+        order = args[-1]
+        coeffs = list(entry.fn(*args))
+        coeffs += [0] * (order + 1 - len(coeffs))
+        coeffs[order] += 1
+        return coeffs
+
+    monkeypatch.setitem(catalog.CATALOG, mutant,
+                        entry._replace(fn=off_by_one))
+    rows = tuple((name, params,
+                  verify._series(name, len(expected) - 1, **params).coeffs)
+                 for name, params, expected in verify.SERIES_TABLE
+                 if name in ("g0t", "sym"))
+    monkeypatch.setattr(verify, "SERIES_TABLE", rows)
+    guards = tuple(f"{label}: " for name in ("g0t", "sym")
+                   for label, _ in verify.DUAL_PATHS[name])
+    failed = [check for check in run_suite("paper-series").checks
+              if check.status == "fail"]
+    assert failed
+    for check in failed:
+        assert check.first_mismatch.startswith(guards), check
 
 
 @pytest.mark.parametrize("name,params", DUAL_ROWS,
