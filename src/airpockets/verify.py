@@ -3,12 +3,18 @@
 Four suites, four check kinds:
 
 - paper-series: every catalog series against its frozen reference
-  expansion and against each independent derivation that DUAL_PATHS
-  lists for its name (dual_path), each reaching its series in one pass
-  over the coefficients, never by iterating until nothing changes; a
-  band row reads its determinant, every Cramer numerator and every
-  confined series off one fraction-free elimination of its band;
-  evaluate itself runs one route only;
+  expansion at the expansion's own length, then against each
+  independent derivation that DUAL_PATHS lists for its name at the
+  suite's order (dual_path): the first-return equation and the band
+  substitution solved one coefficient at a time, the first-return
+  systems solved by substitution, the kernel's square root, the split
+  by last step, the per-ordinate sum, the shift correspondence, one
+  fraction-free Cramer elimination per band (its determinant, every
+  numerator and every confined series), the axis radical, the special
+  heights' quadratic map and their ceiling recurrence run backward.
+  Each reaches its series in one pass over the coefficients, never by
+  iterating until nothing changes, and evaluate itself runs one route
+  only;
 - oracle: catalog coefficients against live exhaustive enumeration
   (oracle_vs_gf), height-bounded families two lengths further;
 - bijections: exhaustive round trips plus image discipline and the
@@ -29,12 +35,10 @@ from typing import NamedTuple
 from . import reference as ref
 from .bijections import phi, phi_inv, psi, psi_inv
 from .catalog import (
-    CEILING_RADICAND,
     KERNEL_RADICAND,
     _band_walk,
     band_cramer_numerators,
     evaluate,
-    solve_series_system,
 )
 from .enumeration import (
     POSITIVE,
@@ -135,9 +139,9 @@ def _check_duals(name, params, order):
     return None
 
 
-def _check_series_frozen(name, params, expected):
-    order = len(expected) - 1
-    got = evaluate(name, order, **params).series
+def _check_series_frozen(name, params, expected, order):
+    # the frozen prefix at its own length, then the duals at the order
+    got = evaluate(name, len(expected) - 1, **params).series
     n = _first_difference(got.coeffs, expected)
     if n is not None:
         return f"n={n}: series {got.coeffs[n]} != reference {expected[n]}"
@@ -174,7 +178,8 @@ def _dap_fixed_point(order):
 
 
 def _by_fixed_point(order):
-    return [("dap", {}, _dap_fixed_point(order))]
+    a = _dap_fixed_point(order)
+    return [("dap", {}, a), ("P", {}, a.shift(1))]
 
 
 def _by_radical_root(order):
@@ -183,31 +188,25 @@ def _by_radical_root(order):
     big = order + 1
     w = TruncatedSeries.polynomial(KERNEL_RADICAND, big).sqrt()
     s = ((TruncatedSeries.polynomial((1, 1, -1), big) - w) / 2).shift(-1)
-    return [("W", {}, w), ("s2", {}, s)]
+    return [("W", {}, w), ("s2", {}, s), ("r2", {}, s)]
 
 
 def _by_first_return_systems(order):
-    # the step weights come from the first-return dap series, no radical
+    # the step weights come from the first-return dap series, no radical:
+    # Gp1 = arch·Gp, (1 - arch)·Gp2 = (x + a)·Gp1, Gp = 1 + Gp1 + Gp2 and
+    # (1 - arch)·G = Gp, Gm = arch·G, solved by substitution; every
+    # divisor has constant term 1.  Gm2 = Gp1 by the mirror-and-merge
+    # pairing, and Gm1 = Gm - Gm2 splits Gm by its last step
     a = _dap_fixed_point(order)
     arch = TruncatedSeries.monomial(2, order) + a.shift(1)   # x^2 + x·a
     x = TruncatedSeries.monomial(1, order)
-    one = TruncatedSeries.one(order)
-    zero = TruncatedSeries.zero(order)
-    gp1, gp2, gp = solve_series_system(
-        ((one, zero, -arch),
-         (-(x + a), one - arch, zero),
-         (-one, -one, one)),
-        (zero, zero, one))
-    gm, g = solve_series_system(
-        ((one, -arch),
-         (zero, one - arch)),
-        (zero, gp))
-    return [("Gp1", {}, gp1), ("Gp2", {}, gp2), ("Gp", {}, gp),
-            ("Gm", {}, gm), ("G", {}, g)]
-
-
-def _by_first_step(order):
-    return [("G", {}, _series("Gp", order) + _series("Gm", order))]
+    gp = 1 / (1 - arch * (1 + (x + a) / (1 - arch)))
+    gp1 = arch * gp
+    g = gp / (1 - arch)
+    gm = arch * g
+    return [("Gp1", {}, gp1), ("Gp2", {}, gp - 1 - gp1), ("Gp", {}, gp),
+            ("Gm", {}, gm), ("G", {}, g),
+            ("Gm2", {}, gp1), ("Gm1", {}, gm - gp1)]
 
 
 def _by_last_step(order):
@@ -241,33 +240,15 @@ def _by_band_substitution(order, m):
     return [("minorized", {"m": m}, _minorized_band_total(m, order))]
 
 
-def _radical_parts(order):
-    # the kernel square root w and the conjugate denominators w ± (1+x-x^2)
-    w = _series("W", order)
-    return (w, w + TruncatedSeries.polynomial((1, 1, -1), order),
-            w + TruncatedSeries.polynomial((-1, -1, 1), order))
-
-
 def _by_axis_radical(order, t):
-    # radical closed form for the numerator of the axis down-ending entry
-    w, d1, d2 = _radical_parts(order)
+    # radical closed form for the numerator of the axis down-ending entry,
+    # in the kernel square root w and the conjugates w ± (1+x-x^2)
+    w = _series("W", order)
+    d1 = w + TruncatedSeries.polynomial((1, 1, -1), order)
+    d2 = w + TruncatedSeries.polynomial((-1, -1, 1), order)
     num = d1 ** t - (-1) ** t * (d2 ** t)
     gate = (num / w).shift(2) / 2 ** t
     return [("g0t", {"t": t}, gate / _series("D", order, t=t))]
-
-
-def _by_det_radical(order, t):
-    # pole-free rearrangement of the radical closed form: the two
-    # conjugate denominators multiply to -4x, so clearing them leaves a
-    # polynomial numerator over the square root alone
-    order = max(order, 2 * t)   # D_t has degree 2t
-    w, d1, d2 = _radical_parts(order)
-    n1 = w + TruncatedSeries.polynomial((-1, 1, -1), order)
-    n2 = w + TruncatedSeries.polynomial((1, -1, 1), order)
-    num = n1 * d2 ** (t + 1) + (-1) ** (t + 1) * (n2 * d1 ** (t + 1))
-    # times 2^t / (-4)^(t+1), an exact division by (-1)^(t+1)·2^(t+2)
-    det = (num / w) / ((-1) ** (t + 1) * 2 ** (t + 2))
-    return [("D", {"t": t}, det)]
 
 
 def _band_cramer(lo, hi, order):
@@ -283,7 +264,8 @@ def _band_cramer(lo, hi, order):
 
 def _by_band_cramer(order, t):
     det, numerators, unknowns = _band_cramer(0, t, order)
-    claims = [("D", {"t": t}, _whole(det, order))]
+    claims = [("D", {"t": t}, _whole(det, order)),
+              ("f0t", {"t": t}, unknowns[0])]
     claims += [("N", {"k": k, "t": t}, _whole(num, order))
                for k, num in enumerate(numerators)]
     for k in range(t + 1):
@@ -305,29 +287,18 @@ def _by_centered_cramer(order, t):
     return claims
 
 
-_CEILINGS = range(7)
-
-
 def _by_backward_relation(order):
-    # B_{k-1} = ((1+x-x^3)·B_k - 1) / (x^2·B_k + x); the division costs
-    # one order
+    # B_{k-1} = ((1+x-x^3)·B_k - 1) / (x^2·B_k + x) for ceilings 0..5;
+    # the division costs one order
     big = order + 1
     x = TruncatedSeries.monomial(1, big)
     claims = []
-    for k in _CEILINGS[1:]:
+    for k in range(1, 7):
         level = _series("Bk", big, k=k)
         back = (TruncatedSeries.polynomial((1, 1, 0, -1), big) * level - 1) \
             / (x.shift(1) * level + x)
         claims.append(("Bk", {"k": k - 1}, back))
     return claims
-
-
-def _by_ceiling_radical(order):
-    # x^2·B = (1 - x^3 - sqrt(ceiling radicand)) / 2, Newton's square root
-    big = order + 2
-    num = TruncatedSeries.polynomial((1, 0, 0, -1), big) \
-        - TruncatedSeries.polynomial(CEILING_RADICAND, big).sqrt()
-    return [("B", {}, (num / 2).shift(-2))]
 
 
 def _by_quadratic_map(order):
@@ -337,32 +308,21 @@ def _by_quadratic_map(order):
     return [("B", {}, 1 + b.shift(3) + (b * b).shift(2))]
 
 
-def _by_full_series(order):
-    # heights above the length are unreachable, so ceiling k agrees with
-    # the full series through k + 1
-    return [("B", {}, _series("Bk", order, k=k).truncate(min(order, k + 1)))
-            for k in _CEILINGS]
-
-
 # catalog name -> (label, derivation) pairs; every name here has a row in
-# SERIES_TABLE, and each of its rows runs all of them at the row's order
+# SERIES_TABLE, and each of its rows runs all of them at verify's order
 DUAL_PATHS = {
     "dap": (("first-return fixed point", _by_fixed_point),
             ("radical square root", _by_radical_root)),
     "G": (("first-return systems", _by_first_return_systems),
-          ("split by first step", _by_first_step),
           ("split by last step", _by_last_step)),
     "prefix_pos_total": (("per-ordinate sum", _by_ordinate_sum),),
     "prefix_neg": (("shift correspondence", _by_shift_correspondence),),
     "minorized": (("band substitution", _by_band_substitution),),
     "g0t": (("band Cramer elimination", _by_band_cramer),
-            ("axis radical", _by_axis_radical),
-            ("determinant radical", _by_det_radical)),
+            ("axis radical", _by_axis_radical)),
     "sym": (("centered Cramer elimination", _by_centered_cramer),),
-    "B": (("ceiling radical", _by_ceiling_radical),
-          ("quadratic map", _by_quadratic_map),
-          ("backward ceiling relation", _by_backward_relation),
-          ("ceilings against the full series", _by_full_series)),
+    "B": (("quadratic map", _by_quadratic_map),
+          ("backward ceiling relation", _by_backward_relation)),
 }
 
 
@@ -492,9 +452,9 @@ def _suite_checks(suite, max_n, order, offline, refresh):
         for name, params, expected in SERIES_TABLE:
             checks.append((
                 _subject(name, params), "dual_path",
-                f"order {len(expected) - 1}",
+                f"order {len(expected) - 1}; duals at order {order}",
                 lambda n=name, p=params, e=expected:
-                    _check_series_frozen(n, p, e)))
+                    _check_series_frozen(n, p, e, order)))
     if suite in ("oracle", "all"):
         for name, params, spec_fields, epsilon, bounded in ORACLE_TABLE:
             limit = max_n + 2 if bounded else max_n

@@ -247,35 +247,79 @@ def test_perturbed_dual_fails_its_rows(monkeypatch, name, label):
         assert check.first_mismatch.startswith(f"{label}: ")
 
 
-@pytest.mark.parametrize("mutant", ["D", "N", "fkt", "gkt", "g0t", "sym",
-                                    "sym_f", "sym_g"])
-def test_band_route_off_by_one_fails_a_band_row(monkeypatch, mutant):
-    # the catalog route gives its last coefficient one too many; the frozen
-    # references are frozen again from the mutant, so only a dual
-    # derivation can catch it
+def _bump_route(monkeypatch, mutant, n=None):
+    # the catalog route gives coefficient n (its last one when n is None)
+    # one too many; Bk at ceiling 3 only, since the backward relation
+    # carries every ceiling's top coefficient onto the next one's unchanged
     entry = catalog.CATALOG[mutant]
 
     def off_by_one(*args):
         order = args[-1]
         coeffs = list(entry.fn(*args))
-        coeffs += [0] * (order + 1 - len(coeffs))
-        coeffs[order] += 1
+        at = order if n is None else n
+        if at <= order and (mutant != "Bk" or args[0] == 3):
+            coeffs += [0] * (order + 1 - len(coeffs))
+            coeffs[at] += 1
         return coeffs
 
     monkeypatch.setitem(catalog.CATALOG, mutant,
                         entry._replace(fn=off_by_one))
+
+
+# the mutants no derivation catches: no derivation claims these names, and
+# the routes that build on them call their integer routes, not evaluate
+UNCAUGHT = {"Ak", "Rk", "Tk"}
+
+
+@pytest.mark.parametrize("mutant", list(catalog.CATALOG))
+def test_route_off_by_one_fails_a_dual_path(monkeypatch, mutant):
+    # the frozen references are frozen again from the mutant, so only a
+    # dual derivation can catch it
+    _bump_route(monkeypatch, mutant)
     rows = tuple((name, params,
                   verify._series(name, len(expected) - 1, **params).coeffs)
-                 for name, params, expected in verify.SERIES_TABLE
-                 if name in ("g0t", "sym"))
+                 for name, params, expected in verify.SERIES_TABLE)
     monkeypatch.setattr(verify, "SERIES_TABLE", rows)
-    guards = tuple(f"{label}: " for name in ("g0t", "sym")
-                   for label, _ in verify.DUAL_PATHS[name])
+    labels = tuple(f"{label}: " for pairs in verify.DUAL_PATHS.values()
+                   for label, _ in pairs)
     failed = [check for check in run_suite("paper-series").checks
               if check.status == "fail"]
-    assert failed
+    assert bool(failed) == (mutant not in UNCAUGHT)
     for check in failed:
-        assert check.first_mismatch.startswith(guards), check
+        assert check.first_mismatch.startswith(labels), check
+
+
+def test_every_dual_path_catches_a_mutant_no_other_one_does(monkeypatch):
+    # the mutation matrix: which derivations, each run alone, catch each
+    # off-by-one route; a derivation that catches only what others also
+    # catch checks nothing of its own
+    duals = dict(verify.DUAL_PATHS)
+    caught = {(name, label): set() for name, pairs in duals.items()
+              for label, _ in pairs}
+    for mutant in catalog.CATALOG:
+        with monkeypatch.context() as patch:
+            _bump_route(patch, mutant)
+            for name, params in DUAL_ROWS:
+                for label, derive in duals[name]:
+                    patch.setitem(verify.DUAL_PATHS, name, ((label, derive),))
+                    if verify._check_duals(name, params, 20) is not None:
+                        caught[name, label].add(mutant)
+    assert set(catalog.CATALOG).difference(*caught.values()) == UNCAUGHT
+    for key, mutants in caught.items():
+        others = set().union(*(m for k, m in caught.items() if k != key))
+        assert mutants - others, key
+
+
+def test_order_reaches_the_duals(monkeypatch):
+    # a route wrong only at coefficient 40 passes the frozen prefix and
+    # every dual below order 40, and fails once verify's order reaches it
+    _bump_route(monkeypatch, "G", 40)
+    assert run_suite("paper-series").ok
+    report = run_suite("paper-series", order=40)
+    failed = [check for check in report.checks if check.status == "fail"]
+    assert [check.subject for check in failed] == ["G"]
+    assert failed[0].first_mismatch.startswith("first-return systems: G n=40")
+    assert failed[0].range == "order 10; duals at order 40"
 
 
 @pytest.mark.parametrize("name,params", DUAL_ROWS,
