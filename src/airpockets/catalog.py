@@ -7,21 +7,23 @@ the end, so callers never receive fewer coefficients than asked for.
 
 Each catalog name has one route, and a call runs that route alone, in
 integer arithmetic: a family confined to a band of heights is one forward
-substitution over the heights a path can reach, and every other family is
-a rational function of x and of one of two algebraic roots (the climb
-root s, the special-height root b), whose denominators all have constant
-term ±1 once a power of 2 is cleared.  Routes work on lists of Python
-ints, and each public evaluator builds a single TruncatedSeries at its
-boundary.  The independent derivations that tie a family to a second
-route (the first-return equation and the band substitution solved one
-coefficient at a time, first-return systems, one fraction-free Cramer
-elimination per band for its determinant, numerators and confined
-series, radical closed forms, the ceiling recurrence run backward) live
-in verify.DUAL_PATHS and run in `verify --suite paper-series` and the
-tests.  The checks that stay in the call are exactness checks: every
-division and halving must leave no remainder, and each square root must
-square to its radicand at the last coefficient.  A failed check raises
-ConsistencyError and always means a bug in this package, never bad input.
+substitution over the heights a path can reach, the special heights under
+a ceiling are a ratio of two polynomials that a linear recurrence builds
+level by level, and every other family is a rational function of x and of
+one of two algebraic roots (the climb root s, the special-height root b);
+all their denominators have constant term ±1 once a power of 2 is
+cleared.  Routes work on lists of Python ints, and each public evaluator
+builds a single TruncatedSeries at its boundary.  The independent
+derivations that tie a family to a second route (the first-return
+equation and the band substitution solved one coefficient at a time,
+first-return systems, one fraction-free Cramer elimination per band for
+its determinant, numerators and confined series, radical closed forms,
+the special heights' arch grammar) live in verify.DUAL_PATHS and run in
+`verify --suite paper-series` and the tests.  The checks that stay in
+the call are exactness checks: every division and halving must leave no
+remainder, and each square root must square to its radicand at the last
+coefficient.  A failed check raises ConsistencyError and always means a
+bug in this package, never bad input.
 
 Both roots are rational in x and the square root of a fixed polynomial
 radicand, and that square root comes from the linear recurrence its
@@ -298,7 +300,7 @@ def solve_series_system(matrix, rhs) -> list[TruncatedSeries]:
             x[i] = _mul_lists(acc, inverses[i], order)
     solution = [TruncatedSeries(() if c is None else c, order) for c in x]
     for i in range(n):
-        acc = TruncatedSeries.zero(order)
+        acc = TruncatedSeries([], order)
         for entry, value in zip(matrix[i], solution):
             if not entry.is_zero() and not value.is_zero():
                 acc = acc + entry * value
@@ -346,9 +348,8 @@ def band_series_system(lo: int, hi: int, order: int) \
     """The same band system, (matrix, rhs), with entries lifted to
     TruncatedSeries."""
     rows, rhs = band_poly_matrix(lo, hi)
-    return ([[TruncatedSeries.polynomial(e, order) for e in row]
-             for row in rows],
-            [TruncatedSeries.polynomial(e, order) for e in rhs])
+    return ([[TruncatedSeries(e, order) for e in row] for row in rows],
+            [TruncatedSeries(e, order) for e in rhs])
 
 
 def band_cramer_numerators(lo: int, hi: int) -> tuple[Poly, list[Poly]]:
@@ -744,20 +745,22 @@ def gf_H(order: int) -> list[int]:
     return _half(_over_x(_sub((1, 0, 0, -1), c, order + 2), 2))
 
 
-def _ceiling_levels(k: int, order: int) -> tuple[list[int], list[int]]:
-    # forward recurrence B_i = B_{i-1} / (1 - w_i·A_i), with arch A_i the
-    # last level's gain and weight w_1 = x^2, w_i = x above; returns
-    # (B_{k-1}, B_k), with B_{-1} = 0.  No member of length n is taller
-    # than n, so every level from the order up is the full series through
-    # the order and the loop stops at level order + 1.
-    previous, level = [0] * (order + 1), _fit((1,), order)
-    arch = level
-    for i in range(1, min(k, order + 1) + 1):
-        weight = (0, 0, 1) if i == 1 else (0, 1)
-        previous, level = level, _div(
-            level, _sub((1,), _mul(arch, weight, order), order), order)
-        arch = _sub(level, previous, order)
-    return previous, level
+def _ceiling_fractions(k: int, order: int):
+    # ((P_{k-1}, Q_{k-1}), (P_k, Q_k)) with B_i = P_i / Q_i the members of
+    # height at most i: B_{-1} = 0/1, P_0 = Q_0 = 1 and the linear
+    # recurrence P_i = x·P_{i-1} + Q_{i-1}, Q_i = (1+x-x^3)·Q_{i-1} -
+    # x^2·P_{i-1}, so every Q_i has constant term 1.  No member of length n
+    # is taller than n, so every level from the order up is the full series
+    # through the order and the loop stops at level order + 1.
+    one = _fit((1,), order)
+    below, level = ([], one), (one, one)
+    for _ in range(min(k, order + 1)):
+        p, q = level
+        below, level = level, (
+            [a + b for a, b in zip(q, [0, *p[:-1]])],
+            [c + c1 - c3 - p2 for c, c1, c3, p2 in
+             zip(q, [0, *q[:-1]], [0, 0, 0, *q[:-3]], [0, 0, *p[:-2]])])
+    return below, level
 
 
 @_series_route
@@ -769,7 +772,7 @@ def gf_H_bounded(k: int, order: int) -> list[int]:
     """
     if k < 0:
         raise ValueError("height ceiling must be >= 0")
-    return _ceiling_levels(k, order)[1]
+    return _div(*_ceiling_fractions(k, order)[1], order)
 
 
 @_series_route
@@ -777,8 +780,8 @@ def gf_H_exact(k: int, order: int) -> list[int]:
     """Special-height members of height exactly k."""
     if k < 0:
         raise ValueError("height must be >= 0")
-    previous, level = _ceiling_levels(k, order)
-    return _sub(level, previous, order)
+    below, level = _ceiling_fractions(k, order)
+    return _sub(_div(*level, order), _div(*below, order), order)
 
 
 # ---------- the catalog surface ----------

@@ -46,8 +46,9 @@ EXIT_CODES = {UnknownName: EXIT_UNKNOWN_NAME, InputError: EXIT_BAD_PARAMS,
 
 # Size ceilings.  A request above one exits 3 before any work starts.  The
 # slowest accepted series requests, `series D --t 20000 --order 1000` (and
-# `N` at the same sizes) and `series sym_f --k -20000 --t 20000 --order
-# 1000`, take about 10-12 s each on a 2-CPU Xeon with Python 3.11; raise
+# `N` at the same sizes), take about 12-14 s each on a 2-CPU Xeon with
+# Python 3.11, `series sym_f --k -20000 --t 20000 --order 1000` about 8 s,
+# and `series Bk` or `Ak` at any k with `--order 1000` under 2 s; raise
 # the ceilings as routes get cheaper.
 MAX_ORDER = 1000                # series --order, verify --order
 MAX_T = 20_000                  # series --t

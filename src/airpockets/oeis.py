@@ -11,7 +11,7 @@ cache populated.
 Alignment is discovered, never hard-coded: offsets drift across OEIS
 revisions, so align_and_compare slides the series against the terms over
 shifts in [-5, 5] and accepts the shift with the longest run of
-consecutive agreements, provided the run reaches min_match.
+consecutive agreements, provided the run is at least 9 terms long.
 """
 
 from __future__ import annotations
@@ -223,15 +223,14 @@ def fetch_sequence(seq_id: str, *, offline: bool = False,
             f"{seq_id}: no cache entry, no fixture, and {network_error}")
 
 
-def align_and_compare(series: TruncatedSeries, record: SequenceRecord,
-                      min_match: int = 9) -> Alignment:
+def align_and_compare(series: TruncatedSeries,
+                      record: SequenceRecord) -> Alignment:
     """Best shift in [-5, 5] by longest run of consecutive agreements.
 
-    The run must reach min_match; ties prefer the smaller |shift|, then
-    the smaller shift.  Raises NoAlignment when no shift qualifies.
+    The run must be at least 9 terms long; ties prefer the smaller
+    |shift|, then the smaller shift.  Raises NoAlignment when no shift
+    qualifies.
     """
-    if min_match < 8:
-        raise ValueError("min_match must be at least 8")
     best: tuple[int, int, int, Alignment] | None = None
     for shift in range(-5, 6):
         run = start = 0
@@ -247,12 +246,11 @@ def align_and_compare(series: TruncatedSeries, record: SequenceRecord,
                     best_run, best_start = run, start
             else:
                 run = 0
-        if best_run >= min_match:
+        if best_run >= 9:
             key = (-best_run, abs(shift), shift)
             if best is None or key < best[:3]:
                 best = (*key, Alignment(shift, best_start, best_run))
     if best is None:
         raise NoAlignment(
-            f"{record.id}: no shift in [-5, 5] yields {min_match} "
-            "consecutive matches")
+            f"{record.id}: no shift in [-5, 5] yields 9 consecutive matches")
     return best[3]

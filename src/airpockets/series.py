@@ -98,28 +98,10 @@ class TruncatedSeries:
     # ---------- constructors ----------
 
     @classmethod
-    def zero(cls, order: int) -> "TruncatedSeries":
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order: int) -> "TruncatedSeries":
-        return cls([1], order)
-
-    @classmethod
-    def constant(cls, c: int, order: int) -> "TruncatedSeries":
-        return cls([c], order)
-
-    @classmethod
-    def monomial(cls, n: int, order: int, c: int = 1) -> "TruncatedSeries":
+    def monomial(cls, n: int, order: int) -> "TruncatedSeries":
         if n < 0:
             raise ValueError("monomial exponent must be nonnegative")
-        coeffs = [0] * n + [c] if n <= order else []
-        return cls(coeffs, order)
-
-    @classmethod
-    def polynomial(cls, coeffs: Iterable[int], order: int) -> "TruncatedSeries":
-        """Polynomial given by its coefficient list, truncated to the order."""
-        return cls(coeffs, order)
+        return cls([0] * n + [1] if n <= order else [], order)
 
     # ---------- inspection ----------
 
@@ -151,16 +133,6 @@ class TruncatedSeries:
                 f"cannot truncate order {self.order} up to {order}")
         return TruncatedSeries(self.coeffs[: order + 1], order)
 
-    def zero_extend(self, order: int) -> "TruncatedSeries":
-        """Pad with zero coefficients.
-
-        Only valid when the series is known to be a polynomial of degree
-        <= self.order; the caller vouches for that.
-        """
-        if order < self.order:
-            return self.truncate(order)
-        return TruncatedSeries(self.coeffs, order)
-
     def _check_order(self, other: "TruncatedSeries"):
         if self.order != other.order:
             raise OrderMismatch(
@@ -170,7 +142,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             return other
         if isinstance(other, int):
-            return TruncatedSeries.constant(other, self.order)
+            return TruncatedSeries([other], self.order)
         return None
 
     # ---------- arithmetic ----------
@@ -245,7 +217,7 @@ class TruncatedSeries:
             return NotImplemented
         if exponent < 0:
             raise ValueError("series exponent must be nonnegative")
-        result = TruncatedSeries.one(self.order)
+        result = TruncatedSeries([1], self.order)
         base = self
         e = exponent
         while e:

@@ -11,7 +11,7 @@ Four suites, four check kinds:
   by last step, the per-ordinate sum, the shift correspondence, one
   fraction-free Cramer elimination per band (its determinant, every
   numerator and every confined series), the axis radical, the special
-  heights' quadratic map and their ceiling recurrence run backward.
+  heights' quadratic map and their arch grammar.
   Each reaches its series in one pass over the coefficients, never by
   iterating until nothing changes, and evaluate itself runs one route
   only;
@@ -161,7 +161,7 @@ def _series(name, order, **params):
 
 def _whole(poly, order):
     # a polynomial kept whole, however low the row's order
-    return TruncatedSeries.polynomial(poly, max(order, len(poly) - 1))
+    return TruncatedSeries(poly, max(order, len(poly) - 1))
 
 
 def _dap_fixed_point(order):
@@ -186,8 +186,8 @@ def _by_radical_root(order):
     # Newton's square root W of the kernel radicand, and the climb root
     # s = (1 + x - x^2 - W) / (2x) read off it
     big = order + 1
-    w = TruncatedSeries.polynomial(KERNEL_RADICAND, big).sqrt()
-    s = ((TruncatedSeries.polynomial((1, 1, -1), big) - w) / 2).shift(-1)
+    w = TruncatedSeries(KERNEL_RADICAND, big).sqrt()
+    s = ((TruncatedSeries((1, 1, -1), big) - w) / 2).shift(-1)
     return [("W", {}, w), ("s2", {}, s), ("r2", {}, s)]
 
 
@@ -244,8 +244,8 @@ def _by_axis_radical(order, t):
     # radical closed form for the numerator of the axis down-ending entry,
     # in the kernel square root w and the conjugates w ± (1+x-x^2)
     w = _series("W", order)
-    d1 = w + TruncatedSeries.polynomial((1, 1, -1), order)
-    d2 = w + TruncatedSeries.polynomial((-1, -1, 1), order)
+    d1 = w + TruncatedSeries((1, 1, -1), order)
+    d2 = w + TruncatedSeries((-1, -1, 1), order)
     num = d1 ** t - (-1) ** t * (d2 ** t)
     gate = (num / w).shift(2) / 2 ** t
     return [("g0t", {"t": t}, gate / _series("D", order, t=t))]
@@ -257,8 +257,8 @@ def _band_cramer(lo, hi, order):
     # numerator / determinant at the order; the band matrix is -I at x = 0,
     # so the determinant has constant term 1 and each division is exact
     det, numerators = band_cramer_numerators(lo, hi)
-    divisor = TruncatedSeries.polynomial(det, order)
-    return det, numerators, [TruncatedSeries.polynomial(num, order) / divisor
+    divisor = TruncatedSeries(det, order)
+    return det, numerators, [TruncatedSeries(num, order) / divisor
                              for num in numerators]
 
 
@@ -287,17 +287,18 @@ def _by_centered_cramer(order, t):
     return claims
 
 
-def _by_backward_relation(order):
-    # B_{k-1} = ((1+x-x^3)·B_k - 1) / (x^2·B_k + x) for ceilings 0..5;
-    # the division costs one order
-    big = order + 1
-    x = TruncatedSeries.monomial(1, big)
-    claims = []
+def _by_arch_grammar(order):
+    # B_i = B_{i-1} / (1 - w_i·(B_{i-1} - B_{i-2})) from B_{-1} = 0 and
+    # B_0 = 1, with weight w_1 = x^2 and w_i = x above: the members of
+    # height at most i, level by level, for ceilings 0..6; every divisor
+    # has constant term 1
+    x = TruncatedSeries.monomial(1, order)
+    below, level = TruncatedSeries([], order), TruncatedSeries([1], order)
+    claims = [("Bk", {"k": 0}, level), ("Ak", {"k": 0}, level)]
     for k in range(1, 7):
-        level = _series("Bk", big, k=k)
-        back = (TruncatedSeries.polynomial((1, 1, 0, -1), big) * level - 1) \
-            / (x.shift(1) * level + x)
-        claims.append(("Bk", {"k": k - 1}, back))
+        weight = x * x if k == 1 else x
+        below, level = level, level / (1 - weight * (level - below))
+        claims += [("Bk", {"k": k}, level), ("Ak", {"k": k}, level - below)]
     return claims
 
 
@@ -322,7 +323,7 @@ DUAL_PATHS = {
             ("axis radical", _by_axis_radical)),
     "sym": (("centered Cramer elimination", _by_centered_cramer),),
     "B": (("quadratic map", _by_quadratic_map),
-          ("backward ceiling relation", _by_backward_relation)),
+          ("arch grammar", _by_arch_grammar)),
 }
 
 
@@ -436,11 +437,9 @@ def _check_roundtrip(name, max_n=None):
 # ------------------------------------------------------------------ oeis
 
 def _check_alignment(name, params, seq_id, order, offline, refresh):
+    # align_and_compare raises NoAlignment below a 9-term run
     record = fetch_sequence(seq_id, offline=offline, refresh=refresh)
-    series = evaluate(name, order, **params).series
-    result = align_and_compare(series, record, min_match=9)
-    if result.matches < 9:
-        return f"{seq_id}: run of {result.matches} < 9"
+    align_and_compare(evaluate(name, order, **params).series, record)
     return None
 
 

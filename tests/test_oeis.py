@@ -188,21 +188,13 @@ def test_single_flight(monkeypatch):
 # ------------------------------------------------------------- alignment
 
 def ratio(num, den, order):
-    return (TruncatedSeries.polynomial(num, order)
-            / TruncatedSeries.polynomial(den, order))
-
-
-def test_min_match_floor():
-    record = fetch_sequence("A004148", offline=True)
-    series = evaluate("dap", 20).series
-    with pytest.raises(ValueError):
-        align_and_compare(series, record, min_match=7)
+    return TruncatedSeries(num, order) / TruncatedSeries(den, order)
 
 
 def test_zero_series_never_aligns():
     record = fetch_sequence("A000035", offline=True)
     with pytest.raises(NoAlignment):
-        align_and_compare(TruncatedSeries.zero(30), record)
+        align_and_compare(TruncatedSeries([], 30), record)
 
 
 def test_unrelated_series_never_aligns():
@@ -228,7 +220,7 @@ def test_alignment_prefers_longest_run():
     terms = [1] * 16
     terms[3] = 99  # defect splits every candidate window
     record = SequenceRecord("A000012", tuple(terms), "fixture")
-    result = align_and_compare(series, record, min_match=8)
+    result = align_and_compare(series, record)
     # several shifts tie at a 12-match run; the smallest |shift| wins
     assert result.shift == 0
     assert result.start == 4  # run after the defect
@@ -264,7 +256,7 @@ WHOLE_PATH_SHIFTS = {
 def test_every_cited_pairing_aligns(name, params, seq_id):
     record = fetch_sequence(seq_id, offline=True)
     series = evaluate(name, 20, **params).series
-    result = align_and_compare(series, record, min_match=9)
+    result = align_and_compare(series, record)
     assert isinstance(result, Alignment)
     assert result.matches >= 9
     key = (name, tuple(sorted(params.items())))

@@ -16,7 +16,7 @@ from airpockets.paths import UD, PathClassification
 from airpockets.series import TruncatedSeries
 from airpockets.verify import CheckResult, VerificationReport
 
-ONE = TruncatedSeries.one(3)
+ONE = TruncatedSeries([1], 3)
 
 # (record, the fields passed by keyword, the defaults the rest must take),
 # each dict in field order

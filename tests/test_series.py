@@ -56,8 +56,8 @@ def test_coefficient_out_of_range():
 
 def test_valuation_and_zero():
     assert S([0, 0, 5], 6).valuation == 2
-    assert TruncatedSeries.zero(6).valuation == 7
-    assert TruncatedSeries.zero(6).is_zero()
+    assert S([], 6).valuation == 7
+    assert S([], 6).is_zero()
     assert not S([0, 1], 6).is_zero()
 
 
@@ -115,7 +115,7 @@ def test_order_mismatch_rejected():
 # ---------- division ----------
 
 def test_geometric_series():
-    one = TruncatedSeries.one(6)
+    one = S([1], 6)
     g = one / S([1, -1], 6)
     assert g.coeffs == (1, 1, 1, 1, 1, 1, 1)
 
@@ -137,7 +137,7 @@ def test_division_valuation_underflow():
 
 def test_division_by_zero_series():
     with pytest.raises(DivisionByZeroSeries):
-        S([1], 5) / TruncatedSeries.zero(5)
+        S([1], 5) / S([], 5)
 
 
 def test_division_roundtrip_with_valuation():
@@ -153,7 +153,7 @@ def test_division_roundtrip_with_valuation():
 
 def test_zero_power_is_one_and_negative_is_refused():
     s = S([1, 1], 6)
-    assert s ** 0 == TruncatedSeries.one(6)
+    assert s ** 0 == S([1], 6)
     with pytest.raises(ValueError):
         s ** -1
 
@@ -210,11 +210,6 @@ def test_truncate_only_downward():
         s.truncate(6)
 
 
-def test_zero_extend_for_polynomials():
-    p = S([1, 2], 2)
-    assert p.zero_extend(5).coeffs == (1, 2, 0, 0, 0, 0)
-
-
 def test_agrees_through():
     a = S([1, 2, 3, 9], 3)
     b = S([1, 2, 3, 0], 3)
@@ -241,9 +236,9 @@ def test_ring_laws(a, b, c):
     assert (a + b) + c == a + (b + c)
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
-    assert a + TruncatedSeries.zero(20) == a
-    assert a * TruncatedSeries.one(20) == a
-    assert a - a == TruncatedSeries.zero(20)
+    assert a + S([], 20) == a
+    assert a * S([1], 20) == a
+    assert a - a == S([], 20)
 
 
 @settings(max_examples=100)
