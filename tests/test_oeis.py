@@ -197,6 +197,23 @@ def test_zero_series_never_aligns():
         align_and_compare(TruncatedSeries([], 30), record)
 
 
+def _ones_against(run):
+    # 1/(1-x) against a record of `run` ones: every shift agrees on a run
+    # of exactly that length
+    record = SequenceRecord("A000012", (1,) * run, "fixture")
+    return align_and_compare(ratio((1,), (1, -1), 20), record)
+
+
+def test_eight_term_run_never_aligns():
+    with pytest.raises(NoAlignment, match="9 consecutive matches"):
+        _ones_against(8)
+
+
+def test_nine_term_run_aligns():
+    result = _ones_against(9)
+    assert (result.shift, result.start, result.matches) == (0, 0, 9)
+
+
 def test_unrelated_series_never_aligns():
     record = fetch_sequence("A004148", offline=True)
     ones = ratio((1,), (1, -1), 30)
