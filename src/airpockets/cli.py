@@ -1,6 +1,17 @@
 """Batch command line: evaluate series, enumerate families, apply the
 bijections, and run the verification harness.
 
+    airpockets COMMAND [NAME] [--flag VALUE | --flag=VALUE | --switch]...
+
+Every flag is long, and any unique prefix of it will do (`--ord 5`); a
+value may start with "-" only after "=" or as a negative number
+(`--k -2`).  Flags and the one positional argument (`series NAME`) come
+in any order, every token after `--` is positional, and the last of a
+repeated flag wins.  `-h` or `--help`, alone or after a command, prints
+the help and exits 0.  A usage error prints one line,
+`airpockets COMMAND: error: ...`, and exits 3.  COMMANDS below declares
+every command's flags, and getopt reads them.
+
 Exit codes: 0 success, 1 failed verification, and by the class of the
 error raised: 2 UnknownName, 3 InputError (bad parameters, a request above
 one of the size ceilings below, an infeasible enumeration), 4 DomainError
@@ -11,9 +22,11 @@ traceback.  Data goes to stdout, diagnostics to stderr.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import os
+import re
 import sys
+from types import SimpleNamespace
 
 from .bijections import parse_composition, phi, phi_inv, psi, psi_inv
 from .catalog import evaluate
@@ -75,13 +88,6 @@ FAMILY_KINDS = {
     "H": "special_h",
     "motzkin": "motzkin_avoid",
 }
-
-
-class _Parser(argparse.ArgumentParser):
-    """Usage problems are parameter problems, not the default exit 2."""
-
-    def error(self, message):
-        self.exit(EXIT_BAD_PARAMS, f"{self.prog}: error: {message}\n")
 
 
 def _check_ceilings(args, ceilings) -> None:
@@ -260,57 +266,214 @@ def _cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="airpockets",
-                     description="Lattice path series, enumeration, "
-                                 "bijections, and verification.")
-    commands = parser.add_subparsers(dest="command", required=True)
+FORMATS = ("plain", "json", "csv")
+STEPS = ("up", "down")
 
-    p_series = commands.add_parser("series", help="print series coefficients")
-    p_series.add_argument("name")
-    p_series.add_argument("--order", type=int, default=20)
-    for flag in ("--k", "--t", "--m"):
-        p_series.add_argument(flag, type=int)
-    p_series.set_defaults(handler=_cmd_series)
+# Every command: its help line, its positional argument (or None), and its
+# flags, each with its kind and default.  A kind is int, bool for a switch
+# (which takes no value), a tuple of the values allowed, or a string
+# naming a free-text value in the help.  A command needs each of its
+# "required" flags and exactly one flag of its "exclusive" pair.
+COMMANDS = {
+    "series": {
+        "help": "print series coefficients",
+        "positional": "name",
+        "flags": {"order": (int, 20), "k": (int, None), "t": (int, None),
+                  "m": (int, None), "format": (FORMATS, "plain")},
+        "required": (), "exclusive": (),
+    },
+    "enumerate": {
+        "help": "list or count a family",
+        "positional": None,
+        "flags": {"family": (tuple(sorted(FAMILY_KINDS)), "gdap"),
+                  "length": (int, None), "min-y": (int, None),
+                  "max-y": (int, None), "end-ordinate": (int, None),
+                  "end-step": (STEPS, None), "start-step": (STEPS, None),
+                  "list": (bool, False), "count": (bool, False),
+                  "format": (FORMATS, "plain")},
+        "required": ("length",), "exclusive": ("list", "count"),
+    },
+    "map": {
+        "help": "apply or invert a bijection",
+        "positional": None,
+        "flags": {"bijection": (("psi", "phi"), None),
+                  "apply": ("PATH", None), "invert": ("PARTS", None),
+                  "format": (FORMATS, "plain")},
+        "required": ("bijection",), "exclusive": ("apply", "invert"),
+    },
+    "verify": {
+        "help": "run a verification suite",
+        "positional": None,
+        "flags": {"suite": (SUITES, "all"), "max-n": (int, 10),
+                  "order": (int, 20), "offline": (bool, False),
+                  "refresh": (bool, False), "format": (FORMATS, "plain")},
+        "required": (), "exclusive": (),
+    },
+}
 
-    p_enum = commands.add_parser("enumerate", help="list or count a family")
-    p_enum.add_argument("--family", choices=sorted(FAMILY_KINDS),
-                        default="gdap")
-    p_enum.add_argument("--length", type=int, required=True)
-    for flag in ("--min-y", "--max-y", "--end-ordinate"):
-        p_enum.add_argument(flag, type=int)
-    for flag in ("--end-step", "--start-step"):
-        p_enum.add_argument(flag, choices=("up", "down"))
-    group = p_enum.add_mutually_exclusive_group(required=True)
-    group.add_argument("--list", action="store_true")
-    group.add_argument("--count", action="store_true")
-    p_enum.set_defaults(handler=_cmd_enumerate)
+HELP_FLAGS = ("-h", "--h", "--he", "--hel", "--help")
+OPTION_SYNTAX = ("Flags are long: --flag VALUE or --flag=VALUE, or any "
+                 "unique prefix of the flag;\n-h or --help prints this "
+                 "help, and a usage error prints one line and exits 3.\n")
 
-    p_map = commands.add_parser("map", help="apply or invert a bijection")
-    p_map.add_argument("--bijection", choices=("psi", "phi"), required=True)
-    direction = p_map.add_mutually_exclusive_group(required=True)
-    direction.add_argument("--apply", metavar="PATH")
-    direction.add_argument("--invert", metavar="PARTS")
-    p_map.set_defaults(handler=_cmd_map)
+# the values that start with "-" and are still read as values, not flags:
+# a negative number and a token holding a space, as argparse read them
+_NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
 
-    p_verify = commands.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("--suite", choices=SUITES, default="all")
-    p_verify.add_argument("--max-n", type=int, default=10)
-    p_verify.add_argument("--order", type=int, default=20)
-    p_verify.add_argument("--offline", action="store_true")
-    p_verify.add_argument("--refresh", action="store_true")
-    p_verify.set_defaults(handler=_cmd_verify)
 
-    for command in (p_series, p_enum, p_map, p_verify):
-        command.add_argument("--format", choices=("plain", "json", "csv"),
-                             default="plain")
-    return parser
+def _usage_error(prog: str, message: str):
+    sys.stderr.write(f"{prog}: error: {message}\n")
+    raise SystemExit(EXIT_BAD_PARAMS)
+
+
+def _flag_text(name: str, kind) -> str:
+    if kind is bool:
+        return f"--{name}"
+    if kind is int:
+        return f"--{name} N"
+    if isinstance(kind, tuple):
+        return f"--{name} {{{','.join(kind)}}}"
+    return f"--{name} {kind}"
+
+
+def _help(command: str | None):
+    """Print the help of a command, or of the whole CLI, and exit 0."""
+    if command is None:
+        width = max(map(len, COMMANDS))
+        lines = ["usage: airpockets {" + ",".join(COMMANDS) + "} ...", "",
+                 "Lattice path series, enumeration, bijections, and "
+                 "verification.", "",
+                 *(f"  {name:<{width}}  {spec['help']}"
+                   for name, spec in COMMANDS.items()), "",
+                 "airpockets COMMAND --help lists the flags of COMMAND."]
+    else:
+        spec = COMMANDS[command]
+        positional = spec["positional"]
+        rows = []
+        for name, (kind, default) in spec["flags"].items():
+            if name in spec["required"]:
+                note = "required"
+            elif name in spec["exclusive"]:
+                note = "exactly one of --" + " and --".join(spec["exclusive"])
+            else:
+                note = "" if default is None or kind is bool else (
+                    f"default {default}")
+            rows.append((_flag_text(name, kind), note))
+        width = max(len(text) for text, _ in rows)
+        lines = [f"usage: airpockets {command}"
+                 + (f" {positional.upper()}" if positional else "")
+                 + " [flags]", "", spec["help"], "", "flags:",
+                 *(f"  {text:<{width}}  {note}".rstrip()
+                   for text, note in rows)]
+    sys.stdout.write("\n".join(lines) + "\n\n" + OPTION_SYNTAX)
+    raise SystemExit(EXIT_OK)
+
+
+def _shield(tokens: list[str]) -> tuple[list[str], dict[str, str]]:
+    """Hide from getopt each value that starts with "-" yet is no flag: the
+    text after a flag's "=", a negative number and a token with a space.
+    getopt would read the last two as flags, and _parse refuses a flag's
+    value that starts with "-" unless it was given after "=".  Each is
+    swapped for a key that starts with a NUL, which no argument can hold."""
+    hidden: dict[str, str] = {}
+    shielded = []
+    for token in tokens:
+        key = f"\0{len(hidden)}"
+        flag, eq, value = token.partition("=")
+        if token.startswith("--") and eq:
+            hidden[key], token = value, flag + eq + key
+        elif token.startswith("-") and (" " in token
+                                        or _NEGATIVE.match(token)):
+            hidden[key], token = token, key
+        shielded.append(token)
+    return shielded, hidden
+
+
+def _getopt(tokens: list[str], longopts: list[str]):
+    """getopt.gnu_getopt, but flags may follow a positional argument even
+    where POSIXLY_CORRECT would stop it there; after "--" every token is
+    positional."""
+    head, tail = tokens, []
+    if "--" in tokens:
+        cut = tokens.index("--")
+        head, tail = tokens[:cut], tokens[cut + 1:]
+    opts, positionals = [], []
+    while head:
+        found, head = getopt.gnu_getopt(head, "h", longopts)
+        opts += found
+        positionals += head[:1]
+        head = head[1:]
+    return opts, positionals + tail
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The arguments of the command that argv names, as attributes: each
+    flag's under its name with "_" for "-", and the command's under
+    "command".  A usage error exits 3, and -h or --help exits 0."""
+    if argv[:1] and argv[0] in HELP_FLAGS:
+        _help(None)
+    if not argv or argv[0] not in COMMANDS:
+        wrong = f"{argv[0]!r} is not a command" if argv else "no command"
+        _usage_error("airpockets", f"{wrong}; choose from {', '.join(COMMANDS)}")
+    command, spec = argv[0], COMMANDS[argv[0]]
+    prog, flags = f"airpockets {command}", spec["flags"]
+    tokens, hidden = _shield(argv[1:])
+    try:
+        opts, positionals = _getopt(tokens, ["help", *(
+            name if kind is bool else name + "="
+            for name, (kind, _) in flags.items())])
+    except getopt.GetoptError as exc:
+        _usage_error(prog, str(exc))
+    values = {name.replace("-", "_"): default
+              for name, (_, default) in flags.items()}
+    given: set[str] = set()
+    for option, raw in opts:
+        name = option.lstrip("-")
+        if name in ("h", "help"):
+            _help(command)
+        kind = flags[name][0]
+        if raw[:1] == "-" and raw != "-":  # a flag, where a value should be
+            _usage_error(prog, f"argument --{name}: expected one argument")
+        value = True if kind is bool else hidden.get(raw, raw)
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(prog, f"argument --{name}: invalid int value: "
+                                   f"{value!r}")
+        elif isinstance(kind, tuple) and value not in kind:
+            _usage_error(prog, f"argument --{name}: invalid choice: "
+                               f"{value!r} (choose from {', '.join(kind)})")
+        if name in spec["exclusive"]:
+            other = next(flag for flag in spec["exclusive"] if flag != name)
+            if other in given:
+                _usage_error(prog, f"argument --{name}: not allowed with "
+                                   f"argument --{other}")
+        given.add(name)
+        values[name.replace("-", "_")] = value
+    positionals = [hidden.get(token, token) for token in positionals]
+    missing = ["--" + name for name in spec["required"] if name not in given]
+    if spec["positional"]:
+        if positionals:
+            values[spec["positional"]] = positionals.pop(0)
+        else:
+            missing.insert(0, spec["positional"])
+    if missing:
+        _usage_error(prog, "the following arguments are required: "
+                           + ", ".join(missing))
+    if spec["exclusive"] and not given.intersection(spec["exclusive"]):
+        _usage_error(prog, "one of the arguments --"
+                           + " --".join(spec["exclusive"]) + " is required")
+    if positionals:
+        _usage_error(prog, "unrecognized arguments: " + " ".join(positionals))
+    return SimpleNamespace(command=command, **values)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
-        code = args.handler(args)
+        # looked up at each call, so that a handler can be replaced
+        code = globals()["_cmd_" + args.command](args)
         sys.stdout.flush()  # so a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 import threading
 from collections import namedtuple
-from importlib import resources
 from typing import NamedTuple
 
 from .errors import (
@@ -142,6 +140,8 @@ def _cache_path(seq_id: str) -> str:
 
 
 def _write_cache(seq_id: str, terms: tuple[int, ...]) -> None:
+    import tempfile  # only a network fetch writes the cache
+
     directory = cache_dir()
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".part")
@@ -174,6 +174,11 @@ def _http_get(url: str, timeout: float) -> str:
 
 
 def _fixture_text(seq_id: str) -> str | None:
+    # imported here: on an interpreter whose site hook has not loaded it,
+    # importlib.resources (with inspect, pathlib and zipfile) costs a
+    # launch tens of milliseconds
+    from importlib import resources
+
     path = resources.files("airpockets").joinpath("fixtures", f"{seq_id}.txt")
     if not path.is_file():
         return None

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -729,7 +730,7 @@ BAD_REQUESTS = [
 def _outcome(capsys, argv):
     try:
         code = main(argv)
-    except SystemExit as stop:  # argparse's usage errors
+    except SystemExit as stop:  # a usage error, before any handler runs
         code = stop.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
@@ -742,6 +743,72 @@ def test_bad_request_exits_with_its_code_and_no_output(capsys, code, argv):
     assert (got, out) == (code, "")
     assert "error: " in err.splitlines()[0]
     assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------- parser
+
+# argv and what the argparse parser that getopt replaced made of it: the
+# attributes it set (all but the handler) or the code it exited with
+PARSE_TABLE = json.loads((GOLDEN / "cli_parse.json").read_text("utf-8"))
+
+
+def test_parse_table_holds_every_bad_request():
+    recorded = [row["argv"] for row in PARSE_TABLE]
+    for argv in [argv for _, argv in BAD_REQUESTS] + [
+            argv for argv, _ in ABOVE_CEILINGS]:
+        assert argv in recorded
+
+
+@pytest.mark.parametrize("row", PARSE_TABLE, ids=[
+    " ".join(row["argv"])[:50] for row in PARSE_TABLE])
+def test_parser_reproduces_the_recorded_parse(capsys, row):
+    try:
+        got = {"argv": row["argv"], "args": vars(cli._parse(row["argv"]))}
+    except SystemExit as stop:
+        got = {"argv": row["argv"], "exit": stop.code}
+    assert got == row
+    out, err = capsys.readouterr()
+    if got.get("exit") == 3:
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("airpockets") and ": error: " in err
+    elif "exit" in got:
+        assert out and err == ""
+
+
+# every flag and every value allowed, by command (None: the whole CLI)
+HELP_WORDS = {
+    None: ["series", "enumerate", "map", "verify"],
+    "series": ["--order", "--k", "--t", "--m"],
+    "enumerate": ["--family", "dap", "gdap", "prime", "prefix", "H",
+                  "motzkin", "--length", "--min-y", "--max-y",
+                  "--end-ordinate", "--end-step", "--start-step", "up",
+                  "down", "--list", "--count"],
+    "map": ["--bijection", "psi", "phi", "--apply", "--invert"],
+    "verify": ["--suite", "paper-series", "oracle", "bijections", "oeis",
+               "all", "--max-n", "--order", "--offline", "--refresh"],
+}
+
+
+@pytest.mark.parametrize("command", HELP_WORDS)
+def test_help_names_every_flag_and_choice(capsys, command):
+    with pytest.raises(SystemExit) as info:
+        main(["--help"] if command is None else [command, "--help"])
+    out, err = capsys.readouterr()
+    assert info.value.code == 0
+    assert err == ""
+    words = set(re.findall(r"[\w-]+", out))
+    formats = [] if command is None else ["--format", "plain", "json", "csv"]
+    assert set(HELP_WORDS[command] + formats) <= words
+
+
+def test_flags_may_follow_the_name_under_posixly_correct(capsys,
+                                                         monkeypatch):
+    argv = ["series", "G", "--order", "4", "--format", "csv"]
+    expected = run(capsys, *argv)
+    monkeypatch.setenv("POSIXLY_CORRECT", "1")
+    assert run(capsys, *argv) == expected == (
+        0, "n,coefficient\n0,1\n1,0\n2,2\n3,3\n4,7\n", "")
 
 
 # ------------------------------------------------------------ entry point
