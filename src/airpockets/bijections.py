@@ -17,8 +17,8 @@ the steps and never build the blocks themselves.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from .errors import (
     NotAlternating,
@@ -34,11 +34,11 @@ _D1 = -1
 _D2 = -2
 
 
-class BlockDecomposition(NamedTuple):
-    """A path split after every up-step that precedes U or D2."""
+class BlockDecomposition(namedtuple("BlockDecomposition", "blocks lengths")):
+    """A path split after every up-step that precedes U or D2: the blocks,
+    as paths, and their lengths."""
 
-    blocks: tuple[LatticePath, ...]
-    lengths: tuple[int, ...]
+    __slots__ = ()
 
 
 def _block_lengths(steps) -> tuple[int, ...]:

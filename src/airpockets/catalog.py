@@ -212,13 +212,19 @@ def cramer_numerators(rows: list[list[Poly]],
         scaled[i] = _pdiv_exact(acc, row[i])
     det, nums = (last, scaled) if sign > 0 else \
         (_pneg(last), [_pneg(c) for c in scaled])
-    for i, row in enumerate(a):
+    _check_cramer(a, b, det, nums)
+    return det, nums
+
+
+def _check_cramer(rows, rhs, det: Poly, nums: list[Poly]) -> None:
+    # A·N = det(A)·b as polynomials, equation by equation
+    for i, (row, b) in enumerate(zip(rows, rhs)):
         acc = P_ZERO
         for entry, num in zip(row, nums):
-            acc = _padd(acc, _pmul(entry, num))
-        _require(acc == _pmul(det, b[i]),
+            if entry and num:
+                acc = _padd(acc, _pmul(entry, num))
+        _require(acc == _pmul(det, b),
                  f"Cramer numerators fail equation {i} of A·N = det(A)·b")
-    return det, nums
 
 
 # ---------- linear systems over series ----------
@@ -354,8 +360,39 @@ def band_series_system(lo: int, hi: int, order: int) \
 
 def band_cramer_numerators(lo: int, hi: int) -> tuple[Poly, list[Poly]]:
     """The band determinant and the Cramer numerator of every unknown, in
-    the layout of band_poly_matrix, from one elimination."""
-    return cramer_numerators(*band_poly_matrix(lo, hi))
+    the layout of band_poly_matrix, from one elimination of half the size.
+
+    The g block of the band system is -I, since g_k = x·(f_{k+1} + ... +
+    f_hi), so substituting it into the f equations leaves the m×m Schur
+    complement R (m = hi - lo + 1): the row of lo is -f_lo, and every later
+    row k reads x·f_{k-1} + (x^2 - 1)·f_k + x^2·(f_{k+1} + ... + f_hi), with
+    right-hand side -[k = 0].  Then det = (-1)^m·det(R), the f numerators
+    are (-1)^m times R's, and each g numerator is x times the sum of the f
+    numerators above it.  The result is checked against the full system
+    from band_poly_matrix: A·N = det(A)·b.
+    """
+    rows, rhs = band_poly_matrix(lo, hi)
+    m = hi - lo + 1
+    schur = [[P_ZERO] * m for _ in range(m)]
+    schur[0][0] = (-1,)
+    for i in range(1, m):
+        schur[i][i - 1:] = [P_X, (-1, 0, 1)] + [(0, 0, 1)] * (m - 1 - i)
+    det, nums = _lift_schur(*cramer_numerators(schur, rhs[:m]))
+    _check_cramer(rows, rhs, det, nums)
+    return det, nums
+
+
+def _lift_schur(det: Poly, nums: list[Poly]) -> tuple[Poly, list[Poly]]:
+    # the band's determinant and numerators, f then g, from those of its
+    # Schur complement R: the g block -I contributes (-1)^m, and
+    # N_g[k] = x·(N_f[k+1] + ... + N_f[hi])
+    if len(nums) % 2:
+        det, nums = _pneg(det), [_pneg(num) for num in nums]
+    above, lifted = P_ZERO, []
+    for num in reversed(nums):
+        lifted.append(_pmul(P_X, above))
+        above = _padd(above, num)
+    return det, nums + lifted[::-1]
 
 
 # ---------- the integer series kernel ----------

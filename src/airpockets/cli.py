@@ -8,9 +8,11 @@ value may start with "-" only after "=" or as a negative number
 (`--k -2`).  Flags and the one positional argument (`series NAME`) come
 in any order, every token after `--` is positional, and the last of a
 repeated flag wins.  `-h` or `--help`, alone or after a command, prints
-the help and exits 0.  A usage error prints one line,
+the help and exits 0.  Tokens are read left to right, so a help flag
+before a usage error prints the help, and one after it does not.  A usage
+error prints one line,
 `airpockets COMMAND: error: ...`, and exits 3.  COMMANDS below declares
-every command's flags, and getopt reads them.
+every command's flags, and one loop over argv reads them.
 
 Exit codes: 0 success, 1 failed verification, and by the class of the
 error raised: 2 UnknownName, 3 InputError (bad parameters, a request above
@@ -22,7 +24,6 @@ traceback.  Data goes to stdout, diagnostics to stderr.
 
 from __future__ import annotations
 
-import getopt
 import os
 import re
 import sys
@@ -319,6 +320,7 @@ OPTION_SYNTAX = ("Flags are long: --flag VALUE or --flag=VALUE, or any "
 # the values that start with "-" and are still read as values, not flags:
 # a negative number and a token holding a space, as argparse read them
 _NEGATIVE = re.compile(r"-\d+$|-\d*\.\d+$")
+_SHORT_HELP = re.compile(r"-h+$")    # -h, or -h repeated as in -hh
 
 
 def _usage_error(prog: str, message: str):
@@ -369,41 +371,23 @@ def _help(command: str | None):
     raise SystemExit(EXIT_OK)
 
 
-def _shield(tokens: list[str]) -> tuple[list[str], dict[str, str]]:
-    """Hide from getopt each value that starts with "-" yet is no flag: the
-    text after a flag's "=", a negative number and a token with a space.
-    getopt would read the last two as flags, and _parse refuses a flag's
-    value that starts with "-" unless it was given after "=".  Each is
-    swapped for a key that starts with a NUL, which no argument can hold."""
-    hidden: dict[str, str] = {}
-    shielded = []
-    for token in tokens:
-        key = f"\0{len(hidden)}"
-        flag, eq, value = token.partition("=")
-        if token.startswith("--") and eq:
-            hidden[key], token = value, flag + eq + key
-        elif token.startswith("-") and (" " in token
-                                        or _NEGATIVE.match(token)):
-            hidden[key], token = token, key
-        shielded.append(token)
-    return shielded, hidden
+def _value_like(token: str) -> bool:
+    # argparse's reading: a token that starts with "-" is still a value, not
+    # a flag, when it is "-" itself, a negative number or holds a space
+    return (not token.startswith("-") or token == "-" or " " in token
+            or _NEGATIVE.match(token) is not None)
 
 
-def _getopt(tokens: list[str], longopts: list[str]):
-    """getopt.gnu_getopt, but flags may follow a positional argument even
-    where POSIXLY_CORRECT would stop it there; after "--" every token is
-    positional."""
-    head, tail = tokens, []
-    if "--" in tokens:
-        cut = tokens.index("--")
-        head, tail = tokens[:cut], tokens[cut + 1:]
-    opts, positionals = [], []
-    while head:
-        found, head = getopt.gnu_getopt(head, "h", longopts)
-        opts += found
-        positionals += head[:1]
-        head = head[1:]
-    return opts, positionals + tail
+def _flag_name(prog: str, written: str, names) -> str:
+    """The flag that --written names: itself, or the one flag it is a
+    prefix of."""
+    if written in names:
+        return written
+    matches = [name for name in names if name.startswith(written)]
+    if len(matches) != 1:
+        _usage_error(prog, f"option --{written} " + (
+            "not a unique prefix" if matches else "not recognized"))
+    return matches[0]
 
 
 def _parse(argv: list[str]) -> SimpleNamespace:
@@ -417,24 +401,38 @@ def _parse(argv: list[str]) -> SimpleNamespace:
         _usage_error("airpockets", f"{wrong}; choose from {', '.join(COMMANDS)}")
     command, spec = argv[0], COMMANDS[argv[0]]
     prog, flags = f"airpockets {command}", spec["flags"]
-    tokens, hidden = _shield(argv[1:])
-    try:
-        opts, positionals = _getopt(tokens, ["help", *(
-            name if kind is bool else name + "="
-            for name, (kind, _) in flags.items())])
-    except getopt.GetoptError as exc:
-        _usage_error(prog, str(exc))
     values = {name.replace("-", "_"): default
               for name, (_, default) in flags.items()}
     given: set[str] = set()
-    for option, raw in opts:
-        name = option.lstrip("-")
-        if name in ("h", "help"):
+    positionals: list[str] = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token == "--":
+            positionals += tokens
+            break
+        if _SHORT_HELP.match(token):
+            _help(command)
+        written, eq, value = token[2:].partition("=")
+        if not (token.startswith("--") and eq) and _value_like(token):
+            positionals.append(token)
+            continue
+        if not token.startswith("--"):
+            _usage_error(prog, f"option {token} not recognized")
+        name = _flag_name(prog, written, ("help", *flags))
+        if name == "help":
+            if eq:
+                _usage_error(prog, "option --help must not have an argument")
             _help(command)
         kind = flags[name][0]
-        if raw[:1] == "-" and raw != "-":  # a flag, where a value should be
-            _usage_error(prog, f"argument --{name}: expected one argument")
-        value = True if kind is bool else hidden.get(raw, raw)
+        if kind is bool:
+            if eq:
+                _usage_error(prog,
+                             f"option --{name} must not have an argument")
+            value = True
+        elif not eq:
+            value = next(tokens, "--")    # "--" or nothing left: no value
+            if not _value_like(value):
+                _usage_error(prog, f"argument --{name}: expected one argument")
         if kind is int:
             try:
                 value = int(value)
@@ -451,7 +449,6 @@ def _parse(argv: list[str]) -> SimpleNamespace:
                                    f"argument --{other}")
         given.add(name)
         values[name.replace("-", "_")] = value
-    positionals = [hidden.get(token, token) for token in positionals]
     missing = ["--" + name for name in spec["required"] if name not in given]
     if spec["positional"]:
         if positionals:

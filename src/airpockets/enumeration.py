@@ -28,8 +28,9 @@ calls, so everything here is safe to run concurrently.
 
 from __future__ import annotations
 
+from collections import namedtuple
+from collections.abc import Iterator
 from itertools import accumulate
-from typing import Iterator, NamedTuple
 
 from .errors import BadParams, InfeasibleSpec
 from .paths import UP, LatticePath, classify, parse_path
@@ -43,7 +44,9 @@ KINDS = PATH_KINDS + (
 POSITIVE = "positive"
 
 
-class FamilySpec(NamedTuple):
+class FamilySpec(namedtuple(
+        "FamilySpec", "kind min_y max_y end_ordinate end_step start_step",
+        defaults=(None,) * 5)):
     """A path family: which kind, plus optional window and endpoint filters.
 
     min_y / max_y bound the whole profile; end_ordinate pins the final
@@ -52,12 +55,7 @@ class FamilySpec(NamedTuple):
     "down") filter the first and last step kind.
     """
 
-    kind: str
-    min_y: int | None = None
-    max_y: int | None = None
-    end_ordinate: int | None = None
-    end_step: str | None = None
-    start_step: str | None = None
+    __slots__ = ()
 
 
 def lex_key(path: LatticePath) -> tuple[int, ...]:

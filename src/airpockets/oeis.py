@@ -20,7 +20,6 @@ import os
 import re
 import threading
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import (
     NetworkUnavailable,
@@ -83,12 +82,11 @@ class SequenceRecord(namedtuple("SequenceRecord", "id terms source")):
         return cls(*iterable)
 
 
-class Alignment(NamedTuple):
-    """A successful shift: series[n] == terms[n + shift] along the run."""
+class Alignment(namedtuple("Alignment", "shift start matches")):
+    """A successful shift: series[n] == terms[n + shift] along the run;
+    the run starts at series index `start` and is `matches` terms long."""
 
-    shift: int
-    start: int    # first series index of the matching run
-    matches: int  # run length
+    __slots__ = ()
 
 
 def parse_bfile(text: str, seq_id: str = "sequence") -> tuple[int, ...]:

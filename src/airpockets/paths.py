@@ -16,7 +16,8 @@ Terminology used throughout the package:
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 
 from .errors import (
     BadEnds,
@@ -152,16 +153,13 @@ def parse_path(text: str) -> LatticePath:
 
 # ---------- classification ----------
 
-class PathClassification(NamedTuple):
-    length: int
-    final_ordinate: int
-    max_height: int
-    min_height: int
-    is_dap: bool
-    is_gdap: bool
-    is_prime: bool
-    starts_with: str  # "up" | "down" | "empty"
-    ends_with: str
+class PathClassification(namedtuple(
+        "PathClassification", "length final_ordinate max_height min_height "
+        "is_dap is_gdap is_prime starts_with ends_with")):
+    """What classify finds: ints for the length and heights, bools for the
+    families, and "up", "down" or "empty" for the first and last step."""
+
+    __slots__ = ()
 
 
 def _end_kind(step: int | None) -> str:
@@ -232,7 +230,7 @@ def merge(alpha: LatticePath, beta: LatticePath) -> LatticePath:
     return LatticePath(alpha.steps[:-1] + (fused,) + beta.steps[1:])
 
 
-class ArchSplit(NamedTuple):
+class ArchSplit(namedtuple("ArchSplit", "prefix arch")):
     """Decomposition of a dap at its last return to the axis before the end.
 
     ``prefix`` is the (possibly empty) dap before that return and ``arch``
@@ -241,8 +239,7 @@ class ArchSplit(NamedTuple):
     input.
     """
 
-    prefix: LatticePath
-    arch: LatticePath
+    __slots__ = ()
 
     @property
     def case(self) -> str:

@@ -40,14 +40,24 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _extent(a: list[int]) -> int:
+    # one past the last nonzero coefficient: 0 for an all-zero list
+    n = len(a)
+    while n and not a[n - 1]:
+        n -= 1
+    return n
+
+
 def _mul_lists(a: list[int], b: list[int], order: int) -> list[int]:
+    # each loop stops at its operand's extent, so a polynomial factor of
+    # degree d costs O(order·d)
     out = [0] * (order + 1)
-    for i in range(min(len(a), order + 1)):
+    extent_b = _extent(b)
+    for i in range(min(_extent(a), order + 1)):
         ai = a[i]
         if not ai:
             continue
-        top = order - i
-        for j in range(min(len(b) - 1, top) + 1):
+        for j in range(min(extent_b, order + 1 - i)):
             bj = b[j]
             if bj:
                 out[i + j] += ai * bj
@@ -56,17 +66,20 @@ def _mul_lists(a: list[int], b: list[int], order: int) -> list[int]:
 
 def _div_lists(a: list[int], b: list[int], order: int) -> list[int]:
     # long division, exact to the given order; b[0] must be 1 or -1, so
-    # that 1/b[0] = b[0] and the quotient stays integral
+    # that 1/b[0] = b[0] and the quotient stays integral.  Coefficient n
+    # reads b only below its extent, so a divisor of degree d costs
+    # O(order·d)
     inv0 = b[0]
     if inv0 not in (1, -1):
         raise NonInvertible(
             f"divisor's first nonzero coefficient {inv0} is not 1 or -1")
+    extent_b = _extent(b)
     q = [0] * (order + 1)
     for n in range(order + 1):
         acc = a[n] if n < len(a) else 0
-        for i in range(n):
+        for i in range(n + 1 - extent_b if n >= extent_b else 0, n):
             qi = q[i]
-            if qi and n - i < len(b):
+            if qi:
                 acc -= qi * b[n - i]
         q[n] = acc * inv0
     return q

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 from collections import namedtuple
 from operator import mul
-from typing import NamedTuple
 
 from . import reference as ref
 from .bijections import phi, phi_inv, psi, psi_inv
@@ -80,9 +79,10 @@ class CheckResult(namedtuple(
         return cls(*iterable)
 
 
-class VerificationReport(NamedTuple):
-    suite: str
-    checks: tuple[CheckResult, ...]
+class VerificationReport(namedtuple("VerificationReport", "suite checks")):
+    """A suite's name and its CheckResults, in order."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -312,6 +312,31 @@ def test_band_cramer_numerators_are_column_determinants(lo, hi):
                           for c in range(len(rows))]
 
 
+@pytest.mark.parametrize("lo, hi", [(0, t) for t in range(9)]
+                         + [(-t, t) for t in range(1, 6)])
+def test_schur_route_matches_the_full_band_elimination(lo, hi):
+    assert band_cramer_numerators(lo, hi) == \
+        cramer_numerators(*band_poly_matrix(lo, hi))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 3), (-2, 2)])
+def test_bumped_g_numerator_fails_the_full_system(monkeypatch, lo, hi):
+    # the g numerators are lifted from the f ones, outside the Schur
+    # elimination's own check, so only the check of the full band system
+    # can catch a wrong one
+    lift, m = catalog._lift_schur, hi - lo + 1
+    for k in range(m):
+        for j in (0, 1, 4):
+            def bumped(det, nums):
+                det, full = lift(det, nums)
+                full[m + k] = catalog._padd(full[m + k], (0,) * j + (1,))
+                return det, full
+
+            monkeypatch.setattr(catalog, "_lift_schur", bumped)
+            with pytest.raises(ConsistencyError, match="A·N = det"):
+                band_cramer_numerators(lo, hi)
+
+
 @pytest.mark.parametrize("rows, rhs", [
     # a zero leading entry: one row swap
     ([[(), (1,), (2, 1)], [(1, 1), (0, 1), ()], [(3,), (), (1, 0, 1)]],

@@ -802,6 +802,13 @@ def test_help_names_every_flag_and_choice(capsys, command):
     assert set(HELP_WORDS[command] + formats) <= words
 
 
+@pytest.mark.parametrize("token", ["--order=5", "--=3", "-a b", "-1"])
+def test_a_token_after_double_dash_is_taken_as_written(token):
+    # every token after "--" is positional and kept as written, even one
+    # shaped like a flag with a value
+    assert cli._parse(["series", "--", token]).name == token
+
+
 def test_flags_may_follow_the_name_under_posixly_correct(capsys,
                                                          monkeypatch):
     argv = ["series", "G", "--order", "4", "--format", "csv"]

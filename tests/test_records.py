@@ -101,9 +101,11 @@ def _loaded_after(statement: str, *flags: str) -> set[str]:
 def test_cli_import_loads_every_module_and_no_dataclasses():
     loaded = _loaded_after("import airpockets.cli")
     # argparse costs every launch its import, and its first message the
-    # import of locale; the CLI parses with getopt
+    # import of locale; getopt imports gettext.  The CLI reads argv with
+    # one loop of its own
     assert not {"dataclasses", "inspect", "csv", "json", "fractions",
-                "decimal", "argparse", "locale"} & loaded
+                "decimal", "argparse", "locale", "getopt",
+                "gettext"} & loaded
     modules = {"airpockets." + info.name
                for info in pkgutil.iter_modules(airpockets.__path__)
                if info.name != "__main__"}
@@ -112,6 +114,12 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
         "bijections", "catalog", "enumeration", "oeis", "paths", "series",
         "verify")}
     assert traced <= modules <= loaded
+
+
+def test_cli_import_loads_no_typing():
+    # under -S no site hook has loaded typing already; the records are
+    # collections.namedtuple classes
+    assert "typing" not in _loaded_after("import airpockets.cli", "-S")
 
 
 def _submodules(loaded: set[str]) -> set[str]:

@@ -15,7 +15,7 @@ from airpockets.errors import (
     OrderMismatch,
     ValuationUnderflow,
 )
-from airpockets.series import TruncatedSeries
+from airpockets.series import TruncatedSeries, _div_lists, _mul_lists
 
 
 def S(coeffs, order):
@@ -293,6 +293,41 @@ def assert_exact(got, want):
     assert got.order == ORDER
     assert got.coeffs == tuple(want)
     assert all(type(c) is int for c in got.coeffs)
+
+
+def _schoolbook_mul(a, b, order):
+    a, b = a + [0] * (order + 1), b + [0] * (order + 1)
+    return [sum(a[i] * b[n - i] for i in range(n + 1))
+            for n in range(order + 1)]
+
+
+def _schoolbook_div(a, b, order):
+    a, b = a + [0] * (order + 1), b + [0] * (order + 1)
+    q = []
+    for n in range(order + 1):
+        q.append((a[n] - sum(q[i] * b[n - i] for i in range(n))) * b[0])
+    return q
+
+
+# coefficient lists with trailing zeros, and divisors of degree 0 to 6
+# with constant term ±1, padded with zeros as a series of them would be
+padded = st.builds(lambda cs, pad: cs + [0] * pad,
+                   st.lists(st.integers(-9, 9), max_size=45),
+                   st.integers(0, 12))
+poly_divisor = st.builds(lambda lead, tail, pad: [lead] + tail + [0] * pad,
+                         st.sampled_from([1, -1]),
+                         st.lists(st.integers(-9, 9), max_size=6),
+                         st.integers(0, 40))
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 40), padded, padded, poly_divisor)
+def test_extent_bounded_loops_match_the_schoolbook(order, a, b, d):
+    zero = [0] * len(a)
+    for x, y in ((a, b), (d, a), (a, d), (zero, b), (b, zero)):
+        assert _mul_lists(x, y, order) == _schoolbook_mul(x, y, order)
+    for x in (a, b, zero):
+        assert _div_lists(x, d, order) == _schoolbook_div(x, d, order)
 
 
 @settings(max_examples=100)
