@@ -59,11 +59,13 @@ EXIT_CODES = {UnknownName: EXIT_UNKNOWN_NAME, InputError: EXIT_BAD_PARAMS,
               DomainError: EXIT_OUT_OF_DOMAIN}
 
 # Size ceilings.  A request above one exits 3 before any work starts.  The
-# slowest accepted series requests, `series D --t 20000 --order 1000` (and
-# `N` at the same sizes), take about 12-14 s each on a 2-CPU Xeon with
-# Python 3.11, `series sym_f --k -20000 --t 20000 --order 1000` about 8 s,
-# and `series Bk` or `Ak` at any k with `--order 1000` under 2 s; raise
-# the ceilings as routes get cheaper.
+# slowest accepted series request, `series minorized --m -40001 --order
+# 1000`, takes about 20-23 s on a 2-CPU Xeon with Python 3.11: it raises
+# the climb root to the power 40001.  `Rk` and `prefix_neg` at `--k -40001`
+# take about 10-12 s there, as do `D` and `N` at `--t 20000`, which sweep
+# every height up to t; `sym_f` and `sym_g` at `--k -20000 --t 20000`
+# about 6-7 s, and `Bk` or `Ak` at any k under 2 s, all at `--order 1000`.
+# Raise the ceilings as routes get cheaper.
 MAX_ORDER = 1000                # series --order, verify --order
 MAX_T = 20_000                  # series --t
 MAX_ORDINATE = 2 * MAX_T + 1    # |series --k|, |series --m|
@@ -72,7 +74,7 @@ MAX_LENGTH = 2000               # enumerate --length, |--min-y|,
 MAX_H_LENGTH = 400              # enumerate --family H --length: a cubic count
 MAX_LISTED_PATHS = 2_000_000    # enumerate --list, checked by counting first;
                                 # listings stream, so this bounds the time
-                                # (1.2-2.3 s, for H at length 24), not
+                                # (1.1-1.5 s, for H at length 24), not
                                 # the memory
 MAX_N = 100                     # verify --max-n
 MAX_ROUNDTRIP_N = 22            # verify --max-n for the listing bijection suites
@@ -324,6 +326,8 @@ _SHORT_HELP = re.compile(r"-h+$")    # -h, or -h repeated as in -hh
 
 
 def _usage_error(prog: str, message: str):
+    # a token may hold a line break, and the message stays on one line
+    message = message.replace("\r", "\\r").replace("\n", "\\n")
     sys.stderr.write(f"{prog}: error: {message}\n")
     raise SystemExit(EXIT_BAD_PARAMS)
 

@@ -172,9 +172,10 @@ def _tokens(top: int) -> list[str]:
 # The last _TAIL steps of a member are listed once per state and handed out
 # with every prefix that reaches that state; a state with more than _BLOCK
 # completions (one far above its end, as early in a long dap) is walked a
-# step further instead.  A tail of 6 lists `prime 16` and `prefix 12
-# --end-ordinate -1` in about 40% less time again, but its table is about
-# twice as large and raises those processes' peak RSS by about 0.1 MB.
+# step further instead.  A tail of 6 lists `prime 16` in about 40% less
+# time, but `gdap 12` and `prefix 12 --end-ordinate -1` in the same time
+# and `H 16` in about 30% more, and it about doubles each walk's traced
+# peak (68-184 KB to 127-335 KB).
 _TAIL = 5
 _BLOCK = 256
 
@@ -192,15 +193,11 @@ def _blocks(n: int, steps, start, key=None) -> Iterator[tuple[str, list[str]]]:
     local to the call, each entry built on first use from the entries one
     position later, so it recurses at most _TAIL + 1 deep.  The table has a
     dict per position, keyed on the state, or on key(i, state) where that
-    coarser key determines the completions, and its lists hold at most
-    _BLOCK texts: it does not grow with the number of words.  Entries whose
-    steps give the same tokens onto the same blocks share one list.
+    coarser key determines the completions, and each entry holds one list
+    of at most _BLOCK texts: it does not grow with the number of words.
     """
     tables: list[dict] = [{} for _ in range(n)]
     end = [""]
-    # (token, id(rest)) pairs -> block; every list lives as long as the
-    # call, so no id is reused
-    built: dict[tuple, list[str]] = {}
 
     def completions(i, state):
         # the texts that complete a prefix at position i in this state, or
@@ -210,19 +207,14 @@ def _blocks(n: int, steps, start, key=None) -> Iterator[tuple[str, list[str]]]:
         table = tables[i]
         entry = state if key is None else key(i, state)
         if entry not in table:
-            parts, size = [], 0
+            block = []
             for token, after in steps(i, state):
                 rest = completions(i + 1, after)
-                if rest is None or size + len(rest) > _BLOCK:
+                if rest is None or len(block) + len(rest) > _BLOCK:
                     table[entry] = None
                     return None
-                parts.append((token, rest))
-                size += len(rest)
-            signature = tuple((token, id(rest)) for token, rest in parts)
-            if signature not in built:
-                built[signature] = [token + text for token, rest in parts
-                                    for text in rest]
-            table[entry] = built[signature]
+                block += [token + text for text in rest]
+            table[entry] = block
         return table[entry]
 
     tail = n - _TAIL
@@ -390,12 +382,29 @@ def _special_h_blocks(n: int) -> Iterator[tuple[str, list[str]]]:
     frame under the axis, where top is the highest level any open arch at
     or below the frame may reach.  A drop raises only the peak of the
     frame it lands in, so a frame's true peak is the highest stored from
-    the top down.  With r steps left, the table key is the level, then cap
-    and, for the top r + 1 frames, each top and true peak relative to the
-    frame's level (one above its base), all clipped at r, since no arch
-    rises r levels in r steps.  That loses nothing: relative tops fall by at
-    least one per frame going up and every true peak is at least the level,
-    so below those frames every clipped value is r.
+    the top down.
+
+    With r steps left, the table key is the least state that fixes the
+    completions: the level; whether the last step dropped (the start
+    counts, as only an up-step may follow); the climb limit, min(top
+    frame's top, level + cap) - level with cap 0 read as n, clipped at
+    r - 1; and, for each base b from level - 1 down to level - r + 3 (not
+    below 0), b's value, its true peak - b - 1, clipped at r - 3.  Why that
+    is exact:
+    - A frame's true peak is at most its top, which is at most the top of
+      the frame below, since every up-step inside the frame stayed under
+      both.  So a drop onto b sets the limit to b's value + 1: the frames'
+      tops leave the key, and the cap acts only through the limit and the
+      rule that no drop follows a drop.
+    - An up-step turns the limit into limit - 1, opens a frame of value 0
+      and raises every other frame's value to at least level - b; a drop
+      onto b leaves the true peaks below b as they were.  Clipping commutes
+      with both, so equal keys lead to equal keys one position later.
+    - Bounds: an arch needs a drop to close, so in s steps no climb rises
+      s levels, and a limit of s - 1 or more acts as s - 1.  A drop onto b
+      leaves at most r - 1 steps, so values of r - 3 or more act alike.
+      Every true peak is at least the level, so from base level - r + 2
+      down every value is at least r - 3 and leaves the key.
     """
     tokens = _tokens(n)
 
@@ -425,12 +434,13 @@ def _special_h_blocks(n: int) -> Iterator[tuple[str, list[str]]]:
     def trimmed(i, state):
         level, cap, frames = state
         r = n - i
-        kept, peak = [], 0
-        for base in range(level - 1, max(level - r - 2, -1), -1):
-            top, top_peak, frames = frames
+        limit = min(frames[0], level + (cap or n)) - level
+        kept, peak = [level, cap > 0, min(limit, r - 1)], 0
+        for base in range(level - 1, max(level - r + 2, -1), -1):
+            _, top_peak, frames = frames
             peak = max(peak, top_peak)
-            kept += (min(top - base - 1, r), min(peak - base - 1, r))
-        return level, min(cap, r), tuple(kept)
+            kept.append(min(peak - base - 1, r - 3))
+        return tuple(kept)
 
     yield from _blocks(n, steps, (0, n, (n, 0, None)), trimmed)
 

@@ -1,5 +1,6 @@
 """Command line: spec'd examples, exit codes, formats, stream discipline."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -14,9 +15,11 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, seed, settings
+from hypothesis import strategies as st
 
 import airpockets
-from airpockets import cli, enumeration, errors
+from airpockets import catalog, cli, enumeration, errors, oeis
 from airpockets import reference as ref
 from airpockets import verify
 from airpockets.cli import main
@@ -809,6 +812,21 @@ def test_a_token_after_double_dash_is_taken_as_written(token):
     assert cli._parse(["series", "--", token]).name == token
 
 
+@pytest.mark.parametrize("argv", [
+    ["series", "G", "a\nb"],
+    ["series", "G", "--ord\ner", "5"],
+    ["series", "G", "-x\r\ny"],
+])
+def test_a_usage_error_stays_on_one_line(capsys, argv):
+    # a token's line break is written escaped
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (info.value.code, out) == (3, "")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "\\n" in err
+
+
 def test_flags_may_follow_the_name_under_posixly_correct(capsys,
                                                          monkeypatch):
     argv = ["series", "G", "--order", "4", "--format", "csv"]
@@ -816,6 +834,110 @@ def test_flags_may_follow_the_name_under_posixly_correct(capsys,
     monkeypatch.setenv("POSIXLY_CORRECT", "1")
     assert run(capsys, *argv) == expected == (
         0, "n,coefficient\n0,1\n1,0\n2,2\n3,3\n4,7\n", "")
+
+
+# ----------------------------------------------------- generated requests
+
+# the size ceilings that bound each int flag: a drawn value is small (every
+# accepted request then runs in a fraction of a second), just above or far
+# beyond a ceiling or below its negation, or junk
+FLAG_CEILINGS = {
+    "order": (cli.MAX_ORDER,), "k": (cli.MAX_ORDINATE,), "t": (cli.MAX_T,),
+    "m": (cli.MAX_ORDINATE,), "length": (cli.MAX_H_LENGTH, cli.MAX_LENGTH),
+    "min-y": (cli.MAX_LENGTH,), "max-y": (), "end-ordinate": (cli.MAX_LENGTH,),
+    "max-n": (cli.MAX_ROUNDTRIP_N, cli.MAX_N),
+}
+JUNK = st.text(max_size=6)
+
+
+def _rarely(draw, one_in):
+    return draw(st.integers(1, one_in)) == 1
+
+
+@st.composite
+def _values(draw, flag, kind):
+    if _rarely(draw, 5):
+        return draw(JUNK)
+    if kind is int:
+        edges = [10 ** 40]
+        for ceiling in FLAG_CEILINGS[flag]:
+            edges += [ceiling + 1, -ceiling - 1, ceiling * 10 ** 6]
+        if _rarely(draw, 3):
+            return str(draw(st.sampled_from(edges)))
+        return str(draw(st.integers(-3, 12)))
+    if isinstance(kind, tuple):
+        return draw(st.sampled_from(kind))
+    if flag == "apply":
+        return draw(st.text("UD23", max_size=10))
+    # map --invert: the parts' sum is bounded by MAX_LENGTH
+    if _rarely(draw, 3):
+        return draw(st.sampled_from([str(cli.MAX_LENGTH + 1),
+                                     f"1,{cli.MAX_LENGTH}", "1,10000000"]))
+    return ",".join(map(str, draw(st.lists(st.integers(0, 4), max_size=5))))
+
+
+@st.composite
+def requests(draw):
+    """argv for cli.main: a command (or junk), some of its flags under any
+    prefix, each with a value as its own token or after "=", in any order,
+    and now and then a junk token, "--", -h or a spare positional."""
+    command = draw(st.sampled_from([*cli.COMMANDS, None]))
+    if command is None:
+        return draw(st.lists(JUNK, max_size=2))
+    spec = cli.COMMANDS[command]
+    names = draw(st.lists(st.sampled_from(list(spec["flags"])), max_size=3))
+    names += [name for name in spec["required"] if not _rarely(draw, 4)]
+    if spec["exclusive"] and not _rarely(draw, 4):
+        names += draw(st.lists(st.sampled_from(spec["exclusive"]),
+                               min_size=1, max_size=1 + _rarely(draw, 4)))
+    words = []
+    for name in draw(st.permutations(names)):
+        kind = spec["flags"][name][0]
+        cut = len(name) if draw(st.booleans()) else draw(
+            st.integers(1, len(name)))
+        written = "--" + name[:cut]
+        if kind is bool:
+            words.append([written + "=" + draw(JUNK)] if _rarely(draw, 6)
+                         else [written])
+            continue
+        value = draw(_values(name, kind))
+        words.append([f"{written}={value}"] if draw(st.booleans()) else
+                     [written, value])
+    if spec["positional"] and not _rarely(draw, 6):
+        name = draw(JUNK) if _rarely(draw, 4) else draw(
+            st.sampled_from(sorted(catalog.CATALOG)))
+        words.insert(draw(st.integers(0, len(words))), [name])
+    if _rarely(draw, 4):
+        extra = draw(st.one_of(st.sampled_from(
+            ["--", "-h", "--help", "--he", "--help=1", "-"]), JUNK))
+        words.insert(draw(st.integers(0, len(words))), [extra])
+    return [command] + [token for word in words for token in word]
+
+
+@settings(max_examples=300, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@seed(20221108)
+@given(argv=requests())
+def test_generated_request_ends_in_a_documented_exit_code(monkeypatch, argv):
+    # the OEIS suite falls back to the bundled fixtures, and the autouse
+    # fixture keeps its cache in a temporary directory
+    def offline(url, timeout):
+        raise OSError(f"no network in tests: {url}")
+
+    monkeypatch.setattr(oeis, "_http_get", offline)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+            usage_error = False
+        except SystemExit as stop:  # a usage error or the help
+            code, usage_error = stop.code, stop.code != cli.EXIT_OK
+    assert cli.EXIT_OK <= code <= cli.EXIT_OUT_OF_DOMAIN
+    if usage_error:
+        assert code == cli.EXIT_BAD_PARAMS
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")
 
 
 # ------------------------------------------------------------ entry point
