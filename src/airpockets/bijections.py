@@ -26,7 +26,7 @@ from .errors import (
     NotInFamily,
     _require,
 )
-from .paths import UD, UP, LatticePath, classify
+from .paths import UD, UP, LatticePath
 
 Composition = tuple[int, ...]
 
@@ -69,10 +69,10 @@ def block_decompose(path: LatticePath) -> BlockDecomposition:
 
 
 def _check_window(path: LatticePath, lo: int, hi: int, label: str) -> None:
-    cls = classify(path)
-    if not cls.is_gdap:
+    profile = path.profile
+    if profile[-1]:
         raise NotInFamily(f"{label}: path does not end on the axis")
-    if cls.min_height < lo or cls.max_height > hi:
+    if min(profile) < lo or max(profile) > hi:
         raise NotInFamily(
             f"{label}: profile leaves the window [{lo}, {hi}]")
 

@@ -27,9 +27,13 @@ bug in this package, never bad input.
 
 Both roots are rational in x and the square root of a fixed polynomial
 radicand, and that square root comes from the linear recurrence its
-differential equation gives, in O(order) integer operations.  So every
-call computes its roots afresh: the module holds no state between calls,
-and threads may call it freely.
+differential equation gives, in O(order) integer operations.  So a call
+computes its roots afresh, and threads may call the module freely.  The
+one exception is a `verify` run: while verify.run_suite runs, _run_table
+holds one table that shares each root and each confined band walk among
+the run's checks, keyed exactly on (radicand or band, order), and the
+run drops it when it returns or raises.  Outside a run the slot is None
+and nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -476,6 +480,26 @@ def _over_x(a, j: int) -> list[int]:
     return list(a[j:])
 
 
+# ---------- the table one verify run shares ----------
+
+# None outside a verify run; verify.run_suite sets a dict for the length
+# of one run and drops it when the run returns or raises
+_run_table: dict | None = None
+
+
+def _shared(compute, *key):
+    # compute(*key), built once per run and kept as a tuple, so that no
+    # caller can change a value another one reads; afresh outside a run
+    table = _run_table
+    if table is None:
+        return compute(*key)
+    entry = (compute, *key)
+    value = table.get(entry)
+    if value is None:
+        value = table[entry] = tuple(compute(*key))
+    return value
+
+
 # ---------- the roots ----------
 
 def _sqrt(radicand: Poly, order: int) -> list[int]:
@@ -499,14 +523,19 @@ def _sqrt(radicand: Poly, order: int) -> list[int]:
     return w
 
 
-def _kernel_root(order: int) -> list[int]:
+def _kernel_root(order: int):
     # W, the square root of the kernel radicand
-    return _sqrt(KERNEL_RADICAND, order)
+    return _shared(_sqrt, KERNEL_RADICAND, order)
 
 
-def _climb_root(order: int) -> list[int]:
+def _climb_root(order: int):
     # the power-series root s of x·s^2 - (1+x-x^2)·s + 1 = 0, which drives
-    # every whole-path and prefix family: s = (1 + x - x^2 - W) / (2x)
+    # every whole-path and prefix family
+    return _shared(_climb_from_kernel, order)
+
+
+def _climb_from_kernel(order: int) -> list[int]:
+    # s = (1 + x - x^2 - W) / (2x)
     w = _kernel_root(order + 1)
     return _half(_over_x(_sub((1, 1, -1), w, order + 1), 1))
 
@@ -717,12 +746,23 @@ def _confined(lo: int, hi: int, k: int,
     # rises above n, and never sits below k - n, since each level it climbs
     # back to k costs an up step.  So neither a ceiling above the order nor
     # a floor below k - order binds, and for k > order both are zero.
+    # In a verify run the walk keeps every ordinate, for the run's other
+    # calls on the same band.
     if k > order:
         return [0] * (order + 1), [0] * (order + 1)
     low = max(lo, k - order)
-    steps = [(f[k - low], g[k - low])
-             for f, g in _band_walk(low, min(hi, order), order)]
+    band = (low, min(hi, order), order)
+    if _run_table is not None:
+        return _shared(_band_unknowns, *band)[k - low]
+    steps = [(f[k - low], g[k - low]) for f, g in _band_walk(*band)]
     return [f for f, _ in steps], [g for _, g in steps]
+
+
+def _band_unknowns(lo: int, hi: int, order: int):
+    # every unknown of one walk: an (f, g) pair of coefficient tuples per
+    # ordinate, indexed by ordinate - lo
+    fs, gs = zip(*_band_walk(lo, hi, order))
+    return tuple(zip(zip(*fs), zip(*gs)))
 
 
 @_series_route
@@ -778,7 +818,7 @@ def gf_H(order: int) -> list[int]:
     The root b of x^2·b^2 - (1-x^3)·b + 1 = 0 that is a power series:
     b = (1 - x^3 - C^(1/2)) / (2x^2), with C the ceiling radicand.
     """
-    c = _sqrt(CEILING_RADICAND, order + 2)
+    c = _shared(_sqrt, CEILING_RADICAND, order + 2)
     return _half(_over_x(_sub((1, 0, 0, -1), c, order + 2), 2))
 
 

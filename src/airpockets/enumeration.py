@@ -219,20 +219,26 @@ def _blocks(n: int, steps, start, key=None) -> Iterator[tuple[str, list[str]]]:
 
     tail = n - _TAIL
     pending = [("", iter([("", start)]))]  # the empty prefix, at position 0
-    while pending:
-        parent, options = pending[-1]
-        step = next(options, None)
-        if step is None:
-            pending.pop()
-            continue
-        token, state = step
-        text = parent + token
-        i = len(pending) - 1  # the position after this step
-        block = completions(i, state) if i >= tail else None
-        if block is None:
-            pending.append((text, steps(i, state)))
-        elif block:
-            yield text, block
+    try:
+        while pending:
+            parent, options = pending[-1]
+            step = next(options, None)
+            if step is None:
+                pending.pop()
+                continue
+            token, state = step
+            text = parent + token
+            i = len(pending) - 1  # the position after this step
+            block = completions(i, state) if i >= tail else None
+            if block is None:
+                pending.append((text, steps(i, state)))
+            elif block:
+                yield text, block
+    finally:
+        # completions calls itself, a reference cycle that would keep the
+        # table alive until the next cyclic collection; unbinding it frees
+        # the table as soon as the walk ends or is dropped
+        completions = None
 
 
 def _texts(blocks) -> Iterator[str]:
@@ -593,5 +599,6 @@ def enum_compositions(n: int, kind: str) -> list[tuple[int, ...]]:
             acc.pop()
 
     extend(n, first_parity)
+    extend = None    # it calls itself: free the cycle now, not at a collection
     out.sort()
     return out

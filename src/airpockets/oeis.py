@@ -236,17 +236,16 @@ def align_and_compare(series: TruncatedSeries,
     """
     best: tuple[int, int, int, Alignment] | None = None
     for shift in range(-5, 6):
-        run = start = 0
-        best_run = best_start = 0
-        for n in range(series.order + 1):
-            index = n + shift
-            if 0 <= index < len(record.terms) \
-                    and series.coefficient(n) == record.terms[index]:
-                if run == 0:
-                    start = n
+        # series[n] meets terms[n + shift] from the first n with a term;
+        # the pairs stop where either side ends
+        first = max(0, -shift)
+        pairs = zip(series.coeffs[first:], record.terms[first + shift:])
+        run = best_run = best_start = 0
+        for n, (have, want) in enumerate(pairs, first):
+            if have == want:
                 run += 1
                 if run > best_run:
-                    best_run, best_start = run, start
+                    best_run, best_start = run, n + 1 - run
             else:
                 run = 0
         if best_run >= 9:

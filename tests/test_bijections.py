@@ -73,6 +73,20 @@ def test_psi_rejects_outside_family(bad):
         psi(P(bad))
 
 
+@pytest.mark.parametrize("fn,bad,message", [
+    (psi, "UDU", "psi: path does not end on the axis"),
+    (psi, "DU", "psi: profile leaves the window [0, 2]"),
+    (psi, "UUUD3", "psi: profile leaves the window [0, 2]"),
+    (phi, "D2U", "phi: path does not end on the axis"),
+    (phi, "UUD2", "phi: profile leaves the window [-1, 1]"),
+    (phi, "UD2UD2UU", "phi: profile leaves the window [-1, 1]"),
+])
+def test_window_check_names_what_failed(fn, bad, message):
+    with pytest.raises(NotInFamily) as caught:
+        fn(P(bad))
+    assert str(caught.value) == message
+
+
 def test_psi_tall_arch():
     assert psi(P("UUD2UD")) == (1, 2)
 

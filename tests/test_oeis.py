@@ -4,6 +4,8 @@ shift alignment of catalog series against sequence terms."""
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from airpockets import oeis
 from airpockets.catalog import evaluate
@@ -251,6 +253,62 @@ def test_ladder_alignment_is_deterministic():
     result = align_and_compare(series, record)
     assert result.shift == -1
     assert result.matches >= 15
+
+
+def _align_by_index(series, record):
+    # align_and_compare as it once read, one coefficient(n) call and one
+    # bounds test per index, kept as the reference: the Alignment it
+    # finds, or None where it would raise NoAlignment
+    best = None
+    for shift in range(-5, 6):
+        run = start = 0
+        best_run = best_start = 0
+        for n in range(series.order + 1):
+            index = n + shift
+            if 0 <= index < len(record.terms) \
+                    and series.coefficient(n) == record.terms[index]:
+                if run == 0:
+                    start = n
+                run += 1
+                if run > best_run:
+                    best_run, best_start = run, start
+            else:
+                run = 0
+        if best_run >= 9:
+            key = (-best_run, abs(shift), shift)
+            if best is None or key < best[:3]:
+                best = (*key, Alignment(shift, best_start, best_run))
+    return None if best is None else best[3]
+
+
+@st.composite
+def series_and_record(draw):
+    # terms that repeat the coefficients at a drawn shift, a few of them
+    # changed, so that runs of every length, ties between shifts and runs
+    # cut at either end all turn up
+    small = st.integers(0, 3)
+    coeffs = draw(st.lists(small, min_size=9, max_size=30))
+    shift = draw(st.integers(-7, 7))
+    size = draw(st.integers(max(1, len(coeffs) - 8), len(coeffs) + 8))
+    terms = [coeffs[n - shift] if 0 <= n - shift < len(coeffs)
+             else draw(small) for n in range(size)]
+    for _ in range(draw(st.integers(0, 2))):
+        terms[draw(st.integers(0, size - 1))] = draw(small)
+    order = draw(st.integers(max(0, len(coeffs) - 5), len(coeffs) + 5))
+    series = TruncatedSeries(coeffs, order)
+    return series, SequenceRecord("A000012", tuple(terms), "fixture")
+
+
+@settings(max_examples=300, deadline=None)
+@given(series_and_record())
+def test_alignment_agrees_with_the_index_loop(pair):
+    series, record = pair
+    want = _align_by_index(series, record)
+    if want is None:
+        with pytest.raises(NoAlignment):
+            align_and_compare(series, record)
+    else:
+        assert align_and_compare(series, record) == want
 
 
 WHOLE_PATH_SHIFTS = {

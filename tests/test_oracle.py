@@ -2,6 +2,7 @@
 against exhaustive slices, and the composition/Motzkin side families."""
 
 import functools
+import gc
 import time
 import tracemalloc
 
@@ -541,3 +542,21 @@ def test_empty_but_feasible_slices():
     assert enum_paths(2, PRIME) == []
     assert enum_paths(0, FamilySpec("gdap", start_step="up")) == []
     assert enum_paths(0, FamilySpec("prefix_gdap", end_ordinate=-2)) == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: enum_paths(9, GDAP),
+    lambda: next(iter_paths(9, GDAP)),    # a walk dropped part way
+    lambda: enum_h(9),
+    lambda: enum_compositions(9, "alt"),
+], ids=["enum_paths", "dropped_walk", "enum_h", "enum_compositions"])
+def test_enumeration_leaves_no_reference_cycle(make):
+    # the recursive helpers call themselves through their closure; each
+    # call frees its table when it ends, not at the next cyclic collection
+    gc.collect()
+    gc.disable()
+    try:
+        make()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

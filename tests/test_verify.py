@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airpockets import catalog, verify
+from airpockets import catalog, oeis, verify
 from airpockets.errors import NonInvertible
+from airpockets.oeis import CITED_IDS
 from airpockets.series import TruncatedSeries
 from airpockets.verify import (
     CHECK_KINDS,
@@ -328,3 +329,110 @@ def test_order_reaches_the_duals(monkeypatch):
 @given(order=st.integers(0, 60))
 def test_integer_routes_match_their_duals(name, params, order):
     assert verify._check_duals(name, params, order) is None
+
+
+# ------------------------------------------------------ the run's table
+
+def _counting(monkeypatch, module, name):
+    # the positional arguments of every call to module.name
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_a_run_builds_each_root_walk_and_record_once(monkeypatch):
+    roots = _counting(monkeypatch, catalog, "_sqrt")
+    walks = _counting(monkeypatch, catalog, "_band_walk")
+    fetched = _counting(monkeypatch, verify, "fetch_sequence")
+    tables = []
+    check = verify._run_check
+    monkeypatch.setattr(verify, "_run_check",
+                        lambda entry: tables.append(catalog._run_table)
+                        or check(entry))
+    assert run_suite("all", offline=True).ok
+    # 12 distinct (radicand, order) roots and 19 distinct bands at the
+    # defaults, each built by its first caller; computed afresh, the run
+    # made 97 roots and 87 walks
+    assert len(roots) == len(set(roots)) == 12
+    assert len(walks) == len(set(walks)) == 19
+    assert sorted(seq_id for seq_id, in fetched) == sorted(CITED_IDS)
+    # one table for the whole run, holding only immutable values
+    assert all(table is tables[0] for table in tables)
+    assert all(isinstance(value, tuple) for value in tables[0].values())
+    assert catalog._run_table is None
+
+
+def test_refresh_fetches_each_cited_sequence_once_per_run(monkeypatch):
+    # a stand-in network serving the bundled terms: --refresh goes to it
+    # for every id in every run, and only once per id in a run
+    urls = []
+
+    def fake_get(url, timeout):
+        urls.append(url)
+        return oeis._fixture_text(url.split("/")[3])
+
+    monkeypatch.setattr(oeis, "_http_get", fake_get)
+    for runs in (1, 2):
+        assert run_suite("oeis", refresh=True).ok
+        assert len(urls) == runs * len(CITED_IDS)
+    assert len(set(urls)) == len(CITED_IDS)
+
+
+def _bump_walks(monkeypatch):
+    # every confined walk's last up-ending coefficients one too many
+    walk = catalog._band_walk
+
+    def bumped(lo, hi, order):
+        for n, (f, g) in enumerate(walk(lo, hi, order)):
+            yield ([c + 1 for c in f] if n == order else f), g
+
+    monkeypatch.setattr(catalog, "_band_walk", bumped)
+
+
+@pytest.mark.parametrize("bump", [
+    lambda monkeypatch: _bump_route(monkeypatch, "G"),
+    _bump_walks,
+], ids=["route", "band walk"])
+def test_a_bump_between_runs_fails_the_next_run(monkeypatch, bump):
+    # nothing from the first run's table serves the second
+    assert run_suite("all", offline=True).ok
+    bump(monkeypatch)
+    assert not run_suite("all", offline=True).ok
+
+
+def test_a_check_that_raises_leaves_no_table(monkeypatch):
+    seen = []
+
+    def broken(name, max_n=None):
+        seen.append(catalog._run_table)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "_check_roundtrip", broken)
+    with pytest.raises(KeyboardInterrupt):
+        run_suite("bijections")
+    assert isinstance(seen[0], dict)
+    assert catalog._run_table is None
+
+    def failing(name, max_n=None):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(verify, "_check_roundtrip", failing)
+    assert not run_suite("bijections").ok
+    assert catalog._run_table is None
+
+
+def test_evaluations_outside_a_run_share_nothing(monkeypatch):
+    roots = _counting(monkeypatch, catalog, "_sqrt")
+    walks = _counting(monkeypatch, catalog, "_band_walk")
+    assert catalog._run_table is None
+    first = [catalog.evaluate("G", 20), catalog.evaluate("sym_f", 20, k=1, t=2)]
+    second = [catalog.evaluate("G", 20), catalog.evaluate("sym_f", 20, k=1, t=2)]
+    assert first == second
+    assert roots == [(catalog.KERNEL_RADICAND, 20)] * 2
+    assert walks == [(-2, 2, 20)] * 2
