@@ -29,16 +29,16 @@ Both roots are rational in x and the square root of a fixed polynomial
 radicand, and that square root comes from the linear recurrence its
 differential equation gives, in O(order) integer operations.  So a call
 computes its roots afresh, and threads may call the module freely.  The
-one exception is a `verify` run: while verify.run_suite runs, _run_table
-holds one table that shares each root and each confined band walk among
-the run's checks, keyed exactly on (radicand or band, order), and the
-run drops it when it returns or raises.  Outside a run the slot is None
-and nothing is kept between calls.
+one exception is a `verify` run, which shares its roots and band walks
+among its checks through sharing(); the verify module docstring says
+what the run keeps and for how long.
 """
 
 from __future__ import annotations
 
+import threading
 from collections import deque, namedtuple
+from contextlib import contextmanager
 from functools import wraps
 from itertools import accumulate
 from operator import add, mul, sub
@@ -482,15 +482,37 @@ def _over_x(a, j: int) -> list[int]:
 
 # ---------- the table one verify run shares ----------
 
-# None outside a verify run; verify.run_suite sets a dict for the length
-# of one run and drops it when the run returns or raises
-_run_table: dict | None = None
+class _Run(threading.local):
+    # the table of the run on this thread, None outside one; each thread
+    # sees only the table its own sharing() set
+    table: dict | None = None
+
+
+_run = _Run()
+
+
+@contextmanager
+def sharing():
+    """Share each root and confined band walk among the calls in the block.
+
+    Each is built once, keyed exactly on (radicand or band, order), and
+    the table is dropped when the block ends or raises.  The table belongs
+    to the calling thread: other threads, and calls after the block,
+    compute afresh.
+    """
+    outer = _run.table
+    _run.table = {}
+    try:
+        yield
+    finally:
+        _run.table = outer
 
 
 def _shared(compute, *key):
     # compute(*key), built once per run and kept as a tuple, so that no
-    # caller can change a value another one reads; afresh outside a run
-    table = _run_table
+    # caller can change a value another one reads (a walk's steps are
+    # only ever read); afresh outside a run
+    table = _run.table
     if table is None:
         return compute(*key)
     entry = (compute, *key)
@@ -746,23 +768,12 @@ def _confined(lo: int, hi: int, k: int,
     # rises above n, and never sits below k - n, since each level it climbs
     # back to k costs an up step.  So neither a ceiling above the order nor
     # a floor below k - order binds, and for k > order both are zero.
-    # In a verify run the walk keeps every ordinate, for the run's other
-    # calls on the same band.
     if k > order:
         return [0] * (order + 1), [0] * (order + 1)
     low = max(lo, k - order)
-    band = (low, min(hi, order), order)
-    if _run_table is not None:
-        return _shared(_band_unknowns, *band)[k - low]
-    steps = [(f[k - low], g[k - low]) for f, g in _band_walk(*band)]
+    steps = [(f[k - low], g[k - low])
+             for f, g in _shared(_band_walk, low, min(hi, order), order)]
     return [f for f, _ in steps], [g for _, g in steps]
-
-
-def _band_unknowns(lo: int, hi: int, order: int):
-    # every unknown of one walk: an (f, g) pair of coefficient tuples per
-    # ordinate, indexed by ordinate - lo
-    fs, gs = zip(*_band_walk(lo, hi, order))
-    return tuple(zip(zip(*fs), zip(*gs)))
 
 
 @_series_route

@@ -25,16 +25,18 @@ Checks run one after another in declaration order, and the report lists
 them in that order; a check that raises is reported as a failure rather
 than aborting the suite.
 
-One run shares one table among its checks (catalog._run_table): each
+One run shares its kernels among its checks (catalog.sharing): each
 catalog root (the kernel's square root, the climb root, the ceiling
-root), each confined band walk and each cited OEIS record is built once
-per run.  Keys are exact, (radicand or band, order) and the sequence id,
-so no value stands in for another order, and each root and walk runs its
-own exactness checks once.  The table is made when run_suite starts and
-dropped when it returns or raises; nothing carries over to the next run,
-and outside a run every call computes afresh.  Evaluations are not kept:
-they repeat only across suites, and keeping all of them would cost more
-memory than the time it saves.
+root) and each confined band walk is built once per run, and each cited
+OEIS record is fetched once per run.  Keys are exact, (radicand or band,
+order) and the sequence id, so no value stands in for another order, and
+each root and walk runs its own exactness checks once.  The tables are
+made when run_suite starts and dropped when it returns or raises;
+nothing carries over to the next run, a run sees only its own tables,
+so runs on several threads at once stay apart, and outside a run every
+call computes afresh.  Evaluations are not kept: they repeat only across
+suites, and keeping all of them costs more memory than the time it
+saves.
 """
 
 from __future__ import annotations
@@ -42,7 +44,6 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul
 
-from . import catalog
 from . import reference as ref
 from .bijections import phi, phi_inv, psi, psi_inv
 from .catalog import (
@@ -50,6 +51,7 @@ from .catalog import (
     _band_walk,
     band_cramer_numerators,
     evaluate,
+    sharing,
 )
 from .enumeration import (
     POSITIVE,
@@ -448,14 +450,14 @@ def _check_roundtrip(name, max_n=None):
 
 # ------------------------------------------------------------------ oeis
 
-def _check_alignment(name, params, seq_id, order, offline, refresh):
+def _check_alignment(name, params, seq_id, order, offline, refresh,
+                     records):
     # align_and_compare raises NoAlignment below a 9-term run; a sequence
-    # cited by several pairs is fetched once per run, into the run's table
-    # under its id
-    table = catalog._run_table
-    record = table.get(seq_id)
+    # cited by several pairs is fetched once per run, into the run's
+    # records under its id
+    record = records.get(seq_id)
     if record is None:
-        record = table[seq_id] = fetch_sequence(
+        record = records[seq_id] = fetch_sequence(
             seq_id, offline=offline, refresh=refresh)
     align_and_compare(evaluate(name, order, **params).series, record)
     return None
@@ -486,12 +488,14 @@ def _suite_checks(suite, max_n, order, offline, refresh):
                 checks.append((name, "bijection_roundtrip", scope,
                                lambda n=name, l=limit: _check_roundtrip(n, l)))
     if suite in ("oeis", "all"):
+        records = {}
         for name, params, seq_id in CITED_PAIRS:
             checks.append((
                 f"{_subject(name, params)} vs {seq_id}", "gf_vs_oeis",
                 f"order {order}",
                 lambda n=name, p=params, s=seq_id:
-                    _check_alignment(n, p, s, order, offline, refresh)))
+                    _check_alignment(n, p, s, order, offline, refresh,
+                                     records)))
     return checks
 
 
@@ -509,11 +513,7 @@ def _run_check(entry):
 def run_suite(suite: str, *, max_n: int = 10, order: int = 20,
               offline: bool = False,
               refresh: bool = False) -> VerificationReport:
-    """Run one suite (or "all") and report every check.
-
-    The checks share one table of roots, band walks and OEIS records,
-    which lives exactly as long as this call (see the module docstring).
-    """
+    """Run one suite (or "all") and report every check."""
     if suite not in SUITES:
         raise BadParams(f"unknown suite {suite!r}; choose from {SUITES}")
     if max_n < 2:
@@ -523,9 +523,6 @@ def run_suite(suite: str, *, max_n: int = 10, order: int = 20,
     if order < 12:
         raise BadParams("order must be at least 12")
     checks = _suite_checks(suite, max_n, order, offline, refresh)
-    catalog._run_table = {}
-    try:
+    with sharing():
         results = [_run_check(entry) for entry in checks]
-    finally:
-        catalog._run_table = None
     return VerificationReport(suite, tuple(results))

@@ -1,5 +1,6 @@
 """Verification harness: suite assembly, determinism, failure reporting."""
 
+import threading
 import time
 
 import pytest
@@ -353,7 +354,7 @@ def test_a_run_builds_each_root_walk_and_record_once(monkeypatch):
     tables = []
     check = verify._run_check
     monkeypatch.setattr(verify, "_run_check",
-                        lambda entry: tables.append(catalog._run_table)
+                        lambda entry: tables.append(catalog._run.table)
                         or check(entry))
     assert run_suite("all", offline=True).ok
     # 12 distinct (radicand, order) roots and 19 distinct bands at the
@@ -365,7 +366,7 @@ def test_a_run_builds_each_root_walk_and_record_once(monkeypatch):
     # one table for the whole run, holding only immutable values
     assert all(table is tables[0] for table in tables)
     assert all(isinstance(value, tuple) for value in tables[0].values())
-    assert catalog._run_table is None
+    assert catalog._run.table is None
 
 
 def test_refresh_fetches_each_cited_sequence_once_per_run(monkeypatch):
@@ -410,29 +411,68 @@ def test_a_check_that_raises_leaves_no_table(monkeypatch):
     seen = []
 
     def broken(name, max_n=None):
-        seen.append(catalog._run_table)
+        seen.append(catalog._run.table)
         raise KeyboardInterrupt
 
     monkeypatch.setattr(verify, "_check_roundtrip", broken)
     with pytest.raises(KeyboardInterrupt):
         run_suite("bijections")
     assert isinstance(seen[0], dict)
-    assert catalog._run_table is None
+    assert catalog._run.table is None
 
     def failing(name, max_n=None):
         raise ValueError("broken")
 
     monkeypatch.setattr(verify, "_check_roundtrip", failing)
     assert not run_suite("bijections").ok
-    assert catalog._run_table is None
+    assert catalog._run.table is None
 
 
 def test_evaluations_outside_a_run_share_nothing(monkeypatch):
     roots = _counting(monkeypatch, catalog, "_sqrt")
     walks = _counting(monkeypatch, catalog, "_band_walk")
-    assert catalog._run_table is None
+    assert catalog._run.table is None
     first = [catalog.evaluate("G", 20), catalog.evaluate("sym_f", 20, k=1, t=2)]
     second = [catalog.evaluate("G", 20), catalog.evaluate("sym_f", 20, k=1, t=2)]
     assert first == second
     assert roots == [(catalog.KERNEL_RADICAND, 20)] * 2
     assert walks == [(-2, 2, 20)] * 2
+
+
+def test_runs_on_two_threads_keep_their_own_tables(monkeypatch):
+    # both runs start, then the second goes on only after the first has
+    # returned; every check of each run still sees its own run's table
+    started = threading.Barrier(2, timeout=60)
+    first_done = threading.Event()
+    seen = {"first": [], "second": []}
+    reports = {}
+    check = verify._run_check
+
+    def run_check(entry):
+        name = threading.current_thread().name
+        if not seen[name]:
+            started.wait()
+            if name == "second":
+                first_done.wait(timeout=60)
+        seen[name].append(catalog._run.table)
+        return check(entry)
+
+    def run(name):
+        reports[name] = run_suite("oeis", offline=True)
+        if name == "first":
+            first_done.set()
+
+    monkeypatch.setattr(verify, "_run_check", run_check)
+    threads = [threading.Thread(target=run, args=(name,), name=name)
+               for name in seen]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert first_done.is_set()
+    assert reports["first"].ok and reports["second"].ok
+    for tables in seen.values():
+        assert isinstance(tables[0], dict)
+        assert all(table is tables[0] for table in tables)
+    assert seen["first"][0] is not seen["second"][0]
+    assert catalog._run.table is None
