@@ -13,7 +13,10 @@ level by level, and every other family is a rational function of x and of
 one of two algebraic roots (the climb root s, the special-height root b);
 all their denominators have constant term ±1 once a power of 2 is
 cleared.  Routes work on lists of Python ints, and each public evaluator
-builds a single TruncatedSeries at its boundary.  The independent
+builds a single TruncatedSeries at its boundary.  The product, quotient
+and power on those lists are series._mul, _div and _pow, the same ones
+TruncatedSeries uses; a divisor whose constant term is not ±1 raises
+NonInvertible there.  The independent
 derivations that tie a family to a second route (the first-return
 equation and the band substitution solved one coefficient at a time,
 first-return systems, one fraction-free Cramer elimination per band for
@@ -22,8 +25,9 @@ the special heights' arch grammar) live in verify.DUAL_PATHS and run in
 `verify --suite paper-series` and the tests.  The checks that stay in
 the call are exactness checks: every division and halving must leave no
 remainder, and each square root must square to its radicand at the last
-coefficient.  A failed check raises ConsistencyError and always means a
-bug in this package, never bad input.
+coefficient.  A failed check raises ConsistencyError (NonInvertible for a
+non-unit divisor) and always means a bug in this package, never bad
+input.
 
 Both roots are rational in x and the square root of a fixed polynomial
 radicand, and that square root comes from the linear recurrence its
@@ -52,7 +56,7 @@ from .errors import (
     UnknownName,
     _require,
 )
-from .series import TruncatedSeries, _div_lists, _mul_lists
+from .series import TruncatedSeries, _div, _mul, _pow
 
 # An integer polynomial is a tuple of coefficients, ascending, no trailing
 # zeros; the zero polynomial is the empty tuple.
@@ -90,6 +94,11 @@ def _psub(a: Poly, b: Poly) -> Poly:
 
 
 def _pmul(a: Poly, b: Poly) -> Poly:
+    # its own loop, not series._mul: the band eliminations make about 1300
+    # products of polynomials of degree at most 12 in the two verify-suite
+    # runs, and routed through the shared kernel they made those runs about
+    # 13% slower in process (54.0 -> 60.9 ms CPU, medians of 10 alternated
+    # processes, 2-CPU Xeon, Python 3.11.7)
     if not a or not b:
         return P_ZERO
     out = [0] * (len(a) + len(b) - 1)
@@ -176,6 +185,8 @@ def poly_det(rows: list[list[Poly]]) -> Poly:
     Bareiss elimination: every intermediate entry stays in the integer
     polynomial ring, with exact divisions by the previous pivot.
     """
+    # nothing in the package calls this; it stays because the benchmark's
+    # tracer (bench/tracer.py, bench/layers.py) looks it up by name
     if not rows:
         return P_ONE
     m = _square_rows(rows)
@@ -258,6 +269,9 @@ def solve_series_system(matrix, rhs) -> list[TruncatedSeries]:
     NonInvertible from the division.  The solution is substituted back into
     the original system before being returned.
     """
+    # nothing in the package calls this; it stays because the benchmark's
+    # tracer (bench/tracer.py, bench/layers.py) looks it up by name, and
+    # the tests solve band systems with it
     n = len(matrix)
     if n < 1:
         raise ValueError("system dimension must be positive")
@@ -285,29 +299,29 @@ def solve_series_system(matrix, rhs) -> list[TruncatedSeries]:
         a[col], a[pivot] = a[pivot], a[col]
         b[col], b[pivot] = b[pivot], b[col]
         pivot_row, pivot_rhs = a[col], b[col]
-        inverse = _div_lists([1], pivot_row[col], order)
+        inverse = _div([1], pivot_row[col], order)
         inverses.append(inverse)
         for row_index in range(col + 1, n):
             row = a[row_index]
             if row[col] is None:
                 continue
-            factor = _mul_lists(row[col], inverse, order)
+            factor = _mul(row[col], inverse, order)
             row[col] = None
             for j in range(col + 1, n):
                 if pivot_row[j] is not None:
                     row[j] = _minus(row[j],
-                                    _mul_lists(factor, pivot_row[j], order))
+                                    _mul(factor, pivot_row[j], order))
             if pivot_rhs is not None:
                 b[row_index] = _minus(b[row_index],
-                                      _mul_lists(factor, pivot_rhs, order))
+                                      _mul(factor, pivot_rhs, order))
     x = [None] * n
     for i in range(n - 1, -1, -1):
         acc = b[i]
         for j in range(i + 1, n):
             if a[i][j] is not None and x[j] is not None:
-                acc = _minus(acc, _mul_lists(a[i][j], x[j], order))
+                acc = _minus(acc, _mul(a[i][j], x[j], order))
         if acc is not None:
-            x[i] = _mul_lists(acc, inverses[i], order)
+            x[i] = _mul(acc, inverses[i], order)
     solution = [TruncatedSeries(() if c is None else c, order) for c in x]
     for i in range(n):
         acc = TruncatedSeries([], order)
@@ -399,14 +413,15 @@ def _lift_schur(det: Poly, nums: list[Poly]) -> tuple[Poly, list[Poly]]:
     return det, nums + lifted[::-1]
 
 
-# ---------- the integer series kernel ----------
+# ---------- integer series on coefficient lists ----------
 
 # A series here is a sequence of ints, coefficient n at index n, known
 # through the order it was built at; a shorter sequence (a polynomial) has
-# zeros above its end.  Products are cut at the order, and the only
-# divisions are by a series with constant term ±1, by 2 and by a power of
-# x, each checked for exactness: every unconfined family below is a
-# rational function of x and one algebraic root, with such denominators
+# zeros above its end.  Products, quotients and powers are series._mul,
+# _div and _pow, cut at the order.  The only divisions are by a series
+# with constant term ±1 (any other raises NonInvertible), by 2 and by a
+# power of x, each checked for exactness: every unconfined family below is
+# a rational function of x and one algebraic root, with such denominators
 # only.
 
 KERNEL_RADICAND: Poly = (1, -2, -1, -2, 1)    # W^2 for the climb root
@@ -430,45 +445,9 @@ def _sub(a, b, order: int) -> list[int]:
     return list(map(sub, _fit(a, order), _fit(b, order)))
 
 
-def _mul(a, b, order: int) -> list[int]:
-    last = len(b) - 1
-    rev = b[::-1]
-    out = []
-    for n in range(order + 1):
-        lo, hi = max(0, n - last), min(n, len(a) - 1)
-        out.append(sum(map(mul, a[lo:hi + 1],
-                           rev[last - n + lo:last - n + hi + 1])))
-    return out
-
-
-def _div(a, b, order: int) -> list[int]:
-    # long division; dividing by a unit constant term keeps every
-    # coefficient an integer
-    unit = b[0]
-    _require(unit in (1, -1), f"division by a series with constant term {unit}")
-    rev = b[:0:-1]     # b_{len-1} .. b_1
-    q: list[int] = []
-    for n, a_n in enumerate(_fit(a, order)):
-        lo = max(0, n - len(rev))
-        acc = a_n - sum(map(mul, q[lo:n], rev[len(rev) - n + lo:]))
-        q.append(acc * unit)
-    return q
-
-
 def _half(a) -> list[int]:
     _require(not any(c & 1 for c in a), "odd coefficient in an exact halving")
     return [c >> 1 for c in a]
-
-
-def _pow(a, e: int, order: int) -> list[int]:
-    result: list[int] = [1]
-    while e:
-        if e & 1:
-            result = _mul(result, a, order)
-        e >>= 1
-        if e:
-            a = _mul(a, a, order)
-    return _fit(result, order)
 
 
 def _times_x(a, j: int, order: int) -> list[int]:

@@ -60,11 +60,12 @@ EXIT_CODES = {UnknownName: EXIT_UNKNOWN_NAME, InputError: EXIT_BAD_PARAMS,
 
 # Size ceilings.  A request above one exits 3 before any work starts.  The
 # slowest accepted series request, `series minorized --m -40001 --order
-# 1000`, takes about 20-23 s on a 2-CPU Xeon with Python 3.11: it raises
-# the climb root to the power 40001.  `Rk` and `prefix_neg` at `--k -40001`
-# take about 10-12 s there, as do `D` and `N` at `--t 20000`, which sweep
-# every height up to t; `sym_f` and `sym_g` at `--k -20000 --t 20000`
-# about 6-7 s, and `Bk` or `Ak` at any k under 2 s, all at `--order 1000`.
+# 1000`, took 17.3 s on a 2-CPU Xeon with Python 3.11.7 (one fresh CLI
+# process): it raises the climb root to the power 40001.  In one run each
+# there, `Rk` and `prefix_neg` at `--k -40001` took 8.6 and 9.7 s, `D` and
+# `N --k 3` at `--t 20000`, which sweep every height up to t, 9.9 and
+# 10.9 s, `sym_f` and `sym_g` at `--k -20000 --t 20000` 5.2 and 4.9 s,
+# and `Bk` and `Ak` at `--k 999` 0.6 and 0.9 s, all at `--order 1000`.
 # Raise the ceilings as routes get cheaper.
 MAX_ORDER = 1000                # series --order, verify --order
 MAX_T = 20_000                  # series --t

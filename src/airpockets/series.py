@@ -15,14 +15,20 @@ honest statement of which coefficients are known:
 * division by a series of valuation v returns order - v,
 * shift(-j) returns order - j.
 
+This module holds the package's only product, quotient and power on
+coefficient lists (_mul, _div, _pow): the methods here and every catalog
+route call the same three, and a divisor whose constant term is not 1 or
+-1 raises NonInvertible on every path.
+
 Instances are immutable and hashable.  Everything here is pure and safe to
 share between threads.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterable
-from operator import index
+from operator import index, mul
 
 from .errors import (
     BadConstantTerm,
@@ -40,7 +46,7 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
-def _extent(a: list[int]) -> int:
+def _extent(a) -> int:
     # one past the last nonzero coefficient: 0 for an all-zero list
     n = len(a)
     while n and not a[n - 1]:
@@ -48,41 +54,65 @@ def _extent(a: list[int]) -> int:
     return n
 
 
-def _mul_lists(a: list[int], b: list[int], order: int) -> list[int]:
-    # each loop stops at its operand's extent, so a polynomial factor of
-    # degree d costs O(order·d)
-    out = [0] * (order + 1)
-    extent_b = _extent(b)
-    for i in range(min(_extent(a), order + 1)):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(min(extent_b, order + 1 - i)):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
+# ---------- the coefficient-list kernel ----------
+
+# The only product, quotient and power on coefficient lists in the
+# package: TruncatedSeries and every catalog route call these three.  An
+# operand is a list or tuple of ints, coefficient n at index n, with zeros
+# past its end; each is read only up to its extent, so a polynomial
+# operand of degree d costs O(order·d).  Each result is a list of
+# order + 1 ints, and every coefficient is one C-level sum of products
+# against a window of the last few coefficients, kept in a deque, so no
+# step copies a slice.
+
+def _mul(a, b, order: int) -> list[int]:
+    # a·b through x^order; b is made the operand of lesser extent, and
+    # out_n = b_0·a_n + b_1·a_(n-1) + ... over a window of a
+    len_a, len_b = min(_extent(a), order + 1), min(_extent(b), order + 1)
+    if len_a < len_b:
+        a, b, len_a, len_b = b, a, len_b, len_a
+    if not len_b:
+        return [0] * (order + 1)
+    window = deque(maxlen=len_b)    # a_n, a_(n-1), ..., a_(n-len_b+1)
+    top = min(order, len_a + len_b - 2)
+    out = []
+    for n in range(top + 1):
+        window.appendleft(a[n] if n < len_a else 0)
+        out.append(sum(map(mul, b, window)))
+    out += [0] * (order - top)
     return out
 
 
-def _div_lists(a: list[int], b: list[int], order: int) -> list[int]:
-    # long division, exact to the given order; b[0] must be 1 or -1, so
-    # that 1/b[0] = b[0] and the quotient stays integral.  Coefficient n
-    # reads b only below its extent, so a divisor of degree d costs
-    # O(order·d)
-    inv0 = b[0]
-    if inv0 not in (1, -1):
+def _div(a, b, order: int) -> list[int]:
+    # a/b through x^order, by long division; b[0] must be 1 or -1, its own
+    # inverse, so that the quotient stays integral, and any other constant
+    # term raises NonInvertible
+    unit = b[0]
+    if unit not in (1, -1):
         raise NonInvertible(
-            f"divisor's first nonzero coefficient {inv0} is not 1 or -1")
-    extent_b = _extent(b)
-    q = [0] * (order + 1)
+            f"divisor's constant term {unit} is not 1 or -1")
+    tail = b[1:min(_extent(b), order + 1)]     # b_1 .. b_d
+    recent = deque(maxlen=len(tail))           # q_(n-1), ..., q_(n-d)
+    q: list[int] = []
     for n in range(order + 1):
-        acc = a[n] if n < len(a) else 0
-        for i in range(n + 1 - extent_b if n >= extent_b else 0, n):
-            qi = q[i]
-            if qi:
-                acc -= qi * b[n - i]
-        q[n] = acc * inv0
+        a_n = a[n] if n < len(a) else 0
+        q_n = (a_n - sum(map(mul, tail, recent))) * unit
+        q.append(q_n)
+        recent.appendleft(q_n)
     return q
+
+
+def _pow(a, e: int, order: int) -> list[int]:
+    # a^e through x^order for e >= 0, by square and multiply:
+    # e.bit_length() - 1 squarings and one product per set bit of e
+    result = [1] + [0] * order
+    while e:
+        if e & 1:
+            result = _mul(result, a, order)
+        e >>= 1
+        if e:
+            a = _mul(a, a, order)
+    return result
 
 
 class TruncatedSeries:
@@ -194,8 +224,7 @@ class TruncatedSeries:
         if isinstance(other, TruncatedSeries):
             self._check_order(other)
             return TruncatedSeries(
-                _mul_lists(list(self.coeffs), list(other.coeffs), self.order),
-                self.order)
+                _mul(self.coeffs, other.coeffs, self.order), self.order)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -215,9 +244,8 @@ class TruncatedSeries:
             raise ValuationUnderflow(
                 f"dividend valuation {self.valuation} < divisor valuation {v}")
         new_order = self.order - v
-        a = list(self.coeffs[v:])
-        b = list(other.coeffs[v:])
-        return TruncatedSeries(_div_lists(a, b, new_order), new_order)
+        return TruncatedSeries(
+            _div(self.coeffs[v:], other.coeffs[v:], new_order), new_order)
 
     def __rtruediv__(self, other):
         rhs = self._coerce(other)
@@ -230,15 +258,8 @@ class TruncatedSeries:
             return NotImplemented
         if exponent < 0:
             raise ValueError("series exponent must be nonnegative")
-        result = TruncatedSeries([1], self.order)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return TruncatedSeries(_pow(self.coeffs, exponent, self.order),
+                               self.order)
 
     def sqrt(self) -> "TruncatedSeries":
         """Square root by Newton iteration with order doubling.
@@ -250,13 +271,13 @@ class TruncatedSeries:
         if self.coeffs[0] != 1:
             raise BadConstantTerm(
                 f"sqrt needs constant term 1, got {self.coeffs[0]}")
-        a = list(self.coeffs)
+        a = self.coeffs
         s = [1]
         prec = 0
         while prec < self.order:
             prec = min(2 * prec + 1, self.order)
             s += [0] * (prec + 1 - len(s))
-            t = _div_lists(a, s, prec)
+            t = _div(a, s, prec)
             s = [_exact_div(si + ti, 2) for si, ti in zip(s, t)]
         return TruncatedSeries(s, self.order)
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from airpockets import catalog
 from airpockets import reference as ref
+from airpockets import series
 from airpockets import verify
 from airpockets.catalog import (
     GDAP_NAMES,
@@ -264,16 +265,23 @@ def test_system_singular_after_elimination():
 def test_wrong_elimination_fails_the_substitution(monkeypatch):
     # the solution is checked against the original series system, so a
     # wrong pivot inverse cannot slip through
-    divide = catalog._div_lists
+    divide = catalog._div
 
     def off_at_the_top(a, b, order):
         quotient = divide(a, b, order)
         quotient[-1] += 1
         return quotient
 
-    monkeypatch.setattr(catalog, "_div_lists", off_at_the_top)
+    monkeypatch.setattr(catalog, "_div", off_at_the_top)
     with pytest.raises(ConsistencyError, match="fails to reproduce"):
         solve_series_system(*band_series_system(0, 2, 8))
+
+
+@pytest.mark.parametrize("name", ["_mul", "_div", "_pow"])
+def test_catalog_shares_the_series_kernel(name):
+    # one product, one quotient and one power on coefficient lists, so
+    # the catalog and TruncatedSeries cannot drift apart
+    assert getattr(catalog, name) is getattr(series, name)
 
 
 @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (0, 2), (0, 3), (0, 4),
@@ -1074,9 +1082,9 @@ def test_evaluate_runs_no_dual_derivation(monkeypatch):
     for pairs in verify.DUAL_PATHS.values():
         for _, derive in pairs:
             monkeypatch.setattr(verify, derive.__name__, refuse)
-    # the Bareiss determinant serves the tests alone, the series solver
-    # the dual paths alone, and every route runs on integer lists, not on
-    # series
+    # the Bareiss determinant and the series solver serve the tests (and
+    # the benchmark's tracer) alone, and every route runs on integer
+    # lists, not on series
     monkeypatch.setattr(catalog, "poly_det", refuse)
     monkeypatch.setattr(catalog, "solve_series_system", refuse)
     for method in ("sqrt", "__mul__", "__rmul__", "__truediv__", "__pow__"):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airpockets import series
 from airpockets.errors import (
     BadConstantTerm,
     DivisionByZeroSeries,
@@ -15,7 +16,7 @@ from airpockets.errors import (
     OrderMismatch,
     ValuationUnderflow,
 )
-from airpockets.series import TruncatedSeries, _div_lists, _mul_lists
+from airpockets.series import TruncatedSeries, _div, _mul, _pow
 
 
 def S(coeffs, order):
@@ -321,13 +322,49 @@ poly_divisor = st.builds(lambda lead, tail, pad: [lead] + tail + [0] * pad,
 
 
 @settings(max_examples=200)
-@given(st.integers(0, 40), padded, padded, poly_divisor)
-def test_extent_bounded_loops_match_the_schoolbook(order, a, b, d):
+@given(st.integers(0, 40), padded, padded, poly_divisor, st.integers(0, 5))
+def test_extent_bounded_loops_match_the_schoolbook(order, a, b, d, e):
+    # the one kernel that TruncatedSeries and the catalog share, on lists
+    # and tuples alike: all-zero operands, an operand that runs past
+    # order + 1, products whose degree passes the order, and divisors
+    # with trailing zeros
     zero = [0] * len(a)
-    for x, y in ((a, b), (d, a), (a, d), (zero, b), (b, zero)):
-        assert _mul_lists(x, y, order) == _schoolbook_mul(x, y, order)
-    for x in (a, b, zero):
-        assert _div_lists(x, d, order) == _schoolbook_div(x, d, order)
+    long = a + [0] * (order + 1) + [1]
+    for x, y in ((a, b), (d, a), (a, d), (zero, b), (b, zero), (zero, zero),
+                 (long, b), (b, long)):
+        want = _schoolbook_mul(x, y, order)
+        assert _mul(x, y, order) == want
+        assert _mul(tuple(x), tuple(y), order) == want
+    for x in (a, b, zero, long):
+        want = _schoolbook_div(x, d, order)
+        assert _div(x, d, order) == want
+        assert _div(tuple(x), tuple(d), order) == want
+    power = _schoolbook_mul([1], [1], order)
+    for _ in range(e):
+        power = _schoolbook_mul(power, b, order)
+    assert _pow(b, e, order) == power
+    assert _pow(tuple(b), e, order) == power
+
+
+@pytest.mark.parametrize("e", range(10))
+def test_power_squares_once_per_bit_below_the_top(monkeypatch, e):
+    # square and multiply: e.bit_length() - 1 squarings and one product
+    # per set bit of e, and no squaring after the last bit
+    base = S([1, 2, -1, 3], 12)
+    want = S([1], 12)
+    for _ in range(e):
+        want = want * base
+    calls = []
+    kernel = series._mul
+
+    def counted(a, b, order):
+        calls.append(a is b)
+        return kernel(a, b, order)
+
+    monkeypatch.setattr(series, "_mul", counted)
+    assert base ** e == want
+    assert calls.count(True) == max(e.bit_length() - 1, 0)
+    assert calls.count(False) == bin(e).count("1")
 
 
 @settings(max_examples=100)
