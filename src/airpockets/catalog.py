@@ -15,9 +15,8 @@ all their denominators have constant term ±1 once a power of 2 is
 cleared.  Routes work on lists of Python ints, and each public evaluator
 builds a single TruncatedSeries at its boundary.  The product, quotient
 and power on those lists are series._mul, _div and _pow, the same ones
-TruncatedSeries uses; a divisor whose constant term is not ±1 raises
-NonInvertible there.  The independent
-derivations that tie a family to a second route (the first-return
+TruncatedSeries uses.  The independent derivations that tie a family to
+a second route (the first-return
 equation and the band substitution solved one coefficient at a time,
 first-return systems, one fraction-free Cramer elimination per band for
 its determinant, numerators and confined series, radical closed forms,
