@@ -32,9 +32,9 @@ Both roots are rational in x and the square root of a fixed polynomial
 radicand, and that square root comes from the linear recurrence its
 differential equation gives, in O(order) integer operations.  So a call
 computes its roots afresh, and threads may call the module freely.  The
-one exception is a `verify` run, which shares its roots and band walks
-among its checks through sharing(); the verify module docstring says
-what the run keeps and for how long.
+one exception is a `verify` run, which shares its roots, band walks and
+whole-path series among its checks through sharing(); the verify module
+docstring says what the run keeps and for how long.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import threading
 from collections import deque, namedtuple
 from contextlib import contextmanager
 from functools import wraps
-from itertools import accumulate
+from itertools import accumulate, islice
 from operator import add, mul, sub
 
 from .errors import (
@@ -471,12 +471,13 @@ _run = _Run()
 
 @contextmanager
 def sharing():
-    """Share each root and confined band walk among the calls in the block.
+    """Share each root, confined band walk and whole-path series among the
+    calls in the block.
 
-    Each is built once, keyed exactly on (radicand or band, order), and
-    the table is dropped when the block ends or raises.  The table belongs
-    to the calling thread: other threads, and calls after the block,
-    compute afresh.
+    Each is built once, keyed exactly on (radicand, band or name, order),
+    and the table is dropped when the block ends or raises.  The table
+    belongs to the calling thread: other threads, and calls after the
+    block, compute afresh.
     """
     outer = _run.table
     _run.table = {}
@@ -488,8 +489,7 @@ def sharing():
 
 def _shared(compute, *key):
     # compute(*key), built once per run and kept as a tuple, so that no
-    # caller can change a value another one reads (a walk's steps are
-    # only ever read); afresh outside a run
+    # caller can change a value another one reads; afresh outside a run
     table = _run.table
     if table is None:
         return compute(*key)
@@ -606,7 +606,7 @@ def gf_gdap(name: str, order: int) -> list[int]:
     gm = _half(_half(_div(_div(gm, k, order), rad, order)))
     if name == "Gm":
         return gm
-    return _sub(gm, gf_gdap.ints("Gp1", order), order)
+    return _sub(gm, _shared(gf_gdap.ints, "Gp1", order), order)
 
 
 # ---------- prefix families ----------
@@ -634,7 +634,7 @@ def gf_prefix_positive(k: int, order: int) -> list[int]:
     """Prefixes ending at positive ordinate k (both final-step kinds)."""
     if k < 1:
         raise ValueError("ordinate must be >= 1")
-    f0 = gf_gdap.ints("f0", order)
+    f0 = _shared(gf_gdap.ints, "f0", order)
     return _mul(_add(f0, (1,), order), _ordinate_factor(k, order), order)
 
 
@@ -655,7 +655,7 @@ def gf_prefix_negative(k: int, order: int) -> list[int]:
     """Prefixes ending at negative ordinate k (both final-step kinds)."""
     if k > -1:
         raise ValueError("ordinate must be <= -1")
-    g0 = _over_x(gf_gdap.ints("g0", order + 1), 1)
+    g0 = _over_x(_shared(gf_gdap.ints, "g0", order + 1), 1)
     return _mul(_drop_factor(k, order), _add(g0, (1,), order), order)
 
 
@@ -728,14 +728,17 @@ def _band_walk(lo: int, hi: int, order: int):
     # system reads -I + x·M on f_lo..f_hi, g_lo..g_hi with right-hand side
     # -1 at f_0, so x^n of every unknown is M applied to x^(n-1): f_j gains
     # f_{j-1} + g_{j-1} and g_j the sum of f above j.  Yields the (f, g)
-    # coefficient lists, indexed by ordinate - lo, for n = 0..order.
-    f = [0] * (hi - lo + 1)
+    # coefficient tuples, indexed by ordinate - lo, for n = 0..order:
+    # tuples, so that a run's table can keep the steps as they come
+    width = hi - lo + 1
+    f = [0] * width
     f[-lo] = 1    # the empty path
-    g = [0] * (hi - lo + 1)
+    f, g = tuple(f), (0,) * width
     yield f, g
     for _ in range(order):
-        above = list(accumulate(reversed(f)))[::-1]   # f_j + f_{j+1} + ...
-        f, g = [0] + [a + b for a, b in zip(f, g)][:-1], above[1:] + [0]
+        # tails[r] sums the top r + 1 entries of f: g_j = tails[width - 2 - j]
+        tails = tuple(accumulate(reversed(f)))
+        f, g = (0, *islice(map(add, f, g), width - 1)), tails[-2::-1] + (0,)
         yield f, g
 
 
@@ -862,28 +865,32 @@ class NamedSeries(namedtuple("NamedSeries", "name params series")):
 _Entry = namedtuple("_Entry", "params fn summary")
 
 
+def _whole_path(name: str):
+    # the route of one whole-path series, built once per verify run, as
+    # Gm1's Gp1 and the prefix routes' f0 and g0 are: the run reads the
+    # same few (name, order) keys many times over
+    return lambda order: _shared(gf_gdap.ints, name, order)
+
+
 CATALOG = {
     "dap": _Entry((), gf_dap.ints, "axis-to-axis paths by length"),
     "P": _Entry((), lambda order: _times_x(gf_dap.ints(order), 1, order),
                 "axis-to-axis paths, length shifted up by one"),
     "W": _Entry((), _kernel_root, "square root of the kernel discriminant"),
-    "G": _Entry((), lambda order: gf_gdap.ints("G", order), "all whole paths"),
-    "Gp": _Entry((), lambda order: gf_gdap.ints("Gp", order),
+    "G": _Entry((), _whole_path("G"), "all whole paths"),
+    "Gp": _Entry((), _whole_path("Gp"),
                  "whole paths starting up, plus the empty path"),
-    "Gp1": _Entry((), lambda order: gf_gdap.ints("Gp1", order),
+    "Gp1": _Entry((), _whole_path("Gp1"),
                   "whole paths starting up, ending down"),
-    "Gp2": _Entry((), lambda order: gf_gdap.ints("Gp2", order),
+    "Gp2": _Entry((), _whole_path("Gp2"),
                   "whole paths starting up, ending up"),
-    "Gm": _Entry((), lambda order: gf_gdap.ints("Gm", order),
-                 "whole paths starting down"),
-    "Gm1": _Entry((), lambda order: gf_gdap.ints("Gm1", order),
+    "Gm": _Entry((), _whole_path("Gm"), "whole paths starting down"),
+    "Gm1": _Entry((), _whole_path("Gm1"),
                   "whole paths starting down, ending down"),
-    "Gm2": _Entry((), lambda order: gf_gdap.ints("Gm2", order),
+    "Gm2": _Entry((), _whole_path("Gm2"),
                   "whole paths starting down, ending up"),
-    "f0": _Entry((), lambda order: gf_gdap.ints("f0", order),
-                 "whole paths ending with an up step"),
-    "g0": _Entry((), lambda order: gf_gdap.ints("g0", order),
-                 "whole paths ending with a down step"),
+    "f0": _Entry((), _whole_path("f0"), "whole paths ending with an up step"),
+    "g0": _Entry((), _whole_path("g0"), "whole paths ending with a down step"),
     "s2": _Entry((), _climb_root, "power-series root of the kernel quadratic"),
     "r2": _Entry((), _climb_root, "power-series root of the kernel quadratic"),
     "Tk": _Entry(("k",), _ordinate_factor,

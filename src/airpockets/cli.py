@@ -78,7 +78,7 @@ MAX_LISTED_PATHS = 2_000_000    # enumerate --list, checked by counting first;
                                 # (1.1-1.5 s, for H at length 24), not
                                 # the memory
 MAX_N = 100                     # verify --max-n
-MAX_ROUNDTRIP_N = 22            # verify --max-n for the listing bijection suites
+MAX_ROUNDTRIP_N = 22            # verify --max-n for the round-trip suites
 
 # flags bounded in absolute value; a negative value of any other flag is
 # left to that flag's own floor
@@ -245,7 +245,7 @@ def _plain_check(c) -> str:
 
 
 def _cmd_verify(args) -> int:
-    # the bijection round trips list every path up to --max-n
+    # the bijection round trips decode every composition up to --max-n
     roundtrips = args.suite in ("bijections", "all")
     _check_ceilings(args, (
         ("max_n", MAX_ROUNDTRIP_N if roundtrips else MAX_N),

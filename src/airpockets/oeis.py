@@ -29,7 +29,7 @@ from .errors import (
 )
 from .series import TruncatedSeries
 
-_ID_PATTERN = re.compile(r"^A\d{6}$")
+_ID_PATTERN = re.compile(r"A[0-9]{6}")    # read with fullmatch
 _ENDPOINT = "https://oeis.org/{id}/b{digits}.txt"
 _LOCKS_GUARD = threading.Lock()
 _LOCKS: dict[str, threading.Lock] = {}
@@ -68,7 +68,7 @@ class SequenceRecord(namedtuple("SequenceRecord", "id terms source")):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not _ID_PATTERN.match(self.id):
+        if not _ID_PATTERN.fullmatch(self.id):
             raise ValueError(f"malformed sequence id {self.id!r}")
         if not self.terms:
             raise ValueError(f"{self.id}: no terms")
@@ -200,7 +200,7 @@ def fetch_sequence(seq_id: str, *, offline: bool = False,
     it); offline skips the network.  UnknownSequence reports an
     authoritative 404; NetworkUnavailable means every layer came up empty.
     """
-    if not _ID_PATTERN.match(seq_id):
+    if not _ID_PATTERN.fullmatch(seq_id):
         raise ValueError(f"malformed sequence id {seq_id!r}")
     with _lock_for(seq_id):
         if not refresh:

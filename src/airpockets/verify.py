@@ -17,8 +17,11 @@ Four suites, four check kinds:
   only;
 - oracle: catalog coefficients against live exhaustive enumeration
   (oracle_vs_gf), height-bounded families two lengths further;
-- bijections: exhaustive round trips plus image discipline and the
-  worked examples (bijection_roundtrip);
+- bijections: round trips driven from the compositions, plus the worked
+  examples (bijection_roundtrip): every composition of each length
+  decodes to a path that maps back to it, and the decoded paths are
+  distinct and exactly as many as the window's paths by count, so no
+  path is listed;
 - oeis: every cited series/sequence pairing aligns (gf_vs_oeis).
 
 Checks run one after another in declaration order, and the report lists
@@ -27,16 +30,22 @@ than aborting the suite.
 
 One run shares its kernels among its checks (catalog.sharing): each
 catalog root (the kernel's square root, the climb root, the ceiling
-root) and each confined band walk is built once per run, and each cited
-OEIS record is fetched once per run.  Keys are exact, (radicand or band,
-order) and the sequence id, so no value stands in for another order, and
-each root and walk runs its own exactness checks once.  The tables are
-made when run_suite starts and dropped when it returns or raises;
-nothing carries over to the next run, a run sees only its own tables,
-so runs on several threads at once stay apart, and outside a run every
-call computes afresh.  Evaluations are not kept: they repeat only across
-suites, and keeping all of them costs more memory than the time it
-saves.
+root), each confined band walk and each whole-path series (the nine
+gf_gdap names, read again by Gm1 and the prefix routes) is built once
+per run, each cited OEIS record is fetched once per run, and one
+counting sweep per length serves the 15 oracle rows without floor or
+ceiling, which swept one each before.  Keys
+are exact, (radicand, band or name, order) and the sequence id, so no
+value stands in for another order, and each shared value runs its own
+exactness checks once.  The tables are made when run_suite starts and
+dropped when it returns or raises; nothing carries over to the next
+run, a run sees only its own tables, so runs on several threads at once
+stay apart, and outside a run every call computes afresh.  Of the
+evaluations, only the whole-path series are kept, since the routes
+read them again and again: at the defaults a run made 55 gf_gdap calls
+over 22 (name, order) keys and now makes 22, kept as 22 short tuples.
+The other evaluations repeat only across suites, and keeping all of them
+costs more memory than the time it saves.
 """
 
 from __future__ import annotations
@@ -57,8 +66,8 @@ from .enumeration import (
     POSITIVE,
     FamilySpec,
     count_paths_upto,
+    count_unwindowed_upto,
     enum_compositions,
-    enum_paths,
 )
 from .errors import BadParams
 from .oeis import CITED_PAIRS, align_and_compare, fetch_sequence
@@ -397,9 +406,27 @@ ORACLE_TABLE = (
 )
 
 
-def _check_series_oracle(name, params, spec_fields, epsilon, max_n):
+# the rows that one sweep serves: whole paths and prefixes with neither
+# floor nor ceiling, which differ only in first step, end ordinate and
+# last step
+_SWEPT = tuple(FamilySpec(**fields) for _, _, fields, _, _ in ORACLE_TABLE
+               if fields["kind"] in ("gdap", "prefix_gdap")
+               and "min_y" not in fields and "max_y" not in fields)
+
+
+def _check_series_oracle(name, params, spec_fields, epsilon, max_n,
+                         swept=None):
+    # swept, a dict kept for one run, holds the counts of every _SWEPT row
+    # from one sweep per length; without it the row is counted alone
     got = evaluate(name, max_n, **params).series
-    counts = count_paths_upto(max_n, FamilySpec(**spec_fields))
+    spec = FamilySpec(**spec_fields)
+    if swept is None or spec not in _SWEPT:
+        counts = count_paths_upto(max_n, spec)
+    else:
+        if (spec, max_n) not in swept:
+            swept.update(((each, max_n), row) for each, row in
+                         zip(_SWEPT, count_unwindowed_upto(max_n, _SWEPT)))
+        counts = list(swept[spec, max_n])
     counts[0] += epsilon
     n = _first_difference(got.coeffs, counts)
     if n is not None:
@@ -420,9 +447,16 @@ BIJECTION_TABLE = {
 
 
 def _check_roundtrip(name, max_n=None):
-    """Every windowed path of length up to max_n round-trips and the images
-    are exactly the composition family; with no max_n, the worked example
-    maps both ways."""
+    """Every composition of the family, at each path length up to max_n,
+    decodes to a path of that length that the forward map sends back to
+    it, and the decoded paths of each length are distinct and as many as
+    the window holds; with no max_n, the worked example maps both ways.
+
+    The forward map rejects any path outside the window, so the decoded
+    paths are windowed, and being distinct and as many as the window's
+    count, they are all of its paths: the two maps are inverse bijections
+    between the window and the composition family, and no path is listed.
+    """
     forward, inverse, (low, high), shift, kind, example = BIJECTION_TABLE[name]
     if max_n is None:
         text, composition = example
@@ -432,19 +466,23 @@ def _check_roundtrip(name, max_n=None):
         if str(inverse(composition)) != text:
             return f"{name}_inv worked example mismatch"
         return None
-    window = FamilySpec(kind="gdap", min_y=low, max_y=high)
+    window = count_paths_upto(max_n,
+                              FamilySpec(kind="gdap", min_y=low, max_y=high))
     # lengths start where the composition total is nonnegative
     for n in range(max(0, -shift), max_n + 1):
-        images = []
-        for path in enum_paths(n, window):
-            composition = forward(path)
-            if inverse(composition) != path:
-                return f"n={n}: {name} round trip broke at {path}"
-            images.append(composition)
-        expected = enum_compositions(n + shift, kind)
-        if sorted(images) != sorted(expected):
-            return (f"n={n}: {name} image has {len(set(images))} "
-                    f"compositions, family needs {len(expected)}")
+        compositions = enum_compositions(n + shift, kind)
+        decoded = set()
+        for composition in compositions:
+            path = inverse(composition)
+            if len(path) != n or forward(path) != composition:
+                return f"n={n}: {name} round trip broke at {composition}"
+            decoded.add(path)
+        if len(decoded) != len(compositions):
+            return (f"n={n}: {name}_inv decodes {len(compositions)} "
+                    f"compositions to {len(decoded)} distinct paths")
+        if len(decoded) != window[n]:
+            return (f"n={n}: {name}_inv decodes {len(decoded)} paths, "
+                    f"the window holds {window[n]}")
     return None
 
 
@@ -475,12 +513,13 @@ def _suite_checks(suite, max_n, order, offline, refresh):
                 lambda n=name, p=params, e=expected:
                     _check_series_frozen(n, p, e, order)))
     if suite in ("oracle", "all"):
+        swept = {}
         for name, params, spec_fields, epsilon, bounded in ORACLE_TABLE:
             limit = max_n + 2 if bounded else max_n
             checks.append((
                 _subject(name, params), "oracle_vs_gf", f"n <= {limit}",
                 lambda n=name, p=params, s=spec_fields, e=epsilon, l=limit:
-                    _check_series_oracle(n, p, s, e, l)))
+                    _check_series_oracle(n, p, s, e, l, swept)))
     if suite in ("bijections", "all"):
         for scope, limit in ((f"n <= {max_n}", max_n),
                              ("worked example", None)):

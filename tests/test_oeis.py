@@ -78,6 +78,20 @@ def test_fetch_malformed_id():
         fetch_sequence("A123")
 
 
+@pytest.mark.parametrize("seq_id", ["A000035\n", "A０００035"],
+                         ids=["trailing newline", "fullwidth digits"])
+def test_fetch_rejects_ids_a_dollar_anchor_or_unicode_digits_let_through(
+        seq_id):
+    # `$` matches before a final newline and `\d` matches any decimal
+    # digit, so both ids once passed the check and went on to the lookup
+    with pytest.raises(ValueError, match="malformed sequence id"):
+        fetch_sequence(seq_id, offline=True)
+    with pytest.raises(ValueError, match="malformed sequence id"):
+        SequenceRecord(seq_id, (1,), "fixture")
+    for cited in CITED_IDS:
+        assert fetch_sequence(cited, offline=True).id == cited
+
+
 def test_fixtures_cover_cited_ids():
     for seq_id in CITED_IDS:
         record = fetch_sequence(seq_id, offline=True)

@@ -7,9 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airpockets import catalog, oeis, verify
+from airpockets import catalog, enumeration, oeis, verify
+from airpockets.enumeration import FamilySpec
 from airpockets.errors import NonInvertible
 from airpockets.oeis import CITED_IDS
+from airpockets.paths import parse_path
 from airpockets.series import TruncatedSeries
 from airpockets.verify import (
     CHECK_KINDS,
@@ -347,6 +349,11 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
+def _frozen(value):
+    return isinstance(value, int) or \
+        isinstance(value, tuple) and all(map(_frozen, value))
+
+
 def test_a_run_builds_each_root_walk_and_record_once(monkeypatch):
     roots = _counting(monkeypatch, catalog, "_sqrt")
     walks = _counting(monkeypatch, catalog, "_band_walk")
@@ -363,9 +370,10 @@ def test_a_run_builds_each_root_walk_and_record_once(monkeypatch):
     assert len(roots) == len(set(roots)) == 12
     assert len(walks) == len(set(walks)) == 19
     assert sorted(seq_id for seq_id, in fetched) == sorted(CITED_IDS)
-    # one table for the whole run, holding only immutable values
+    # one table for the whole run, holding only immutable values, down to
+    # each walk's steps
     assert all(table is tables[0] for table in tables)
-    assert all(isinstance(value, tuple) for value in tables[0].values())
+    assert all(map(_frozen, tables[0].values()))
     assert catalog._run.table is None
 
 
@@ -476,3 +484,138 @@ def test_runs_on_two_threads_keep_their_own_tables(monkeypatch):
         assert all(table is tables[0] for table in tables)
     assert seen["first"][0] is not seen["second"][0]
     assert catalog._run.table is None
+
+
+def test_a_run_builds_each_whole_path_series_once(monkeypatch):
+    # the nine whole-path names, Gm1's Gp1 and the prefix routes' f0 and
+    # g0 all go through the run's table: computed afresh, the run made 55
+    # gf_gdap calls over these 22 (name, order) keys
+    calls = _counting(monkeypatch, catalog.gf_gdap, "ints")
+    assert run_suite("all", offline=True).ok
+    assert len(calls) == len(set(calls)) == 22
+    assert {name for name, _ in calls} == set(catalog.GDAP_NAMES)
+
+
+def test_whole_path_series_outside_a_run_compute_afresh(monkeypatch):
+    calls = _counting(monkeypatch, catalog.gf_gdap, "ints")
+    first = catalog.evaluate("G", 20)
+    second = catalog.evaluate("G", 20)
+    assert first == second
+    assert calls == [("G", 20)] * 2
+    assert catalog.evaluate("prefix_pos", 12, k=2) == \
+        catalog.evaluate("prefix_pos", 12, k=2)
+    assert calls[2:] == [("f0", 12)] * 2
+
+
+def test_a_run_sweeps_the_unwindowed_oracle_rows_once(monkeypatch):
+    swept = _counting(monkeypatch, verify, "count_unwindowed_upto")
+    alone = _counting(monkeypatch, verify, "count_paths_upto")
+    assert run_suite("oracle", max_n=9).ok
+    assert swept == [(9, verify._SWEPT)]
+    # every other row, the windowed and height-bounded ones, counts alone
+    assert len(alone) == len(verify.ORACLE_TABLE) - len(verify._SWEPT)
+    assert not set(verify._SWEPT) & {spec for _, spec in alone}
+
+
+def test_a_wrong_sweep_fails_the_rows_it_serves(monkeypatch):
+    # the shared sweep is checked row by row, like the counts it replaces
+    sweep = verify.count_unwindowed_upto
+
+    def off_for_gp2(max_n, specs):
+        rows = sweep(max_n, specs)
+        rows[specs.index(FamilySpec("gdap", start_step="up",
+                                    end_step="up"))][6] += 1
+        return rows
+
+    monkeypatch.setattr(verify, "count_unwindowed_upto", off_for_gp2)
+    failed = [check for check in run_suite("oracle", max_n=8).checks
+              if check.status == "fail"]
+    count = catalog.evaluate("Gp2", 6).series.coeffs[6]
+    assert [(check.subject, check.first_mismatch) for check in failed] == \
+        [("Gp2", f"n=6: series {count} != oracle {count + 1}")]
+
+
+# ------------------------------------------------------------ round trips
+
+def _patch_bijection(monkeypatch, name, forward=None, inverse=None):
+    entry = verify.BIJECTION_TABLE[name]
+    monkeypatch.setitem(verify.BIJECTION_TABLE, name,
+                        (forward or entry[0], inverse or entry[1], *entry[2:]))
+
+
+def _failed_round_trips():
+    return [(check.subject, check.range, check.first_mismatch)
+            for check in run_suite("bijections", max_n=8).checks
+            if check.status == "fail"]
+
+
+@pytest.mark.parametrize("name, inside", [("psi", "UUDUD2"),
+                                          ("phi", "UD2UUD")])
+def test_a_forward_map_wrong_on_one_path_fails(monkeypatch, name, inside):
+    forward = verify.BIJECTION_TABLE[name][0]
+    path = parse_path(inside)
+    composition = forward(path)
+
+    def wrong(path):
+        return (1,) + forward(path) if str(path) == inside else forward(path)
+
+    _patch_bijection(monkeypatch, name, forward=wrong)
+    assert _failed_round_trips() == [
+        (name, "n <= 8",
+         f"n={len(path)}: {name} round trip broke at {composition}")]
+
+
+@pytest.mark.parametrize("name, inside, outside", [
+    ("psi", "UUD2", "UD2U"), ("phi", "UD2U", "UUD2")])
+def test_an_inverse_leaving_the_window_fails(monkeypatch, name, inside,
+                                             outside):
+    # the same length and the same composition back, but outside the
+    # window: the forward map refuses it
+    forward, inverse = verify.BIJECTION_TABLE[name][:2]
+    composition = forward(parse_path(inside))
+
+    def leaves(c):
+        return parse_path(outside) if c == composition else inverse(c)
+
+    _patch_bijection(monkeypatch, name, inverse=leaves)
+    assert _failed_round_trips() == [
+        (name, "n <= 8", f"NotInFamily: {name}: profile leaves the window "
+                         f"{list(verify.BIJECTION_TABLE[name][2])}")]
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda out: out[1:], "{name}_inv decodes {k} paths, the window holds "
+                          "{window}"),
+    (lambda out: out + out[:1], "{name}_inv decodes {more} compositions to "
+                                "{window} distinct paths"),
+], ids=["drops one", "repeats one"])
+def test_a_composition_family_off_by_one_fails(monkeypatch, change, message):
+    # at one total per family, which its map reaches within n <= 8
+    listed = verify.enum_compositions
+    totals = {"alt": 6, "alt_odd_even": 9}
+
+    def changed(total, kind):
+        out = listed(total, kind)
+        return change(out) if total == totals[kind] else out
+
+    monkeypatch.setattr(verify, "enum_compositions", changed)
+    expected = []
+    for name, (_, _, (low, high), shift, kind, _) in \
+            verify.BIJECTION_TABLE.items():
+        n = totals[kind] - shift
+        window = verify.count_paths_upto(
+            n, FamilySpec("gdap", min_y=low, max_y=high))[n]
+        assert window == len(listed(totals[kind], kind)) > 1
+        expected.append((name, "n <= 8", f"n={n}: " + message.format(
+            name=name, k=window - 1, more=window + 1, window=window)))
+    assert _failed_round_trips() == expected
+
+
+def test_round_trips_list_no_path(monkeypatch):
+    # every listing goes through the block walker; the round trips count
+    # the window instead
+    walks = _counting(monkeypatch, enumeration, "_path_blocks")
+    assert not hasattr(verify, "enum_paths")
+    assert verify._check_roundtrip("psi", 12) is None
+    assert verify._check_roundtrip("phi", 12) is None
+    assert walks == []
