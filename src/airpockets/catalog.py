@@ -43,7 +43,7 @@ import threading
 from collections import deque, namedtuple
 from contextlib import contextmanager
 from functools import wraps
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add, mul, sub
 
 from .errors import (
@@ -489,7 +489,8 @@ def sharing():
 
 def _shared(compute, *key):
     # compute(*key), built once per run and kept as a tuple, so that no
-    # caller can change a value another one reads; afresh outside a run
+    # caller can change a value another one reads (a walk's steps are
+    # only ever read); afresh outside a run
     table = _run.table
     if table is None:
         return compute(*key)
@@ -728,17 +729,14 @@ def _band_walk(lo: int, hi: int, order: int):
     # system reads -I + x·M on f_lo..f_hi, g_lo..g_hi with right-hand side
     # -1 at f_0, so x^n of every unknown is M applied to x^(n-1): f_j gains
     # f_{j-1} + g_{j-1} and g_j the sum of f above j.  Yields the (f, g)
-    # coefficient tuples, indexed by ordinate - lo, for n = 0..order:
-    # tuples, so that a run's table can keep the steps as they come
-    width = hi - lo + 1
-    f = [0] * width
+    # coefficient lists, indexed by ordinate - lo, for n = 0..order.
+    f = [0] * (hi - lo + 1)
     f[-lo] = 1    # the empty path
-    f, g = tuple(f), (0,) * width
+    g = [0] * (hi - lo + 1)
     yield f, g
     for _ in range(order):
-        # tails[r] sums the top r + 1 entries of f: g_j = tails[width - 2 - j]
-        tails = tuple(accumulate(reversed(f)))
-        f, g = (0, *islice(map(add, f, g), width - 1)), tails[-2::-1] + (0,)
+        above = list(accumulate(reversed(f)))[::-1]   # f_j + f_{j+1} + ...
+        f, g = [0] + [a + b for a, b in zip(f, g)][:-1], above[1:] + [0]
         yield f, g
 
 

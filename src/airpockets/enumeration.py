@@ -19,8 +19,7 @@ D2 < ...  A listing holds only the stack and a table of completions
 bounded by the tail's depth, and the one-at-a-time and list functions are
 built from the blocks.  Counting never materializes paths: one forward
 sweep carries, per height, the number of prefixes ending in an up-step and
-in a drop (the step-set view of Banderier and Flajolet), one that also
-keeps the first step counts many unwindowed families at once, and the
+in a drop (the step-set view of Banderier and Flajolet), and the
 special-height family is counted over (length, height) on its arch
 grammar.  No walker or counter recurses once per step (the completion
 table recurses only through the tail), and nothing keeps state between
@@ -31,7 +30,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from collections.abc import Iterator
-from itertools import accumulate, product
+from itertools import accumulate
 
 from .errors import BadParams, InfeasibleSpec
 from .paths import UP, LatticePath, classify, parse_path
@@ -366,68 +365,6 @@ def _sweep_counts(max_n: int, spec: FamilySpec, read_from: int) -> list[int]:
         short = _short(n, spec)
         if short is not None:
             counts[n] = len(short)
-    return counts
-
-
-_STEPS = ("up", "down")
-
-
-def _one_step(up: list[int], down: list[int]) -> tuple[list[int], list[int]]:
-    # the (up-ending, drop-ending) vectors one step later, as in
-    # _sweep_counts: an up-step shifts both, a drop follows an up-step only
-    tails = list(accumulate(reversed(up)))  # tails[r]: the top r + 1 summed
-    return [0] + [u + d for u, d in zip(up, down)][:-1], tails[-2::-1] + [0]
-
-
-def count_unwindowed_upto(max_n: int, specs) -> list[list[int]]:
-    """[count_paths_upto(max_n, spec) for spec in specs] from one forward
-    sweep, for gdap and prefix_gdap specs with neither floor nor ceiling;
-    any other spec raises BadParams.
-
-    The sweep of _sweep_counts with the first step kept in its state: after
-    the first step, the prefixes that started up and those that started
-    down each carry their own pair of vectors by height, last step up or
-    dropped.  The floor is the lowest end less max_n, below which no
-    prefix that ends at a wanted ordinate in time ever goes.  Each length's
-    counts are read by (first step, end ordinate, last step), each read
-    once however many specs share it; the empty path counts where _short
-    admits it.
-    """
-    specs = tuple(specs)
-    for spec in specs:
-        _check_spec(max_n, spec, reach=False)
-        if spec.kind not in ("gdap", "prefix_gdap") or \
-                spec.min_y is not None or spec.max_y is not None:
-            raise BadParams(f"{spec} is not an unwindowed gdap or "
-                            "prefix_gdap family")
-    base = min([0] + [_lowest_end(spec) for spec in specs]) - max_n
-    size = max_n - base + 1
-    counts = [[len(_short(0, spec))] + [0] * max_n for spec in specs]
-    start = [0] * size
-    start[-base] = 1
-    up, down = _one_step(start, [0] * size)   # U, or a drop to any depth
-    by_first = {"up": (up, [0] * size), "down": ([0] * size, down)}
-
-    def read(first, end, last):
-        vector = by_first[first][last == "down"]
-        if end == POSITIVE:
-            return sum(vector[1 - base:])
-        return vector[end - base] if end - base < size else 0
-
-    # the (first step, end ordinate, last step) keys each spec sums
-    keys = [list(product((spec.start_step,) if spec.start_step else _STEPS,
-                         (0 if spec.end_ordinate is None
-                          else spec.end_ordinate,),
-                         (spec.end_step,) if spec.end_step else _STEPS))
-            for spec in specs]
-    wanted = set().union(*keys)
-    for n in range(1, max_n + 1):
-        if n > 1:
-            by_first = {first: _one_step(*vectors)
-                        for first, vectors in by_first.items()}
-        reads = {key: read(*key) for key in wanted}
-        for row, spec_keys in zip(counts, keys):
-            row[n] = sum(map(reads.__getitem__, spec_keys))
     return counts
 
 

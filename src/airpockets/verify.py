@@ -32,11 +32,9 @@ One run shares its kernels among its checks (catalog.sharing): each
 catalog root (the kernel's square root, the climb root, the ceiling
 root), each confined band walk and each whole-path series (the nine
 gf_gdap names, read again by Gm1 and the prefix routes) is built once
-per run, each cited OEIS record is fetched once per run, and one
-counting sweep per length serves the 15 oracle rows without floor or
-ceiling, which swept one each before.  Keys
-are exact, (radicand, band or name, order) and the sequence id, so no
-value stands in for another order, and each shared value runs its own
+per run, and each cited OEIS record is fetched once per run.  Keys are
+exact, (radicand, band or name, order) and the sequence id, so no value
+stands in for another order, and each shared value runs its own
 exactness checks once.  The tables are made when run_suite starts and
 dropped when it returns or raises; nothing carries over to the next
 run, a run sees only its own tables, so runs on several threads at once
@@ -66,7 +64,6 @@ from .enumeration import (
     POSITIVE,
     FamilySpec,
     count_paths_upto,
-    count_unwindowed_upto,
     enum_compositions,
 )
 from .errors import BadParams
@@ -406,27 +403,9 @@ ORACLE_TABLE = (
 )
 
 
-# the rows that one sweep serves: whole paths and prefixes with neither
-# floor nor ceiling, which differ only in first step, end ordinate and
-# last step
-_SWEPT = tuple(FamilySpec(**fields) for _, _, fields, _, _ in ORACLE_TABLE
-               if fields["kind"] in ("gdap", "prefix_gdap")
-               and "min_y" not in fields and "max_y" not in fields)
-
-
-def _check_series_oracle(name, params, spec_fields, epsilon, max_n,
-                         swept=None):
-    # swept, a dict kept for one run, holds the counts of every _SWEPT row
-    # from one sweep per length; without it the row is counted alone
+def _check_series_oracle(name, params, spec_fields, epsilon, max_n):
     got = evaluate(name, max_n, **params).series
-    spec = FamilySpec(**spec_fields)
-    if swept is None or spec not in _SWEPT:
-        counts = count_paths_upto(max_n, spec)
-    else:
-        if (spec, max_n) not in swept:
-            swept.update(((each, max_n), row) for each, row in
-                         zip(_SWEPT, count_unwindowed_upto(max_n, _SWEPT)))
-        counts = list(swept[spec, max_n])
+    counts = count_paths_upto(max_n, FamilySpec(**spec_fields))
     counts[0] += epsilon
     n = _first_difference(got.coeffs, counts)
     if n is not None:
@@ -513,13 +492,12 @@ def _suite_checks(suite, max_n, order, offline, refresh):
                 lambda n=name, p=params, e=expected:
                     _check_series_frozen(n, p, e, order)))
     if suite in ("oracle", "all"):
-        swept = {}
         for name, params, spec_fields, epsilon, bounded in ORACLE_TABLE:
             limit = max_n + 2 if bounded else max_n
             checks.append((
                 _subject(name, params), "oracle_vs_gf", f"n <= {limit}",
                 lambda n=name, p=params, s=spec_fields, e=epsilon, l=limit:
-                    _check_series_oracle(n, p, s, e, l, swept)))
+                    _check_series_oracle(n, p, s, e, l)))
     if suite in ("bijections", "all"):
         for scope, limit in ((f"n <= {max_n}", max_n),
                              ("worked example", None)):

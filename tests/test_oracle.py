@@ -213,54 +213,6 @@ def test_count_upto_rejects_what_count_rejects(n, spec, error):
         count_paths(n, spec)
 
 
-# the oracle rows that differ only in first step, end ordinate and last
-# step, plus ends far from the axis and either filter alone
-UNWINDOWED = list(verify._SWEPT) + [
-    FamilySpec("prefix_gdap", end_ordinate=-9, start_step="up"),
-    FamilySpec("prefix_gdap", end_ordinate=7, end_step="down"),
-    FamilySpec("prefix_gdap", end_ordinate=POSITIVE, start_step="down"),
-    FamilySpec("gdap", end_ordinate=0, end_step="up"),
-]
-
-
-def test_the_oracle_sweeps_fifteen_rows():
-    assert len(verify._SWEPT) == 15
-    assert {spec.kind for spec in verify._SWEPT} == {"gdap", "prefix_gdap"}
-
-
-def test_one_sweep_counts_every_unwindowed_spec():
-    # each length's read-out against a sweep per spec, at every max_n,
-    # the short ones (an end out of reach reads 0) and the empty path too
-    for max_n in range(15):
-        assert enumeration.count_unwindowed_upto(max_n, UNWINDOWED) == \
-            [count_paths_upto(max_n, spec) for spec in UNWINDOWED], max_n
-    assert enumeration.count_unwindowed_upto(60, verify._SWEPT) == \
-        [count_paths_upto(60, spec) for spec in verify._SWEPT]
-    assert enumeration.count_unwindowed_upto(5, []) == []
-
-
-@pytest.mark.parametrize("spec", [
-    DAP, PRIME, FamilySpec("gdap", min_y=-1), FamilySpec("gdap", max_y=2),
-    FamilySpec("prefix_gdap", min_y=0, end_ordinate=1),
-    FamilySpec("special_h"),
-], ids=str)
-def test_one_sweep_refuses_a_window(spec):
-    with pytest.raises(BadParams):
-        enumeration.count_unwindowed_upto(6, [GDAP, spec])
-
-
-@pytest.mark.parametrize("spec, error", [
-    (FamilySpec("prefix_gdap"), InfeasibleSpec),
-    (FamilySpec("gdap", end_ordinate=POSITIVE), InfeasibleSpec),
-    (FamilySpec("gdap", start_step="sideways"), BadParams),
-], ids=str)
-def test_one_sweep_rejects_what_count_rejects(spec, error):
-    with pytest.raises(error):
-        enumeration.count_unwindowed_upto(6, [spec])
-    with pytest.raises(error):
-        count_paths_upto(6, spec)
-
-
 def test_special_h_count_is_number_built():
     # the walker's members, counted on the arch grammar, each a member by
     # peeling, in strictly increasing lexicographic order; the walk lists

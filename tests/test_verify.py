@@ -349,11 +349,6 @@ def _counting(monkeypatch, module, name):
     return calls
 
 
-def _frozen(value):
-    return isinstance(value, int) or \
-        isinstance(value, tuple) and all(map(_frozen, value))
-
-
 def test_a_run_builds_each_root_walk_and_record_once(monkeypatch):
     roots = _counting(monkeypatch, catalog, "_sqrt")
     walks = _counting(monkeypatch, catalog, "_band_walk")
@@ -370,10 +365,9 @@ def test_a_run_builds_each_root_walk_and_record_once(monkeypatch):
     assert len(roots) == len(set(roots)) == 12
     assert len(walks) == len(set(walks)) == 19
     assert sorted(seq_id for seq_id, in fetched) == sorted(CITED_IDS)
-    # one table for the whole run, holding only immutable values, down to
-    # each walk's steps
+    # one table for the whole run, holding only immutable values
     assert all(table is tables[0] for table in tables)
-    assert all(map(_frozen, tables[0].values()))
+    assert all(isinstance(value, tuple) for value in tables[0].values())
     assert catalog._run.table is None
 
 
@@ -505,34 +499,6 @@ def test_whole_path_series_outside_a_run_compute_afresh(monkeypatch):
     assert catalog.evaluate("prefix_pos", 12, k=2) == \
         catalog.evaluate("prefix_pos", 12, k=2)
     assert calls[2:] == [("f0", 12)] * 2
-
-
-def test_a_run_sweeps_the_unwindowed_oracle_rows_once(monkeypatch):
-    swept = _counting(monkeypatch, verify, "count_unwindowed_upto")
-    alone = _counting(monkeypatch, verify, "count_paths_upto")
-    assert run_suite("oracle", max_n=9).ok
-    assert swept == [(9, verify._SWEPT)]
-    # every other row, the windowed and height-bounded ones, counts alone
-    assert len(alone) == len(verify.ORACLE_TABLE) - len(verify._SWEPT)
-    assert not set(verify._SWEPT) & {spec for _, spec in alone}
-
-
-def test_a_wrong_sweep_fails_the_rows_it_serves(monkeypatch):
-    # the shared sweep is checked row by row, like the counts it replaces
-    sweep = verify.count_unwindowed_upto
-
-    def off_for_gp2(max_n, specs):
-        rows = sweep(max_n, specs)
-        rows[specs.index(FamilySpec("gdap", start_step="up",
-                                    end_step="up"))][6] += 1
-        return rows
-
-    monkeypatch.setattr(verify, "count_unwindowed_upto", off_for_gp2)
-    failed = [check for check in run_suite("oracle", max_n=8).checks
-              if check.status == "fail"]
-    count = catalog.evaluate("Gp2", 6).series.coeffs[6]
-    assert [(check.subject, check.first_mismatch) for check in failed] == \
-        [("Gp2", f"n=6: series {count} != oracle {count + 1}")]
 
 
 # ------------------------------------------------------------ round trips
