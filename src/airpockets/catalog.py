@@ -243,30 +243,19 @@ def _check_cramer(rows, rhs, det: Poly, nums: list[Poly]) -> None:
 
 # ---------- linear systems over series ----------
 
-def _minus(a, b):
-    # a - b on coefficient lists, None standing for zero
-    if a is None:
-        out = [-c for c in b]
-    else:
-        out = [p - q for p, q in zip(a, b)]
-    return out if any(out) else None
-
-
 def solve_series_system(matrix, rhs) -> list[TruncatedSeries]:
     """Solve the square system matrix·x = rhs of TruncatedSeries entries,
-    all at one order, by forward elimination, then back substitution, on
-    coefficient lists.
+    all at one order, by forward elimination, then back substitution.
 
     A matrix that is empty or not square, or a right-hand side of another
     length, raises ValueError; entries of mixed orders raise OrderMismatch.
     Each column pivots on its lowest-valuation entry on or below the
     diagonal: the first with a nonzero constant term.  A column whose
     remaining entries all have positive valuation means the determinant's
-    constant term is zero: SingularToOrder.  Zero entries are kept as None
-    and skipped, so a sparse band pays only for its fill-in.  Coefficients
-    are ints, so a pivot whose constant term is not 1 or -1 raises
-    NonInvertible from the division.  The solution is substituted back into
-    the original system before being returned.
+    constant term is zero: SingularToOrder.  Coefficients are ints, so a
+    pivot whose constant term is not 1 or -1 raises NonInvertible from its
+    inverse.  Zero entries are skipped.  The solution is substituted back
+    into the original system before being returned.
     """
     # nothing in the package calls this; it stays because the benchmark's
     # tracer (bench/tracer.py, bench/layers.py) looks it up by name, and
@@ -281,55 +270,36 @@ def solve_series_system(matrix, rhs) -> list[TruncatedSeries]:
     order = rhs[0].order
     if any(entry.order != order for row in (*matrix, rhs) for entry in row):
         raise OrderMismatch("system entries must share one order")
+    zero = TruncatedSeries([], order)
 
-    def lists(entries):
-        return [None if e.is_zero() else list(e.coeffs) for e in entries]
+    def dot(entries, values):
+        # the sum of entry·value over the nonzero entries
+        return sum((e * v for e, v in zip(entries, values) if not e.is_zero()),
+                   zero)
 
-    a = [lists(row) for row in matrix]
-    b = lists(rhs)
+    rows = [[*row, b] for row, b in zip(matrix, rhs)]    # [A | b]
     inverses = []
     for col in range(n):
-        pivot = next((r for r in range(col, n)
-                      if a[r][col] is not None and a[r][col][0]), None)
+        pivot = next((r for r in range(col, n) if rows[r][col].coeffs[0]),
+                     None)
         if pivot is None:
             raise SingularToOrder(
                 f"no unit pivot in column {col}; "
                 "the determinant has zero constant term")
-        a[col], a[pivot] = a[pivot], a[col]
-        b[col], b[pivot] = b[pivot], b[col]
-        pivot_row, pivot_rhs = a[col], b[col]
-        inverse = _div([1], pivot_row[col], order)
-        inverses.append(inverse)
-        for row_index in range(col + 1, n):
-            row = a[row_index]
-            if row[col] is None:
-                continue
-            factor = _mul(row[col], inverse, order)
-            row[col] = None
-            for j in range(col + 1, n):
-                if pivot_row[j] is not None:
-                    row[j] = _minus(row[j],
-                                    _mul(factor, pivot_row[j], order))
-            if pivot_rhs is not None:
-                b[row_index] = _minus(b[row_index],
-                                      _mul(factor, pivot_rhs, order))
-    x = [None] * n
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        inverses.append(1 / rows[col][col])
+        right = rows[col][col + 1:]
+        for row in rows[col + 1:]:
+            if not row[col].is_zero():
+                factor = row[col] * inverses[col]
+                row[col + 1:] = [e if p.is_zero() else e - factor * p
+                                 for e, p in zip(row[col + 1:], right)]
+    x = [zero] * n
     for i in range(n - 1, -1, -1):
-        acc = b[i]
-        for j in range(i + 1, n):
-            if a[i][j] is not None and x[j] is not None:
-                acc = _minus(acc, _mul(a[i][j], x[j], order))
-        if acc is not None:
-            x[i] = _mul(acc, inverses[i], order)
-    solution = [TruncatedSeries(() if c is None else c, order) for c in x]
-    for i in range(n):
-        acc = TruncatedSeries([], order)
-        for entry, value in zip(matrix[i], solution):
-            if not entry.is_zero() and not value.is_zero():
-                acc = acc + entry * value
-        _require(acc == rhs[i],
-                 f"solution fails to reproduce equation {i}")
-    return solution
+        x[i] = (rows[i][n] - dot(rows[i][i + 1:n], x[i + 1:])) * inverses[i]
+    for i, (row, b) in enumerate(zip(matrix, rhs)):
+        _require(dot(row, x) == b, f"solution fails to reproduce equation {i}")
+    return x
 
 
 # ---------- the ordinate-band transfer system ----------
@@ -364,15 +334,6 @@ def band_poly_matrix(lo: int, hi: int) -> tuple[list[list[Poly]], list[Poly]]:
         for j in range(k + 1, hi + 1):
             rows[gi][j - lo] = P_X
     return rows, rhs
-
-
-def band_series_system(lo: int, hi: int, order: int) \
-        -> tuple[list[list[TruncatedSeries]], list[TruncatedSeries]]:
-    """The same band system, (matrix, rhs), with entries lifted to
-    TruncatedSeries."""
-    rows, rhs = band_poly_matrix(lo, hi)
-    return ([[TruncatedSeries(e, order) for e in row] for row in rows],
-            [TruncatedSeries(e, order) for e in rhs])
 
 
 def band_cramer_numerators(lo: int, hi: int) -> tuple[Poly, list[Poly]]:

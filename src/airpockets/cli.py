@@ -327,8 +327,11 @@ _SHORT_HELP = re.compile(r"-h+$")    # -h, or -h repeated as in -hh
 
 
 def _usage_error(prog: str, message: str):
-    # a token may hold a line break, and the message stays on one line
-    message = message.replace("\r", "\\r").replace("\n", "\\n")
+    # a token may hold a line break, and the message stays on one line:
+    # every character str.splitlines breaks at is written as its repr escape
+    message = message.translate({
+        ord(c): repr(c)[1:-1]
+        for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"})
     sys.stderr.write(f"{prog}: error: {message}\n")
     raise SystemExit(EXIT_BAD_PARAMS)
 

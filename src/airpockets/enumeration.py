@@ -289,22 +289,14 @@ def enum_paths(n: int, spec: FamilySpec) -> list[LatticePath]:
 
 def count_paths(n: int, spec: FamilySpec) -> int:
     """|enum_paths(n, spec)| without materializing, raising InfeasibleSpec
-    where no length-n member can exist: the sweep of count_paths_upto(n,
-    spec), read out at length n alone."""
+    where no length-n member can exist: count_paths_upto(n, spec)[n]."""
     _check_spec(n, spec)
-    return _sweep_counts(n, spec, n)[n]
+    return count_paths_upto(n, spec)[n]
 
 
 def count_paths_upto(max_n: int, spec: FamilySpec) -> list[int]:
     """count_paths(n, spec) for every n in 0..max_n from one forward sweep;
-    a length too short to reach the end ordinate reads 0."""
-    return _sweep_counts(max_n, spec, 0)
-
-
-def _sweep_counts(max_n: int, spec: FamilySpec, read_from: int) -> list[int]:
-    """count_paths_upto(max_n, spec) read out at the lengths from
-    read_from on and at the short lengths _short answers; the other
-    entries are left 0, since a read-out may sum a whole vector.
+    a length too short to reach the end ordinate reads 0.
 
     The state after each position is two vectors indexed by height: the
     prefixes whose last step went up (or that have no step yet), and those
@@ -338,8 +330,7 @@ def _sweep_counts(max_n: int, spec: FamilySpec, read_from: int) -> list[int]:
     down = [0] * size
     up[-base] = 1
     for n in range(1, max_n + 1):
-        read = n >= read_from
-        if prime and read and spec.end_step != "up":
+        if prime and spec.end_step != "up":
             counts[n] = sum(up[2:])
         first = n == 1
         new_up = [0] * size
@@ -352,7 +343,7 @@ def _sweep_counts(max_n: int, spec: FamilySpec, read_from: int) -> list[int]:
         if prime:  # the arch stays above the axis until its last drop
             new_up[0] = new_down[0] = 0
         up, down = new_up, new_down
-        if prime or not read:
+        if prime:
             continue
         ends = {"up": (up,), "down": (down,)}.get(spec.end_step, (up, down))
         if end is None:
@@ -570,7 +561,8 @@ def count_motzkin_avoiding(n: int) -> int:
 # ---------- compositions with parity constraints ----------
 
 def enum_compositions(n: int, kind: str) -> list[tuple[int, ...]]:
-    """Compositions of n with no two consecutive parts of equal parity.
+    """Compositions of n with no two consecutive parts of equal parity, in
+    lexicographic order: the walk below tries each part in ascending order.
 
     kind "alt": that condition alone (n = 0 gives the empty composition);
     kind "alt_odd_even": additionally the first part is odd and the last
@@ -600,5 +592,4 @@ def enum_compositions(n: int, kind: str) -> list[tuple[int, ...]]:
 
     extend(n, first_parity)
     extend = None    # it calls itself: free the cycle now, not at a collection
-    out.sort()
     return out

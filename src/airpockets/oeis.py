@@ -31,6 +31,7 @@ from .series import TruncatedSeries
 
 _ID_PATTERN = re.compile(r"A[0-9]{6}")    # read with fullmatch
 _ENDPOINT = "https://oeis.org/{id}/b{digits}.txt"
+FETCH_TIMEOUT_S = 10.0    # seconds a b-file request may wait
 _LOCKS_GUARD = threading.Lock()
 _LOCKS: dict[str, threading.Lock] = {}
 
@@ -192,8 +193,7 @@ def _lock_for(seq_id: str) -> threading.Lock:
 
 
 def fetch_sequence(seq_id: str, *, offline: bool = False,
-                   refresh: bool = False, timeout: float = 10.0
-                   ) -> SequenceRecord:
+                   refresh: bool = False) -> SequenceRecord:
     """Resolve a sequence: cache, then network, then bundled fixture.
 
     refresh skips the cache read (a successful network fetch overwrites
@@ -213,7 +213,7 @@ def fetch_sequence(seq_id: str, *, offline: bool = False,
         if not offline:
             url = _ENDPOINT.format(id=seq_id, digits=seq_id[1:])
             try:
-                terms = parse_bfile(_http_get(url, timeout), seq_id)
+                terms = parse_bfile(_http_get(url, FETCH_TIMEOUT_S), seq_id)
             except OSError as exc:
                 network_error = str(exc)
             else:

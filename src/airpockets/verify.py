@@ -40,10 +40,9 @@ dropped when it returns or raises; nothing carries over to the next
 run, a run sees only its own tables, so runs on several threads at once
 stay apart, and outside a run every call computes afresh.  Of the
 evaluations, only the whole-path series are kept, since the routes
-read them again and again: at the defaults a run made 55 gf_gdap calls
-over 22 (name, order) keys and now makes 22, kept as 22 short tuples.
-The other evaluations repeat only across suites, and keeping all of them
-costs more memory than the time it saves.
+read them again and again, and they are a few short tuples.  The other
+evaluations repeat only across suites, and keeping all of them costs
+more memory than the time it saves.
 """
 
 from __future__ import annotations

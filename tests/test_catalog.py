@@ -19,7 +19,6 @@ from airpockets.catalog import (
     NamedSeries,
     band_cramer_numerators,
     band_poly_matrix,
-    band_series_system,
     cramer_numerators,
     evaluate,
     gf_H,
@@ -77,6 +76,14 @@ def conv(a, b):
         for j, bj in enumerate(b):
             out[i + j] += ai * bj
     return trim(out)
+
+
+def lifted_band(lo, hi, order):
+    # the band system of band_poly_matrix, (matrix, rhs), with its entries
+    # lifted to TruncatedSeries
+    rows, rhs = band_poly_matrix(lo, hi)
+    return ([[TruncatedSeries(e, order) for e in row] for row in rows],
+            [TruncatedSeries(e, order) for e in rhs])
 
 
 def ratio(num, den, order):
@@ -216,7 +223,7 @@ def test_system_triangular_solve():
 
 
 def test_system_band_matches_cramer_quotients():
-    solved = solve_series_system(*band_series_system(0, 2, 12))
+    solved = solve_series_system(*lifted_band(0, 2, 12))
     den = TruncatedSeries(D_POLYS[2], 12)
     for k in range(6):
         want = TruncatedSeries(N_TABLE[(k, 2)], 12) / den
@@ -265,16 +272,16 @@ def test_system_singular_after_elimination():
 def test_wrong_elimination_fails_the_substitution(monkeypatch):
     # the solution is checked against the original series system, so a
     # wrong pivot inverse cannot slip through
-    divide = catalog._div
+    divide = series._div
 
     def off_at_the_top(a, b, order):
         quotient = divide(a, b, order)
         quotient[-1] += 1
         return quotient
 
-    monkeypatch.setattr(catalog, "_div", off_at_the_top)
+    monkeypatch.setattr(series, "_div", off_at_the_top)
     with pytest.raises(ConsistencyError, match="fails to reproduce"):
-        solve_series_system(*band_series_system(0, 2, 8))
+        solve_series_system(*lifted_band(0, 2, 8))
 
 
 @pytest.mark.parametrize("name", ["_mul", "_div", "_pow"])
@@ -288,7 +295,7 @@ def test_catalog_shares_the_series_kernel(name):
                                     (-1, 1), (-2, 2), (-3, 3)])
 def test_system_matches_gauss_jordan_on_bands(lo, hi):
     # the band solved by plain Gauss-Jordan on series objects
-    matrix, rhs = band_series_system(lo, hi, 14)
+    matrix, rhs = lifted_band(lo, hi, 14)
     n = len(matrix)
     a = [list(row) for row in matrix]
     b = list(rhs)
@@ -375,6 +382,17 @@ def test_band_eliminations_are_pinned(case):
     assert poly_det(band_poly_matrix(lo, hi)[0]) == want
     assert band_cramer_numerators(lo, hi) == \
         (want, [tuple(num) for num in case["numerators"]])
+
+
+@pytest.mark.parametrize("case", BAND_ELIMINATIONS,
+                         ids=lambda case: "band{}".format(tuple(case["band"])))
+def test_series_solver_gives_the_pinned_cramer_quotients(case):
+    # every unknown of the lifted band system is its numerator over det
+    order = 20
+    den = TruncatedSeries(case["det"], order)
+    solved = solve_series_system(*lifted_band(*case["band"], order))
+    assert solved == [TruncatedSeries(num, order) / den
+                      for num in case["numerators"]]
 
 
 def test_generic_elimination_with_a_row_swap_is_pinned():
@@ -719,7 +737,7 @@ def test_bounded_matches_its_cramer_quotients(t):
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
 def test_bounded_matches_cramer_quotients(t):
     # the catalog's forward substitution against the band elimination
-    solved = solve_series_system(*band_series_system(0, t, 30))
+    solved = solve_series_system(*lifted_band(0, t, 30))
     for k in range(t + 1):
         assert gf_bounded_0t(k, t, "f", 30) == solved[k]
         assert gf_bounded_0t(k, t, "g", 30) == solved[t + 1 + k]
@@ -790,7 +808,7 @@ def test_band_walk_matches_the_band_elimination(lo, hi):
     # against the same band system solved by elimination
     order = 16
     steps = list(catalog._band_walk(lo, hi, order))
-    solved = solve_series_system(*band_series_system(lo, hi, order))
+    solved = solve_series_system(*lifted_band(lo, hi, order))
     width = hi - lo + 1
     for i in range(width):
         assert TruncatedSeries([f[i] for f, _ in steps], order) == solved[i]

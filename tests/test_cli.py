@@ -812,19 +812,24 @@ def test_a_token_after_double_dash_is_taken_as_written(token):
     assert cli._parse(["series", "--", token]).name == token
 
 
+@pytest.mark.parametrize("brk", "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029",
+                         ids=ascii)
 @pytest.mark.parametrize("argv", [
-    ["series", "G", "a\nb"],
-    ["series", "G", "--ord\ner", "5"],
-    ["series", "G", "-x\r\ny"],
+    ["series", "G", "a{}b"],
+    ["series", "G", "--ord{}er", "5"],
+    ["series", "G", "-x\r{}y"],
+    ["enumerate", "--family", "gdap", "--length", "4", "--count",
+     "extra{}tok"],
 ])
-def test_a_usage_error_stays_on_one_line(capsys, argv):
-    # a token's line break is written escaped
+def test_a_usage_error_stays_on_one_line(capsys, argv, brk):
+    # every character str.splitlines breaks at is written as its repr
+    # escape, so "\n" still prints as \n
     with pytest.raises(SystemExit) as info:
-        main(argv)
+        main([token.format(brk) for token in argv])
     out, err = capsys.readouterr()
     assert (info.value.code, out) == (3, "")
-    assert err.count("\n") == 1 and err.endswith("\n")
-    assert "\\n" in err
+    assert len(err.splitlines()) == 1 and err.endswith("\n")
+    assert repr(brk)[1:-1] in err
 
 
 def test_flags_may_follow_the_name_under_posixly_correct(capsys,

@@ -3,6 +3,7 @@ against exhaustive slices, and the composition/Motzkin side families."""
 
 import functools
 import gc
+import itertools
 import time
 import tracemalloc
 
@@ -14,6 +15,7 @@ from airpockets import reference as ref
 from airpockets import enumeration, verify
 from airpockets.catalog import evaluate
 from airpockets.enumeration import (
+    PATH_KINDS,
     POSITIVE,
     FamilySpec,
     count_motzkin_avoiding,
@@ -195,6 +197,41 @@ def test_count_upto_zero_where_no_length_reaches():
     assert count_paths_upto(8, spec)[8] == 1
     with pytest.raises(InfeasibleSpec):
         count_paths(7, spec)
+
+
+@pytest.mark.parametrize("kind", PATH_KINDS + ("special_h",))
+def test_count_is_the_sweep_read_at_its_length(kind):
+    # one read mode: count_paths(n) is count_paths_upto(n)[n] wherever
+    # the sweep answers, except for an end out of reach in n steps, which
+    # the sweep reads as 0, and refuses wherever the sweep refuses; every
+    # combination of floor, ceiling, end (free, pinned or pooled above the
+    # axis) and start and end step, infeasible ones included
+    steps = (None, "up", "down")
+    for spec in (FamilySpec(kind, *fields) for fields in itertools.product(
+            (None, -2, 0), (None, 0, 2), (None, 0, -1, 2, POSITIVE),
+            steps, steps)):
+        for n in range(15):
+            try:
+                want = count_paths_upto(n, spec)[n]
+            except InfeasibleSpec:
+                with pytest.raises(InfeasibleSpec):
+                    count_paths(n, spec)
+                continue
+            try:
+                assert count_paths(n, spec) == want, (spec, n)
+            except InfeasibleSpec as exc:
+                assert "cannot reach" in str(exc) and want == 0, (spec, n)
+
+
+@pytest.mark.parametrize("n, spec", [
+    (1, FamilySpec("prefix_gdap", end_ordinate=2)),
+    (0, FamilySpec("prefix_gdap", end_ordinate=POSITIVE)),
+    (8, FamilySpec("prefix_gdap", min_y=-1, end_ordinate=9, end_step="up")),
+])
+def test_count_refuses_an_end_out_of_reach(n, spec):
+    assert count_paths_upto(n, spec)[n] == 0
+    with pytest.raises(InfeasibleSpec, match="cannot reach"):
+        count_paths(n, spec)
 
 
 @pytest.mark.parametrize("n, spec, error", [
@@ -486,6 +523,13 @@ def test_alternating_compositions_small():
     assert enum_compositions(5, "alt_odd_even") == [(1, 4), (3, 2)]
     assert enum_compositions(3, "alt_odd_even") == [(1, 2)]
     assert enum_compositions(0, "alt_odd_even") == []
+
+
+@pytest.mark.parametrize("kind", ["alt", "alt_odd_even"])
+def test_compositions_come_in_lexicographic_order(kind):
+    for n in range(27):
+        compositions = enum_compositions(n, kind)
+        assert compositions == sorted(compositions), n
 
 
 def test_composition_parity_rules_hold():
