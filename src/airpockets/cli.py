@@ -24,6 +24,7 @@ traceback.  Data goes to stdout, diagnostics to stderr.
 
 from __future__ import annotations
 
+import gc
 import os
 import re
 import sys
@@ -475,6 +476,13 @@ def _parse(argv: list[str]) -> SimpleNamespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # A command runs once in its own process, so what start-up loaded lives
+    # to exit anyway: frozen, it is left out of every later collection,
+    # the one at exit included.  Once per process, so that a caller that
+    # calls main again (a test run) does not also freeze the garbage each
+    # call leaves pending.
+    if not gc.get_freeze_count():
+        gc.freeze()
     args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         # looked up at each call, so that a handler can be replaced

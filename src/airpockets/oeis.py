@@ -1,17 +1,20 @@
 """OEIS sequence access with three layers: a disk cache, the network, and
 bundled fixtures, plus shift alignment against catalog series.
 
-Lookup order is cache, then network (unless offline), then fixture, so a
-machine that has never seen the network still resolves every sequence the
-package ships a fixture for.  Network fetches are written back to the
-cache atomically and are single-flight per sequence id: concurrent callers
-for the same id serialize on one lock and the second caller finds the
-cache populated.
+Online, lookup order is cache, then network, then fixture, so a machine
+that has never seen the network still resolves every sequence the
+package ships a fixture for.  Offline, only the bundled fixture is read,
+so an offline report does not depend on what a cache directory holds.
+Network fetches are written back to the cache atomically and are
+single-flight per sequence id: concurrent callers for the same id
+serialize on one lock and the second caller finds the cache populated.
 
 Alignment is discovered, never hard-coded: offsets drift across OEIS
 revisions, so align_and_compare slides the series against the terms over
-shifts in [-5, 5] and accepts the shift with the longest run of
-consecutive agreements, provided the run is at least 9 terms long.
+shifts in [-5, 5] and picks the shift with the longest run of
+consecutive agreements, provided the run is at least 9 terms long.  At
+that shift the series and the terms must agree wherever both have a
+term, less at most the first such term, which the alignment reports.
 """
 
 from __future__ import annotations
@@ -83,9 +86,12 @@ class SequenceRecord(namedtuple("SequenceRecord", "id terms source")):
         return cls(*iterable)
 
 
-class Alignment(namedtuple("Alignment", "shift start matches")):
+class Alignment(namedtuple("Alignment", "shift start matches skipped")):
     """A successful shift: series[n] == terms[n + shift] along the run;
-    the run starts at series index `start` and is `matches` terms long."""
+    the run starts at series index `start`, is `matches` terms long and
+    reaches the last n with a term.  `skipped` is the one n before the
+    run that has a term and disagrees, or None when the run starts at the
+    first n with a term."""
 
     __slots__ = ()
 
@@ -197,11 +203,14 @@ def fetch_sequence(seq_id: str, *, offline: bool = False,
     """Resolve a sequence: cache, then network, then bundled fixture.
 
     refresh skips the cache read (a successful network fetch overwrites
-    it); offline skips the network.  UnknownSequence reports an
-    authoritative 404; NetworkUnavailable means every layer came up empty.
+    it); offline reads the bundled fixture alone.  UnknownSequence
+    reports an authoritative 404; NetworkUnavailable means every layer
+    came up empty.
     """
     if not _ID_PATTERN.fullmatch(seq_id):
         raise ValueError(f"malformed sequence id {seq_id!r}")
+    if offline:
+        return _fixture_record(seq_id, "no fixture, and offline")
     with _lock_for(seq_id):
         if not refresh:
             path = _cache_path(seq_id)
@@ -209,50 +218,62 @@ def fetch_sequence(seq_id: str, *, offline: bool = False,
                 with open(path, encoding="utf-8") as handle:
                     terms = parse_bfile(handle.read(), seq_id)
                 return SequenceRecord(seq_id, terms, "cache")
-        network_error = "network disabled"
-        if not offline:
-            url = _ENDPOINT.format(id=seq_id, digits=seq_id[1:])
-            try:
-                terms = parse_bfile(_http_get(url, FETCH_TIMEOUT_S), seq_id)
-            except OSError as exc:
-                network_error = str(exc)
-            else:
-                _write_cache(seq_id, terms)
-                return SequenceRecord(seq_id, terms, "network")
-        text = _fixture_text(seq_id)
-        if text is not None:
-            return SequenceRecord(seq_id, parse_bfile(text, seq_id), "fixture")
-        raise NetworkUnavailable(
-            f"{seq_id}: no cache entry, no fixture, and {network_error}")
+        url = _ENDPOINT.format(id=seq_id, digits=seq_id[1:])
+        try:
+            terms = parse_bfile(_http_get(url, FETCH_TIMEOUT_S), seq_id)
+        except OSError as exc:
+            return _fixture_record(
+                seq_id, f"no cache entry, no fixture, and {exc}")
+        _write_cache(seq_id, terms)
+        return SequenceRecord(seq_id, terms, "network")
+
+
+def _fixture_record(seq_id: str, missing: str) -> SequenceRecord:
+    # NetworkUnavailable, with `missing` saying what came up empty, when
+    # no fixture ships for seq_id
+    text = _fixture_text(seq_id)
+    if text is None:
+        raise NetworkUnavailable(f"{seq_id}: {missing}")
+    return SequenceRecord(seq_id, parse_bfile(text, seq_id), "fixture")
 
 
 def align_and_compare(series: TruncatedSeries,
                       record: SequenceRecord) -> Alignment:
-    """Best shift in [-5, 5] by longest run of consecutive agreements.
+    """The shift in [-5, 5] with the longest run of consecutive agreements,
+    checked over the whole overlap of series and terms.
 
     The run must be at least 9 terms long; ties prefer the smaller
-    |shift|, then the smaller shift.  Raises NoAlignment when no shift
-    qualifies.
+    |shift|, then the smaller shift.  At that shift every n with a term
+    must agree, less at most the first, which is reported as skipped.
+    Raises NoAlignment when no shift qualifies or another term disagrees.
     """
-    best: tuple[int, int, int, Alignment] | None = None
+    best: tuple[int, int, int] | None = None
     for shift in range(-5, 6):
         # series[n] meets terms[n + shift] from the first n with a term;
         # the pairs stop where either side ends
         first = max(0, -shift)
         pairs = zip(series.coeffs[first:], record.terms[first + shift:])
-        run = best_run = best_start = 0
-        for n, (have, want) in enumerate(pairs, first):
-            if have == want:
-                run += 1
-                if run > best_run:
-                    best_run, best_start = run, n + 1 - run
-            else:
-                run = 0
+        run = best_run = 0
+        for have, want in pairs:
+            run = run + 1 if have == want else 0
+            best_run = max(best_run, run)
         if best_run >= 9:
             key = (-best_run, abs(shift), shift)
-            if best is None or key < best[:3]:
-                best = (*key, Alignment(shift, best_start, best_run))
+            if best is None or key < best:
+                best = key
     if best is None:
         raise NoAlignment(
             f"{record.id}: no shift in [-5, 5] yields 9 consecutive matches")
-    return best[3]
+    shift = best[2]
+    first = max(0, -shift)
+    end = min(len(series.coeffs), len(record.terms) - shift)
+    wrong = [n for n in range(first, end)
+             if series.coeffs[n] != record.terms[n + shift]]
+    skipped = wrong.pop(0) if wrong[:1] == [first] else None
+    if wrong:
+        n = wrong[0]
+        raise NoAlignment(
+            f"{record.id}: at shift {shift}, x^{n} has {series.coeffs[n]} "
+            f"where term {n + shift} is {record.terms[n + shift]}")
+    start = first + (skipped is not None)
+    return Alignment(shift, start, end - start, skipped)

@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -37,6 +38,16 @@ import brute_force
 @pytest.fixture(autouse=True)
 def isolated_cache(tmp_path, monkeypatch):
     monkeypatch.setenv("AIRPOCKETS_OEIS_CACHE", str(tmp_path / "oeis"))
+
+
+@pytest.fixture(autouse=True, scope="module")
+def frozen_once():
+    # main freezes the heap at its first call in a process, and pytest's
+    # process runs on: the garbage earlier modules left is collected before
+    # that freeze, and what this module leaves can be collected after it
+    gc.collect()
+    yield
+    gc.unfreeze()
 
 
 def run(capsys, *argv):
@@ -973,6 +984,48 @@ def test_closed_stdout_ends_a_listing_quietly():
     assert proc.wait() == 0
     assert first == b"U" * 15 + b"D15\n"
     assert "Traceback" not in err and err == ""
+
+
+# --------------------------------------------------------- start-up heap
+
+def _freeze_counts(*statements: str) -> list[int]:
+    # the freeze count after each statement, in one fresh process: pytest's
+    # own process has frozen or not as earlier tests left it
+    src = os.path.dirname(os.path.dirname(airpockets.__file__))
+    code = "import gc, sys\n" + "".join(
+        f"{statement}\nsys.stderr.write(f'{{gc.get_freeze_count()}}\\n')\n"
+        for statement in statements)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    return [int(line) for line in proc.stderr.splitlines()]
+
+
+def test_a_command_run_freezes_the_start_up_heap():
+    [frozen] = _freeze_counts(
+        "from airpockets.cli import main; main(['series', 'G', '--order', '5'])")
+    assert frozen > 0
+
+
+def test_an_import_and_the_library_freeze_nothing():
+    # the import alone (what a set-up launch times) and library calls leave
+    # the collector as it was; the command run after them freezes
+    imported, evaluated, commanded = _freeze_counts(
+        "import airpockets.cli",
+        "from airpockets import evaluate; evaluate('G', 5)",
+        "airpockets.cli.main(['series', 'G', '--order', '5'])")
+    assert imported == evaluated == 0
+    assert commanded > 0
+
+
+def test_a_second_command_run_freezes_nothing_more(capsys):
+    assert run(capsys, "series", "G", "--order", "5")[0] == 0
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    pending = [[] for _ in range(1000)]  # alive at the second call
+    assert run(capsys, "series", "G", "--order", "5")[0] == 0
+    assert gc.get_freeze_count() == frozen
+    del pending
 
 
 def test_unknown_command_is_usage_error():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airpockets import oeis
+from airpockets import oeis, verify
 from airpockets.catalog import evaluate
 from airpockets.errors import (
     NetworkUnavailable,
@@ -100,19 +100,25 @@ def test_fixtures_cover_cited_ids():
         assert len(record.terms) >= 15
 
 
-def test_fetch_prefers_cache(isolated_cache):
+def _network_down(url, timeout):
+    raise OSError(f"cannot reach {url}")
+
+
+def test_fetch_prefers_cache(isolated_cache, monkeypatch):
     isolated_cache.mkdir(parents=True)
     (isolated_cache / "A004148.txt").write_text("0 7\n1 8\n2 9\n")
-    record = fetch_sequence("A004148", offline=True)
+    monkeypatch.setattr(oeis, "_http_get", _network_down)
+    record = fetch_sequence("A004148")
     assert record.source == "cache"
     assert record.terms == (7, 8, 9)
 
 
-def test_corrupt_cache_raises(isolated_cache):
+def test_corrupt_cache_raises(isolated_cache, monkeypatch):
     isolated_cache.mkdir(parents=True)
     (isolated_cache / "A004148.txt").write_text("0 7\nbroken line here\n")
+    monkeypatch.setattr(oeis, "_http_get", _network_down)
     with pytest.raises(ParseError):
-        fetch_sequence("A004148", offline=True)
+        fetch_sequence("A004148")
 
 
 def test_refresh_skips_cache(isolated_cache, monkeypatch):
@@ -123,9 +129,30 @@ def test_refresh_skips_cache(isolated_cache, monkeypatch):
     assert record.source == "network"
     assert record.terms == (1, 1)
     # the refreshed terms replaced the stale cache entry
-    again = fetch_sequence("A004148", offline=True)
+    monkeypatch.setattr(oeis, "_http_get", _network_down)
+    again = fetch_sequence("A004148")
     assert again.source == "cache"
     assert again.terms == (1, 1)
+
+
+def test_offline_reads_the_fixture_not_a_stale_cache(isolated_cache,
+                                                     monkeypatch):
+    # A004148 cached with a wrong last term: offline, the cache is never
+    # read, so the report rests on the bundled fixture alone
+    fixture = fetch_sequence("A004148", offline=True).terms
+    isolated_cache.mkdir(parents=True)
+    (isolated_cache / "A004148.txt").write_text(
+        "".join(f"{i} {v}\n" for i, v in
+                enumerate((*fixture[:-1], fixture[-1] + 1))))
+    record = fetch_sequence("A004148", offline=True)
+    assert (record.source, record.terms) == ("fixture", fixture)
+    assert verify.run_suite("oeis", offline=True).ok
+    # online, the cache comes first, and its wrong term fails both checks
+    # that cite A004148; every other id falls back to its fixture
+    monkeypatch.setattr(oeis, "_http_get", _network_down)
+    report = verify.run_suite("oeis")
+    failed = [c.subject for c in report.checks if c.status == "fail"]
+    assert failed == ["dap vs A004148", "minorized m=-1 vs A004148"]
 
 
 def test_network_populates_cache(monkeypatch):
@@ -250,14 +277,32 @@ def test_alignment_reports_shift_and_window():
 
 def test_alignment_prefers_longest_run():
     series = ratio((0, 0, 1), (1, -1), 20)  # x^2/(1-x): 0,0,1,1,1,...
+    ones = SequenceRecord("A000012", (1,) * 16, "fixture")
+    # shifts -2 to -5 agree on all 16 terms, and the smallest |shift| wins
+    # over shift -1, which agrees on 15 after a first term it could skip
+    assert align_and_compare(series, ones) == Alignment(-2, 2, 16, None)
     terms = [1] * 16
     terms[3] = 99  # defect splits every candidate window
     record = SequenceRecord("A000012", tuple(terms), "fixture")
-    result = align_and_compare(series, record)
-    # several shifts tie at a 12-match run; the smallest |shift| wins
-    assert result.shift == 0
-    assert result.start == 4  # run after the defect
-    assert result.matches == 12
+    # several shifts tie at a 12-match run and the smallest |shift| wins,
+    # but at shift 0 the terms before that run disagree too
+    with pytest.raises(NoAlignment,
+                       match=r"at shift 0, x\^1 has 0 where term 1 is 1"):
+        align_and_compare(series, record)
+
+
+def test_alignment_skips_at_most_one_leading_term():
+    series = ratio((1,), (1, -1), 20)  # 1/(1-x): 1,1,1,...
+    terms = (7,) + (1,) * 15
+    # shifts 0 and 1 tie at 15 agreements, and shift 0 skips its first term
+    assert align_and_compare(series, SequenceRecord(
+        "A000012", terms, "fixture")) == Alignment(0, 1, 15, 0)
+    # one more wrong term anywhere, the last one included, fails
+    for index in range(1, 16):
+        wrong = terms[:index] + (2,) + terms[index + 1:]
+        with pytest.raises(NoAlignment):
+            align_and_compare(
+                series, SequenceRecord("A000012", wrong, "fixture"))
 
 
 def test_ladder_alignment_is_deterministic():
@@ -271,28 +316,36 @@ def test_ladder_alignment_is_deterministic():
 
 def _align_by_index(series, record):
     # align_and_compare as it once read, one coefficient(n) call and one
-    # bounds test per index, kept as the reference: the Alignment it
-    # finds, or None where it would raise NoAlignment
+    # bounds test per index, kept as the reference, plus the whole-overlap
+    # rule as a second index loop: the Alignment it finds, or None where
+    # it would raise NoAlignment
     best = None
     for shift in range(-5, 6):
-        run = start = 0
-        best_run = best_start = 0
+        run = best_run = 0
         for n in range(series.order + 1):
             index = n + shift
             if 0 <= index < len(record.terms) \
                     and series.coefficient(n) == record.terms[index]:
-                if run == 0:
-                    start = n
                 run += 1
-                if run > best_run:
-                    best_run, best_start = run, start
+                best_run = max(best_run, run)
             else:
                 run = 0
         if best_run >= 9:
             key = (-best_run, abs(shift), shift)
-            if best is None or key < best[:3]:
-                best = (*key, Alignment(shift, best_start, best_run))
-    return None if best is None else best[3]
+            if best is None or key < best:
+                best = key
+    if best is None:
+        return None
+    shift = best[2]
+    overlap = [n for n in range(series.order + 1)
+               if 0 <= n + shift < len(record.terms)]
+    wrong = [n for n in overlap
+             if series.coefficient(n) != record.terms[n + shift]]
+    skipped = overlap[0] if wrong[:1] == overlap[:1] else None
+    if len(wrong) > (skipped is not None):
+        return None
+    agreeing = overlap[1:] if skipped is not None else overlap
+    return Alignment(shift, agreeing[0], len(agreeing), skipped)
 
 
 @st.composite
@@ -351,6 +404,11 @@ def test_every_cited_pairing_aligns(name, params, seq_id):
     key = (name, tuple(sorted(params.items())))
     if key in WHOLE_PATH_SHIFTS:
         assert result.shift == WHOLE_PATH_SHIFTS[key]
-    # every value along the run is an exact coefficient agreement
+    # f0 leaves out the empty path, so its first term is the one skipped
+    assert result.skipped == (0 if name == "f0" else None)
+    # the run reaches the last n with a term, and every value along it is
+    # an exact coefficient agreement
+    last = min(series.order, len(record.terms) - 1 - result.shift)
+    assert result.start + result.matches - 1 == last
     for n in range(result.start, result.start + result.matches):
         assert series.coefficient(n) == record.terms[n + result.shift]

@@ -29,7 +29,7 @@ RECORDS = [
       "start_step": None}),
     (SequenceRecord, {"id": "A000035", "terms": (0, 1), "source": "fixture"},
      {}),
-    (Alignment, {"shift": 0, "start": 1, "matches": 9}, {}),
+    (Alignment, {"shift": 0, "start": 1, "matches": 9, "skipped": 0}, {}),
     (PathClassification,
      {"length": 2, "final_ordinate": 0, "max_height": 1, "min_height": 0,
       "is_dap": True, "is_gdap": True, "is_prime": False,

@@ -90,6 +90,38 @@ def test_oeis_suite_passes_offline():
     assert report.checks[0].subject == "dap vs A004148"
 
 
+# A000035 is 0, 1, 0, 1, ...: a bump at x^2..x^5 of g0t t=1 leaves a shift
+# 2 or 4 further left, whose overlap starts past the bump or at it, as the
+# one term that may be skipped, and the bumped series agrees there
+ESCAPED_BUMPS = {("g0t", "A000035"): range(2, 6)}
+
+
+@pytest.mark.parametrize("name,params,seq_id", oeis.CITED_PAIRS)
+def test_a_bumped_coefficient_fails_its_oeis_check(name, params, seq_id,
+                                                    monkeypatch):
+    # gf_vs_oeis compares every coefficient that has a term at the chosen
+    # shift, less at most the first: bumping any later one fails the check,
+    # but where the terms repeat and another shift drops it
+    series = catalog.evaluate(name, 20, **params).series
+    record = oeis.fetch_sequence(seq_id, offline=True)
+    shift = oeis.align_and_compare(series, record).shift
+    subject = f"{verify._subject(name, params)} vs {seq_id}"
+    entry = next(e for e in verify._suite_checks("oeis", 10, 20, True, False)
+                 if e[0] == subject)
+    first = max(0, -shift)
+    for n in range(first + 1, min(21, len(record.terms) - shift)):
+        coeffs = list(series.coeffs)
+        coeffs[n] += 1
+        bumped = catalog.NamedSeries(name, params, TruncatedSeries(coeffs, 20))
+        monkeypatch.setattr(verify, "evaluate", lambda *a, **k: bumped)
+        result = verify._run_check(entry)
+        if n in ESCAPED_BUMPS.get((name, seq_id), ()):
+            assert result.status == "pass", n
+            continue
+        assert result.status == "fail", n
+        assert result.first_mismatch.startswith("NoAlignment"), n
+
+
 def test_all_suite_concatenates_in_order():
     report = run_suite("all", max_n=6, offline=True)
     assert report.ok
