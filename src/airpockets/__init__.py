@@ -3,12 +3,17 @@ descents may span several levels but never follow one another.
 
 Importing the package loads none of its modules: each public name imports
 its home module on first use (PEP 562), so `from airpockets import
-evaluate` loads only catalog, series and errors, while `airpockets.cli`
-still imports every module."""
+evaluate` loads only catalog, series and errors.  `airpockets.cli`
+registers every module without running it, and a command runs only the
+modules it uses."""
 
 from importlib import import_module
 
 __version__ = "0.1.0"
+
+# the suites `verify.run_suite` runs, kept here so that the command line
+# can list them without running verify
+SUITES = ("paper-series", "oracle", "bijections", "oeis", "all")
 
 # each public name's home module
 _HOMES = {

@@ -25,20 +25,13 @@ traceback.  Data goes to stdout, diagnostics to stderr.
 from __future__ import annotations
 
 import gc
+import importlib.util
 import os
 import re
 import sys
 from types import SimpleNamespace
 
-from .bijections import parse_composition, phi, phi_inv, psi, psi_inv
-from .catalog import evaluate
-from .enumeration import (
-    FamilySpec,
-    _motzkin_blocks,
-    _path_blocks,
-    count_motzkin_avoiding,
-    count_paths,
-)
+from . import SUITES
 from .errors import (
     BadParams,
     DomainError,
@@ -46,8 +39,36 @@ from .errors import (
     InputError,
     UnknownName,
 )
-from .paths import EMPTY, LatticePath, parse_path
-from .verify import SUITES, CheckResult, run_suite
+
+
+def _lazy(name: str):
+    """The package module `name`, in sys.modules and on the package, with
+    its body not yet run: LazyLoader runs it at the first attribute lookup
+    on the module.  A module already imported is returned as it is."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+        setattr(sys.modules[__package__], name, module)
+    return module
+
+
+# Every module of the package is registered here and runs only when a
+# command first looks a name up on it, so a launch runs just the modules
+# its command uses: `series` runs catalog and series, `enumerate` runs
+# enumeration and paths.  The handlers look each name up on its module at
+# call time, and nothing at import time may touch one of these modules
+# (any attribute, __spec__ included, runs it).  Function-local imports
+# would be simpler, but the benchmark's tracer (bench/tracer.py) looks
+# each module up in sys.modules right after `import airpockets.cli` and
+# wraps functions on it, and a module not yet imported would be missing.
+(bijections, catalog, enumeration, oeis, paths, reference, series,
+ verify) = map(_lazy, ("bijections", "catalog", "enumeration", "oeis",
+                       "paths", "reference", "series", "verify"))
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -129,7 +150,7 @@ def _write(fmt: str, record, rows, text) -> None:
     sys.stdout.write(out if out.endswith("\n") else out + "\n")
 
 
-def _render_path(path: LatticePath) -> str:
+def _render_path(path: paths.LatticePath) -> str:
     return str(path) if len(path) else "ε"
 
 
@@ -140,7 +161,7 @@ def _cmd_series(args) -> int:
                            ("t", MAX_T), ("m", MAX_ORDINATE)))
     params = {key: getattr(args, key)
               for key in ("k", "t", "m") if getattr(args, key) is not None}
-    named = evaluate(args.name, args.order, **params)
+    named = catalog.evaluate(args.name, args.order, **params)
     coeffs = named.series.integer_coefficients()
     _write(args.format,
            lambda: {"name": named.name, "params": params, "coeffs": coeffs},
@@ -164,12 +185,12 @@ def _cmd_enumerate(args) -> int:
         if len(fields) > 1:
             raise InfeasibleSpec(
                 "the motzkin family takes no window or endpoint flags")
-        total = count_motzkin_avoiding(args.length)
-        blocks = _motzkin_blocks(args.length)
+        total = enumeration.count_motzkin_avoiding(args.length)
+        blocks = enumeration._motzkin_blocks(args.length)
     else:
-        spec = FamilySpec(**fields)
-        total = count_paths(args.length, spec)
-        blocks = _path_blocks(args.length, spec)
+        spec = enumeration.FamilySpec(**fields)
+        total = enumeration.count_paths(args.length, spec)
+        blocks = enumeration._path_blocks(args.length, spec)
     head = {"family": args.family, "length": args.length}
     if not args.list:
         _write(args.format, lambda: {**head, "count": total},
@@ -215,15 +236,17 @@ def _write_listing(fmt: str, head: dict, blocks) -> None:
 # ------------------------------------------------------------------- map
 
 def _cmd_map(args) -> int:
-    forward, backward = {"psi": (psi, psi_inv),
-                         "phi": (phi, phi_inv)}[args.bijection]
+    forward, backward = {
+        "psi": (bijections.psi, bijections.psi_inv),
+        "phi": (bijections.phi, bijections.phi_inv)}[args.bijection]
     if args.apply is not None:
         source = args.apply.strip()
-        path = EMPTY if source in ("", "ε") else parse_path(source)
+        path = (paths.EMPTY if source in ("", "ε")
+                else paths.parse_path(source))
         given = _render_path(path)
         output = ",".join(map(str, forward(path)))
     else:
-        composition = parse_composition(args.invert)
+        composition = bijections.parse_composition(args.invert)
         # the decoded path is within three steps of the parts' sum
         if sum(composition) > MAX_LENGTH:
             raise BadParams(f"--invert parts sum to {sum(composition)}, "
@@ -251,14 +274,15 @@ def _cmd_verify(args) -> int:
     _check_ceilings(args, (
         ("max_n", MAX_ROUNDTRIP_N if roundtrips else MAX_N),
         ("order", MAX_ORDER)))
-    report = run_suite(args.suite, max_n=args.max_n, order=args.order,
-                       offline=args.offline, refresh=args.refresh)
+    report = verify.run_suite(args.suite, max_n=args.max_n,
+                              order=args.order, offline=args.offline,
+                              refresh=args.refresh)
     checks = report.checks
     passed = sum(1 for c in checks if c.status == "pass")
     _write(args.format,
            lambda: {"suite": report.suite, "ok": report.ok,
                     "checks": [c._asdict() for c in checks]},
-           lambda: [CheckResult._fields,
+           lambda: [verify.CheckResult._fields,
                     *((*c[:-1], c.first_mismatch or "") for c in checks)],
            lambda: "\n".join([*map(_plain_check, checks),
                               f"{passed}/{len(checks)} checks passed"]))
@@ -480,7 +504,9 @@ def main(argv: list[str] | None = None) -> int:
     # to exit anyway: frozen, it is left out of every later collection,
     # the one at exit included.  Once per process, so that a caller that
     # calls main again (a test run) does not also freeze the garbage each
-    # call leaves pending.
+    # call leaves pending.  A long-lived caller that embeds main should
+    # call gc.collect() before its first call, or the garbage pending then
+    # is frozen too and never freed.
     if not gc.get_freeze_count():
         gc.freeze()
     args = _parse(sys.argv[1:] if argv is None else argv)

@@ -5,23 +5,23 @@ Online, lookup order is cache, then network, then fixture, so a machine
 that has never seen the network still resolves every sequence the
 package ships a fixture for.  Offline, only the bundled fixture is read,
 so an offline report does not depend on what a cache directory holds.
-Network fetches are written back to the cache atomically and are
-single-flight per sequence id: concurrent callers for the same id
-serialize on one lock and the second caller finds the cache populated.
+Network fetches are written back to the cache atomically.
 
 Alignment is discovered, never hard-coded: offsets drift across OEIS
 revisions, so align_and_compare slides the series against the terms over
 shifts in [-5, 5] and picks the shift with the longest run of
-consecutive agreements, provided the run is at least 9 terms long.  At
-that shift the series and the terms must agree wherever both have a
-term, less at most the first such term, which the alignment reports.
+consecutive agreements, provided the run is at least 9 terms long.  A
+shift qualifies only when its overlap starts no later than the series'
+first nonzero coefficient, so no shift can leave a leading coefficient
+out of the comparison.  At that shift the series and the terms must
+agree wherever both have a term, less at most the first such term,
+which the alignment reports.
 """
 
 from __future__ import annotations
 
 import os
 import re
-import threading
 from collections import namedtuple
 
 from .errors import (
@@ -35,8 +35,6 @@ from .series import TruncatedSeries
 _ID_PATTERN = re.compile(r"A[0-9]{6}")    # read with fullmatch
 _ENDPOINT = "https://oeis.org/{id}/b{digits}.txt"
 FETCH_TIMEOUT_S = 10.0    # seconds a b-file request may wait
-_LOCKS_GUARD = threading.Lock()
-_LOCKS: dict[str, threading.Lock] = {}
 
 # every (catalog name, parameters, sequence id) pairing the source text
 # ties together; the verify suite and the fixture tests walk this table
@@ -190,14 +188,6 @@ def _fixture_text(seq_id: str) -> str | None:
     return path.read_text(encoding="utf-8")
 
 
-def _lock_for(seq_id: str) -> threading.Lock:
-    with _LOCKS_GUARD:
-        lock = _LOCKS.get(seq_id)
-        if lock is None:
-            lock = _LOCKS[seq_id] = threading.Lock()
-        return lock
-
-
 def fetch_sequence(seq_id: str, *, offline: bool = False,
                    refresh: bool = False) -> SequenceRecord:
     """Resolve a sequence: cache, then network, then bundled fixture.
@@ -211,21 +201,20 @@ def fetch_sequence(seq_id: str, *, offline: bool = False,
         raise ValueError(f"malformed sequence id {seq_id!r}")
     if offline:
         return _fixture_record(seq_id, "no fixture, and offline")
-    with _lock_for(seq_id):
-        if not refresh:
-            path = _cache_path(seq_id)
-            if os.path.exists(path):
-                with open(path, encoding="utf-8") as handle:
-                    terms = parse_bfile(handle.read(), seq_id)
-                return SequenceRecord(seq_id, terms, "cache")
-        url = _ENDPOINT.format(id=seq_id, digits=seq_id[1:])
-        try:
-            terms = parse_bfile(_http_get(url, FETCH_TIMEOUT_S), seq_id)
-        except OSError as exc:
-            return _fixture_record(
-                seq_id, f"no cache entry, no fixture, and {exc}")
-        _write_cache(seq_id, terms)
-        return SequenceRecord(seq_id, terms, "network")
+    if not refresh:
+        path = _cache_path(seq_id)
+        if os.path.exists(path):
+            with open(path, encoding="utf-8") as handle:
+                terms = parse_bfile(handle.read(), seq_id)
+            return SequenceRecord(seq_id, terms, "cache")
+    url = _ENDPOINT.format(id=seq_id, digits=seq_id[1:])
+    try:
+        terms = parse_bfile(_http_get(url, FETCH_TIMEOUT_S), seq_id)
+    except OSError as exc:
+        return _fixture_record(
+            seq_id, f"no cache entry, no fixture, and {exc}")
+    _write_cache(seq_id, terms)
+    return SequenceRecord(seq_id, terms, "network")
 
 
 def _fixture_record(seq_id: str, missing: str) -> SequenceRecord:
@@ -242,13 +231,21 @@ def align_and_compare(series: TruncatedSeries,
     """The shift in [-5, 5] with the longest run of consecutive agreements,
     checked over the whole overlap of series and terms.
 
-    The run must be at least 9 terms long; ties prefer the smaller
-    |shift|, then the smaller shift.  At that shift every n with a term
-    must agree, less at most the first, which is reported as skipped.
+    Only shifts whose overlap starts at or before the series' first
+    nonzero coefficient are tried: on a periodic sequence such as
+    A000035, a shift further left would start past a wrong early
+    coefficient and agree everywhere after it.  The run must be at least
+    9 terms long; ties prefer the smaller |shift|, then the smaller
+    shift.  At that shift every n with a term must agree, less at most
+    the first, which is reported as skipped.
     Raises NoAlignment when no shift qualifies or another term disagrees.
     """
     best: tuple[int, int, int] | None = None
-    for shift in range(-5, 6):
+    # an overlap starts at x^-shift, which must not pass the first
+    # nonzero coefficient
+    low = -min(5, next((n for n, c in enumerate(series.coeffs) if c),
+                       len(series.coeffs)))
+    for shift in range(low, 6):
         # series[n] meets terms[n + shift] from the first n with a term;
         # the pairs stop where either side ends
         first = max(0, -shift)
@@ -263,7 +260,8 @@ def align_and_compare(series: TruncatedSeries,
                 best = key
     if best is None:
         raise NoAlignment(
-            f"{record.id}: no shift in [-5, 5] yields 9 consecutive matches")
+            f"{record.id}: no shift in [{low}, 5] yields 9 consecutive "
+            "matches")
     shift = best[2]
     first = max(0, -shift)
     end = min(len(series.coeffs), len(record.terms) - shift)

@@ -50,6 +50,7 @@ from __future__ import annotations
 from collections import namedtuple
 from operator import mul
 
+from . import SUITES
 from . import reference as ref
 from .bijections import phi, phi_inv, psi, psi_inv
 from .catalog import (
@@ -72,7 +73,6 @@ from .series import TruncatedSeries
 
 CHECK_KINDS = ("oracle_vs_gf", "gf_vs_oeis", "bijection_roundtrip",
                "dual_path")
-SUITES = ("paper-series", "oracle", "bijections", "oeis", "all")
 
 
 class CheckResult(namedtuple(

@@ -2,7 +2,10 @@
 
 bench/child.py with --trace installs bench/tracer.py, which looks the
 package's modules up in sys.modules right after importing airpockets and
-airpockets.cli; these runs fail if that import stops loading them.  The
+airpockets.cli; these runs fail if that import stops registering them.
+Reading a function off a module runs the module, so the tracer wraps
+every function it names, and the command handlers, which look each
+function up on its module at call time, call the wrapped one.  The
 tracer also wraps TruncatedSeries methods by name, so its series counters
 must still count something where `verify` runs series arithmetic.
 """
@@ -63,3 +66,13 @@ def test_traced_listing_runs(tmp_path):
     assert any(span[2] == "cli.main" for span in spans)
     assert isinstance(enum_paths(4, FamilySpec("dap")), list)
     assert isinstance(enum_h(4), list)
+
+
+@pytest.mark.parametrize("args, span", [
+    (["map", "--bijection", "phi", "--invert", "3,6,3,2,1,2"], "bijections"),
+    (["enumerate", "--family", "gdap", "--length", "12", "--count"],
+     "enumeration.count_paths"),
+], ids=["map", "enumerate-count"])
+def test_traced_command_records_its_spans(tmp_path, args, span):
+    spans = _traced_child(tmp_path, "cli", *args)["spans"]
+    assert {"cli.main", span} <= {s[2] for s in spans}

@@ -1,8 +1,6 @@
 """Sequence client: b-file parsing, the cache/network/fixture ladder, and
 shift alignment of catalog series against sequence terms."""
 
-import threading
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -200,34 +198,6 @@ def test_nothing_available(monkeypatch):
         fetch_sequence("A999999", offline=True)
 
 
-def test_single_flight(monkeypatch):
-    calls = []
-    gate = threading.Event()
-
-    def slow_get(url, timeout):
-        calls.append(url)
-        gate.wait(0.2)
-        return "0 1\n1 2\n2 3\n"
-
-    monkeypatch.setattr(oeis, "_http_get", slow_get)
-    records = [None] * 6
-    threads = [
-        threading.Thread(
-            target=lambda i=i: records.__setitem__(
-                i, fetch_sequence("A203611")))
-        for i in range(6)
-    ]
-    for thread in threads:
-        thread.start()
-    gate.set()
-    for thread in threads:
-        thread.join()
-    assert len(calls) == 1
-    assert {r.terms for r in records} == {(1, 2, 3)}
-    sources = {r.source for r in records}
-    assert sources == {"network", "cache"}
-
-
 # ------------------------------------------------------------- alignment
 
 def ratio(num, den, order):
@@ -317,10 +287,15 @@ def test_ladder_alignment_is_deterministic():
 def _align_by_index(series, record):
     # align_and_compare as it once read, one coefficient(n) call and one
     # bounds test per index, kept as the reference, plus the whole-overlap
-    # rule as a second index loop: the Alignment it finds, or None where
-    # it would raise NoAlignment
+    # rule as a second index loop and no shift at which the first nonzero
+    # coefficient has no term: the Alignment it finds, or None where it
+    # would raise NoAlignment
+    lead = next((n for n in range(series.order + 1) if series.coefficient(n)),
+                series.order + 1)
     best = None
     for shift in range(-5, 6):
+        if lead + shift < 0:
+            continue
         run = best_run = 0
         for n in range(series.order + 1):
             index = n + shift

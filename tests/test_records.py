@@ -98,7 +98,12 @@ def _loaded_after(statement: str, *flags: str) -> set[str]:
     return set(out.split())
 
 
-def test_cli_import_loads_every_module_and_no_dataclasses():
+MODULES = {"airpockets." + info.name
+           for info in pkgutil.iter_modules(airpockets.__path__)
+           if info.name != "__main__"}
+
+
+def test_cli_import_registers_every_module_and_no_dataclasses():
     loaded = _loaded_after("import airpockets.cli")
     # argparse costs every launch its import, and its first message the
     # import of locale; getopt imports gettext.  The CLI reads argv with
@@ -106,14 +111,44 @@ def test_cli_import_loads_every_module_and_no_dataclasses():
     assert not {"dataclasses", "inspect", "csv", "json", "fractions",
                 "decimal", "argparse", "locale", "getopt",
                 "gettext"} & loaded
-    modules = {"airpockets." + info.name
-               for info in pkgutil.iter_modules(airpockets.__path__)
-               if info.name != "__main__"}
     # the benchmark's tracer finds these in sys.modules after this import
     traced = {"airpockets." + name for name in (
         "bijections", "catalog", "enumeration", "oeis", "paths", "series",
         "verify")}
-    assert traced <= modules <= loaded
+    assert traced <= MODULES <= loaded
+
+
+def _ran_after(argv: list[str]) -> set[str]:
+    # the package modules whose bodies have run after one command, in a
+    # fresh process; a module registered but not yet run is still
+    # LazyLoader's ModuleType subclass, and testing its type reads no
+    # attribute of it, so it does not run it
+    src = os.path.dirname(os.path.dirname(airpockets.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, types\n"
+         "from airpockets import cli\n"
+         f"cli.main({argv!r})\n"
+         "print(' '.join(name for name, module in sys.modules.items()\n"
+         "               if name.startswith('airpockets.')\n"
+         "               and type(module) is types.ModuleType))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+        check=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("argv, used", [
+    (["series", "G", "--order", "5"], {"catalog", "series"}),
+    (["enumerate", "--family", "H", "--length", "8", "--count"],
+     {"enumeration", "paths"}),
+    (["map", "--bijection", "psi", "--apply", "UUD2"],
+     {"bijections", "paths"}),
+    (["verify", "--offline", "--suite", "all"],
+     {name.removeprefix("airpockets.") for name in MODULES}),
+], ids=["series", "enumerate", "map", "verify"])
+def test_a_command_runs_only_the_modules_it_uses(argv, used):
+    assert _ran_after(argv) == {
+        "airpockets." + name for name in ("cli", "errors", *used)}
 
 
 def test_cli_import_loads_no_typing():
