@@ -102,9 +102,20 @@ MODULES = {"airpockets." + info.name
            for info in pkgutil.iter_modules(airpockets.__path__)
            if info.name != "__main__"}
 
+# `import airpockets.cli` registers the package's modules without running
+# them; reading each one's __dict__ runs its body, so what the bodies
+# import is checked too, and the check that all ran fails the process
+# otherwise
+IMPORT_CLI_AND_RUN_EVERY_MODULE = (
+    "import types, airpockets.cli; "
+    "package = [module for name, module in list(sys.modules.items()) "
+    "if name.startswith('airpockets.')]; "
+    "[vars(module) for module in package]; "
+    "assert all(type(module) is types.ModuleType for module in package)")
+
 
 def test_cli_import_registers_every_module_and_no_dataclasses():
-    loaded = _loaded_after("import airpockets.cli")
+    loaded = _loaded_after(IMPORT_CLI_AND_RUN_EVERY_MODULE)
     # argparse costs every launch its import, and its first message the
     # import of locale; getopt imports gettext.  The CLI reads argv with
     # one loop of its own
@@ -154,7 +165,8 @@ def test_a_command_runs_only_the_modules_it_uses(argv, used):
 def test_cli_import_loads_no_typing():
     # under -S no site hook has loaded typing already; the records are
     # collections.namedtuple classes
-    assert "typing" not in _loaded_after("import airpockets.cli", "-S")
+    assert "typing" not in _loaded_after(IMPORT_CLI_AND_RUN_EVERY_MODULE,
+                                         "-S")
 
 
 def _submodules(loaded: set[str]) -> set[str]:
