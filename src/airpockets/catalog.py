@@ -11,17 +11,19 @@ substitution over the heights a path can reach, the special heights under
 a ceiling are a ratio of two polynomials that a linear recurrence builds
 level by level, and every other family is a rational function of x and of
 one of two algebraic roots (the climb root s, the special-height root b);
-all their denominators have constant term ±1 once a power of 2 is
-cleared.  Routes work on lists of Python ints, and each public evaluator
-builds a single TruncatedSeries at its boundary.  The product, quotient
-and power on those lists are series._mul, _div and _pow, the same ones
+all their denominators have constant term ±1 once a power of 2 and of x
+is cleared.  The whole-path series are read off one table of closed
+forms in the kernel root, whose only series divisor is its radicand.
+Routes work on lists of Python ints, and each public evaluator builds a
+single TruncatedSeries at its boundary.  The product, quotient and power
+on those lists are series._mul, _div and _pow, the same ones
 TruncatedSeries uses.  The independent derivations that tie a family to
-a second route (the first-return
-equation and the band substitution solved one coefficient at a time,
-first-return systems, one fraction-free Cramer elimination per band for
-its determinant, numerators and confined series, radical closed forms,
-the special heights' arch grammar) live in verify.DUAL_PATHS and run in
-`verify --suite paper-series` and the tests.  The checks that stay in
+a second route (the first-return equation and the band substitution
+solved one coefficient at a time, first-return systems, one
+fraction-free Cramer elimination per band for its determinant,
+numerators and confined series, radical closed forms, the special
+heights' arch grammar) live in verify.DUAL_PATHS and run in `verify
+--suite paper-series` and the tests.  The checks that stay in
 the call are exactness checks: every division and halving must leave no
 remainder, and each square root must square to its radicand at the last
 coefficient.  A failed check raises ConsistencyError (NonInvertible for a
@@ -32,9 +34,9 @@ Both roots are rational in x and the square root of a fixed polynomial
 radicand, and that square root comes from the linear recurrence its
 differential equation gives, in O(order) integer operations.  So a call
 computes its roots afresh, and threads may call the module freely.  The
-one exception is a `verify` run, which shares its roots, band walks and
-whole-path series among its checks through sharing(); the verify module
-docstring says what the run keeps and for how long.
+one exception is a `verify` run, which shares its roots and band walks
+among its checks through sharing(); the verify module docstring says
+what the run keeps and for how long.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from __future__ import annotations
 import threading
 from collections import deque, namedtuple
 from contextlib import contextmanager
-from functools import wraps
+from functools import partial, wraps
 from itertools import accumulate
 from operator import add, mul, sub
 
@@ -432,10 +434,9 @@ _run = _Run()
 
 @contextmanager
 def sharing():
-    """Share each root, confined band walk and whole-path series among the
-    calls in the block.
+    """Share each root and confined band walk among the calls in the block.
 
-    Each is built once, keyed exactly on (radicand, band or name, order),
+    Each is built once, keyed exactly on (radicand or band, order),
     and the table is dropped when the block ends or raises.  The table
     belongs to the calling thread: other threads, and calls after the
     block, compute afresh.
@@ -528,8 +529,34 @@ def gf_dap(order: int) -> list[int]:
 
 GDAP_NAMES = ("Gp1", "Gp2", "Gp", "Gm", "G", "Gm1", "Gm2", "f0", "g0")
 
-_UP_FRONT: Poly = (1, -1, 1)      # 1 - x + x^2
-_DOWN_FRONT: Poly = (1, 1, -1)    # 1 + x - x^2
+# name: (P, Q, a, b), the closed form y = (P + Q·W) / (2^a·x^b·R) in the
+# kernel root W and its radicand R = W^2.  Each is the kernel method's
+# closed form in W and 1/K = (1 + x - x^2 - W)/(2x), rationalised with
+# W^2 = R, so that R is the only series divisor.
+_CLOSED_FORMS = {
+    "Gp1": ((), (0, 0, 1), 0, 0),
+    "Gm2": ((), (0, 0, 1), 0, 0),
+    "f0": ((-1, 2, 1, 2, -1), (1, -1, 1), 1, 0),
+    "g0": ((0, -1, 2, 1, 2, -1), (0, 1, 1, -1), 1, 0),
+    "Gp2": ((-1, 2, 1, 2, -1), (1, -1, -1), 1, 0),
+    "Gp": ((1, -2, -1, -2, 1), (1, -1, 1), 1, 0),
+    "G": ((1, -3, 1, -1, 3, -1), (1, 0, 2, -1), 1, 0),
+    "Gm": ((0, -1, 2, 1, 2, -1), (0, 1, 1, -1), 1, 0),
+    "Gm1": ((0, -1, 2, 1, 2, -1), (0, 1, -1, -1), 1, 0),
+    "prefix_pos_total": ((-1, 1, 4, 1, 0, -3, 1), (1, 0, -1, -2, 1), 1, 1),
+}
+
+
+def _closed_form(name: str, order: int) -> list[int]:
+    # one product by Q and one division by R after the shared root W, then
+    # an exact halving per factor 2 and an exact division by x^b
+    p, q, halvings, lift = _CLOSED_FORMS[name]
+    big = order + lift
+    y = _div(_add(p, _mul(q, _kernel_root(big), big), big),
+             KERNEL_RADICAND, big)
+    for _ in range(halvings):
+        y = _half(y)
+    return _over_x(y, lift)
 
 
 @_series_route
@@ -539,36 +566,13 @@ def gf_gdap(name: str, order: int) -> list[int]:
     Gp1/Gp2/Gp: paths starting with an up step, split by last step (Gp
     includes the empty path); Gm/Gm1/Gm2: starting with a down step, split
     the same way; G: everything; f0/g0: nonempty paths split by last step
-    instead, so G = 1 + f0 + g0.  Each is a closed form in the kernel root
-    W, the radicand R = W^2 and K = (1 + x - x^2 + W)/2.
+    instead, so G = 1 + f0 + g0.  Each is a closed form (P + Q·W)/(2^a·R)
+    in the kernel root W and the radicand R = W^2.
     """
     if name not in GDAP_NAMES:
         raise UnknownName(
             f"no whole-path series named {name!r}; known: {', '.join(GDAP_NAMES)}")
-    w = _kernel_root(order)
-    rad = KERNEL_RADICAND
-    if name in ("Gp1", "Gm2"):    # mirror-and-merge pairing
-        return _div((0, 0, 1), w, order)
-    if name == "f0":
-        return _sub(_half(_div(_add(_UP_FRONT, w, order), w, order)), (1,),
-                    order)
-    if name == "g0":
-        lift = _times_x(_sub(_DOWN_FRONT, w, order), 1, order)
-        return _half(_div(lift, w, order))
-    if name == "Gp2":
-        num = _sub(_mul(w, (1, -1, -1), order), rad, order)
-        return _half(_div(num, rad, order))
-    mixed = _add(_mul(w, _UP_FRONT, order), rad, order)
-    if name == "Gp":
-        return _half(_div(mixed, rad, order))
-    k = _half(_add(_DOWN_FRONT, w, order))
-    if name == "G":
-        return _half(_div(_div(mixed, k, order), rad, order))
-    gm = _mul(_sub(_UP_FRONT, w, order), mixed, order)
-    gm = _half(_half(_div(_div(gm, k, order), rad, order)))
-    if name == "Gm":
-        return gm
-    return _sub(gm, _shared(gf_gdap.ints, "Gp1", order), order)
+    return _closed_form(name, order)
 
 
 # ---------- prefix families ----------
@@ -596,7 +600,7 @@ def gf_prefix_positive(k: int, order: int) -> list[int]:
     """Prefixes ending at positive ordinate k (both final-step kinds)."""
     if k < 1:
         raise ValueError("ordinate must be >= 1")
-    f0 = _shared(gf_gdap.ints, "f0", order)
+    f0 = _closed_form("f0", order)
     return _mul(_add(f0, (1,), order), _ordinate_factor(k, order), order)
 
 
@@ -604,12 +608,10 @@ def gf_prefix_positive(k: int, order: int) -> list[int]:
 def gf_prefix_positive_total(order: int) -> list[int]:
     """Prefixes ending strictly above the axis, all ordinates pooled.
 
-    The radical closed form (W - 1 - x + x^2)^2 / (4x·W).
+    The radical closed form (W - 1 - x + x^2)^2 / (4x·W), rationalised to
+    (P + Q·W)/(2x·R) as the whole-path series are.
     """
-    big = order + 1
-    w = _kernel_root(big)
-    num = _sub(w, _DOWN_FRONT, big)
-    return _over_x(_half(_half(_div(_mul(num, num, big), w, big))), 1)
+    return _closed_form("prefix_pos_total", order)
 
 
 @_series_route
@@ -617,7 +619,7 @@ def gf_prefix_negative(k: int, order: int) -> list[int]:
     """Prefixes ending at negative ordinate k (both final-step kinds)."""
     if k > -1:
         raise ValueError("ordinate must be <= -1")
-    g0 = _over_x(_shared(gf_gdap.ints, "g0", order + 1), 1)
+    g0 = _over_x(_closed_form("g0", order + 1), 1)
     return _mul(_drop_factor(k, order), _add(g0, (1,), order), order)
 
 
@@ -824,32 +826,27 @@ class NamedSeries(namedtuple("NamedSeries", "name params series")):
 _Entry = namedtuple("_Entry", "params fn summary")
 
 
-def _whole_path(name: str):
-    # the route of one whole-path series, built once per verify run, as
-    # Gm1's Gp1 and the prefix routes' f0 and g0 are: the run reads the
-    # same few (name, order) keys many times over
-    return lambda order: _shared(gf_gdap.ints, name, order)
-
-
 CATALOG = {
     "dap": _Entry((), gf_dap.ints, "axis-to-axis paths by length"),
     "P": _Entry((), lambda order: _times_x(gf_dap.ints(order), 1, order),
                 "axis-to-axis paths, length shifted up by one"),
     "W": _Entry((), _kernel_root, "square root of the kernel discriminant"),
-    "G": _Entry((), _whole_path("G"), "all whole paths"),
-    "Gp": _Entry((), _whole_path("Gp"),
+    "G": _Entry((), partial(_closed_form, "G"), "all whole paths"),
+    "Gp": _Entry((), partial(_closed_form, "Gp"),
                  "whole paths starting up, plus the empty path"),
-    "Gp1": _Entry((), _whole_path("Gp1"),
+    "Gp1": _Entry((), partial(_closed_form, "Gp1"),
                   "whole paths starting up, ending down"),
-    "Gp2": _Entry((), _whole_path("Gp2"),
+    "Gp2": _Entry((), partial(_closed_form, "Gp2"),
                   "whole paths starting up, ending up"),
-    "Gm": _Entry((), _whole_path("Gm"), "whole paths starting down"),
-    "Gm1": _Entry((), _whole_path("Gm1"),
+    "Gm": _Entry((), partial(_closed_form, "Gm"), "whole paths starting down"),
+    "Gm1": _Entry((), partial(_closed_form, "Gm1"),
                   "whole paths starting down, ending down"),
-    "Gm2": _Entry((), _whole_path("Gm2"),
+    "Gm2": _Entry((), partial(_closed_form, "Gm2"),
                   "whole paths starting down, ending up"),
-    "f0": _Entry((), _whole_path("f0"), "whole paths ending with an up step"),
-    "g0": _Entry((), _whole_path("g0"), "whole paths ending with a down step"),
+    "f0": _Entry((), partial(_closed_form, "f0"),
+                 "whole paths ending with an up step"),
+    "g0": _Entry((), partial(_closed_form, "g0"),
+                 "whole paths ending with a down step"),
     "s2": _Entry((), _climb_root, "power-series root of the kernel quadratic"),
     "r2": _Entry((), _climb_root, "power-series root of the kernel quadratic"),
     "Tk": _Entry(("k",), _ordinate_factor,

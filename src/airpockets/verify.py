@@ -30,19 +30,17 @@ than aborting the suite.
 
 One run shares its kernels among its checks (catalog.sharing): each
 catalog root (the kernel's square root, the climb root, the ceiling
-root), each confined band walk and each whole-path series (the nine
-gf_gdap names, read again by Gm1 and the prefix routes) is built once
-per run, and each cited OEIS record is fetched once per run.  Keys are
-exact, (radicand, band or name, order) and the sequence id, so no value
-stands in for another order, and each shared value runs its own
-exactness checks once.  The tables are made when run_suite starts and
-dropped when it returns or raises; nothing carries over to the next
-run, a run sees only its own tables, so runs on several threads at once
-stay apart, and outside a run every call computes afresh.  Of the
-evaluations, only the whole-path series are kept, since the routes
-read them again and again, and they are a few short tuples.  The other
-evaluations repeat only across suites, and keeping all of them costs
-more memory than the time it saves.
+root) and each confined band walk is built once per run, and each cited
+OEIS record is fetched once per run.  Keys are exact, (radicand or
+band, order) and the sequence id, so no value stands in for another
+order, and each shared value runs its own exactness checks once.  The
+tables are made when run_suite starts and dropped when it returns or
+raises; nothing carries over to the next run, a run sees only its own
+tables, so runs on several threads at once stay apart, and outside a
+run every call computes afresh.  No evaluation is kept: each whole-path
+series costs one product and one division by a quartic after its root,
+and the other evaluations repeat only across suites, where keeping them
+all costs more memory than the time it saves.
 """
 
 from __future__ import annotations

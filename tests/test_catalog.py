@@ -955,6 +955,16 @@ def test_high_ceilings_are_cheap():
     assert time.perf_counter() - start < 3.0
 
 
+def test_whole_path_closed_forms_are_cheap():
+    # each of the ten is one product by a polynomial and one division by
+    # the kernel radicand after the shared root; a route that divides by
+    # whole series at every step takes seconds here
+    start = time.perf_counter()
+    for name in (*GDAP_NAMES, "prefix_pos_total"):
+        evaluate(name, 1000)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_ceiling_rejects_negative():
     with pytest.raises(ValueError):
         gf_H_bounded(-1, 5)

@@ -386,7 +386,7 @@ def test_a_run_builds_each_root_walk_and_record_once(monkeypatch):
     assert run_suite("all", offline=True).ok
     # 12 distinct (radicand, order) roots and 19 distinct bands at the
     # defaults, each built by its first caller; computed afresh, the run
-    # made 97 roots and 87 walks
+    # made 93 roots and 87 walks
     assert len(roots) == len(set(roots)) == 12
     assert len(walks) == len(set(walks)) == 19
     assert sorted(seq_id for seq_id, in fetched) == sorted(CITED_IDS)
@@ -503,27 +503,6 @@ def test_runs_on_two_threads_keep_their_own_tables(monkeypatch):
         assert all(table is tables[0] for table in tables)
     assert seen["first"][0] is not seen["second"][0]
     assert catalog._run.table is None
-
-
-def test_a_run_builds_each_whole_path_series_once(monkeypatch):
-    # the nine whole-path names, Gm1's Gp1 and the prefix routes' f0 and
-    # g0 all go through the run's table: computed afresh, the run made 55
-    # gf_gdap calls over these 22 (name, order) keys
-    calls = _counting(monkeypatch, catalog.gf_gdap, "ints")
-    assert run_suite("all", offline=True).ok
-    assert len(calls) == len(set(calls)) == 22
-    assert {name for name, _ in calls} == set(catalog.GDAP_NAMES)
-
-
-def test_whole_path_series_outside_a_run_compute_afresh(monkeypatch):
-    calls = _counting(monkeypatch, catalog.gf_gdap, "ints")
-    first = catalog.evaluate("G", 20)
-    second = catalog.evaluate("G", 20)
-    assert first == second
-    assert calls == [("G", 20)] * 2
-    assert catalog.evaluate("prefix_pos", 12, k=2) == \
-        catalog.evaluate("prefix_pos", 12, k=2)
-    assert calls[2:] == [("f0", 12)] * 2
 
 
 # ------------------------------------------------------------ round trips
