@@ -505,6 +505,32 @@ def test_runs_on_two_threads_keep_their_own_tables(monkeypatch):
     assert catalog._run.table is None
 
 
+def test_a_run_keeps_no_whole_path_series(monkeypatch):
+    # each whole-path series is one product and one division by R after
+    # the shared root, so the run's table holds roots and walks only
+    tables = []
+    check = verify._run_check
+    monkeypatch.setattr(verify, "_run_check",
+                        lambda entry: tables.append(catalog._run.table)
+                        or check(entry))
+    assert run_suite("all", offline=True).ok
+    assert {entry[0] for entry in tables[0]} == {
+        catalog._sqrt, catalog._climb_from_kernel, catalog._band_walk}
+
+
+def test_whole_path_series_outside_a_run_compute_afresh(monkeypatch):
+    roots = _counting(monkeypatch, catalog, "_sqrt")
+    first = catalog.evaluate("G", 20)
+    second = catalog.evaluate("G", 20)
+    assert first == second
+    assert roots == [(catalog.KERNEL_RADICAND, 20)] * 2
+    assert catalog.evaluate("prefix_pos", 12, k=2) == \
+        catalog.evaluate("prefix_pos", 12, k=2)
+    # f0's root at 12 and the ordinate factor's at 11, once per call
+    assert roots[2:] == [(catalog.KERNEL_RADICAND, 12),
+                         (catalog.KERNEL_RADICAND, 11)] * 2
+
+
 # ------------------------------------------------------------ round trips
 
 def _patch_bijection(monkeypatch, name, forward=None, inverse=None):
