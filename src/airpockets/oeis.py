@@ -1,11 +1,11 @@
-"""OEIS sequence access with three layers: a disk cache, the network, and
+"""OEIS sequence access with three layers: the network, a disk cache, and
 bundled fixtures, plus shift alignment against catalog series.
 
-Online, lookup order is cache, then network, then fixture, so a machine
-that has never seen the network still resolves every sequence the
-package ships a fixture for.  Offline, only the bundled fixture is read,
-so an offline report does not depend on what a cache directory holds.
-Network fetches are written back to the cache atomically.
+Online, lookup order is network, then cache, then fixture: a fetch that
+fails or whose body is not a b-file falls through, and a good one is
+written to the cache atomically when the cache can be written.  Offline,
+only the bundled fixture is read, so an offline report does not depend
+on what a cache directory holds.
 
 Alignment is discovered, never hard-coded: offsets drift across OEIS
 revisions, so align_and_compare slides the series against the terms over
@@ -159,9 +159,10 @@ def _write_cache(seq_id: str, terms: tuple[int, ...]) -> None:
 
 
 def _http_get(url: str, timeout: float) -> str:
-    """GET the url; UnknownSequence on 404, OSError on anything else."""
+    """GET the url; UnknownSequence on 404, OSError on any other failure."""
     # imported here: urllib costs every launch tens of milliseconds, and
     # only a network fetch needs it
+    import http.client
     import urllib.error
     import urllib.request
 
@@ -174,6 +175,9 @@ def _http_get(url: str, timeout: float) -> str:
         raise OSError(f"HTTP {exc.code} from {url}") from None
     except urllib.error.URLError as exc:
         raise OSError(f"cannot reach {url}: {exc.reason}") from None
+    except (http.client.HTTPException, UnicodeDecodeError) as exc:
+        # a truncated or non-UTF-8 body: a failed fetch, like no answer
+        raise OSError(f"bad response from {url}: {exc!r}") from None
 
 
 def _fixture_text(seq_id: str) -> str | None:
@@ -188,38 +192,36 @@ def _fixture_text(seq_id: str) -> str | None:
     return path.read_text(encoding="utf-8")
 
 
-def fetch_sequence(seq_id: str, *, offline: bool = False,
-                   refresh: bool = False) -> SequenceRecord:
-    """Resolve a sequence: cache, then network, then bundled fixture.
+def fetch_sequence(seq_id: str, *, offline: bool = False) -> SequenceRecord:
+    """Resolve a sequence: network, then cache, then bundled fixture.
 
-    refresh skips the cache read (a successful network fetch overwrites
-    it); offline reads the bundled fixture alone.  UnknownSequence
-    reports an authoritative 404; NetworkUnavailable means every layer
-    came up empty.
+    offline reads the bundled fixture alone.  A fetch that fails or gets
+    no b-file falls back, a good one is cached, and the record's source
+    names the layer read.  UnknownSequence reports an authoritative 404,
+    ParseError a corrupt cache entry, NetworkUnavailable an empty ladder.
     """
     if not _ID_PATTERN.fullmatch(seq_id):
         raise ValueError(f"malformed sequence id {seq_id!r}")
     if offline:
-        return _fixture_record(seq_id, "no fixture, and offline")
-    if not refresh:
+        missing = "no fixture, and offline"
+    else:
+        url = _ENDPOINT.format(id=seq_id, digits=seq_id[1:])
+        try:
+            terms = parse_bfile(_http_get(url, FETCH_TIMEOUT_S), seq_id)
+        except (OSError, ParseError) as exc:
+            missing = f"{exc}, no cache entry, and no fixture"
+        else:
+            try:
+                _write_cache(seq_id, terms)
+            except OSError:
+                pass  # the fetched terms stand without a cached copy
+            return SequenceRecord(seq_id, terms, "network")
         path = _cache_path(seq_id)
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as handle:
+            # a byte that is not UTF-8 fails the parse as a bad field
+            with open(path, encoding="utf-8", errors="replace") as handle:
                 terms = parse_bfile(handle.read(), seq_id)
             return SequenceRecord(seq_id, terms, "cache")
-    url = _ENDPOINT.format(id=seq_id, digits=seq_id[1:])
-    try:
-        terms = parse_bfile(_http_get(url, FETCH_TIMEOUT_S), seq_id)
-    except OSError as exc:
-        return _fixture_record(
-            seq_id, f"no cache entry, no fixture, and {exc}")
-    _write_cache(seq_id, terms)
-    return SequenceRecord(seq_id, terms, "network")
-
-
-def _fixture_record(seq_id: str, missing: str) -> SequenceRecord:
-    # NetworkUnavailable, with `missing` saying what came up empty, when
-    # no fixture ships for seq_id
     text = _fixture_text(seq_id)
     if text is None:
         raise NetworkUnavailable(f"{seq_id}: {missing}")

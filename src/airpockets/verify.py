@@ -464,22 +464,20 @@ def _check_roundtrip(name, max_n=None):
 
 # ------------------------------------------------------------------ oeis
 
-def _check_alignment(name, params, seq_id, order, offline, refresh,
-                     records):
+def _check_alignment(name, params, seq_id, order, offline, records):
     # align_and_compare raises NoAlignment below a 9-term run; a sequence
     # cited by several pairs is fetched once per run, into the run's
     # records under its id
     record = records.get(seq_id)
     if record is None:
-        record = records[seq_id] = fetch_sequence(
-            seq_id, offline=offline, refresh=refresh)
+        record = records[seq_id] = fetch_sequence(seq_id, offline=offline)
     align_and_compare(evaluate(name, order, **params).series, record)
     return None
 
 
 # ---------------------------------------------------------------- driver
 
-def _suite_checks(suite, max_n, order, offline, refresh):
+def _suite_checks(suite, max_n, order, offline):
     checks = []
     if suite in ("paper-series", "all"):
         for name, params, expected in SERIES_TABLE:
@@ -508,8 +506,7 @@ def _suite_checks(suite, max_n, order, offline, refresh):
                 f"{_subject(name, params)} vs {seq_id}", "gf_vs_oeis",
                 f"order {order}",
                 lambda n=name, p=params, s=seq_id:
-                    _check_alignment(n, p, s, order, offline, refresh,
-                                     records)))
+                    _check_alignment(n, p, s, order, offline, records)))
     return checks
 
 
@@ -525,8 +522,7 @@ def _run_check(entry):
 
 
 def run_suite(suite: str, *, max_n: int = 10, order: int = 20,
-              offline: bool = False,
-              refresh: bool = False) -> VerificationReport:
+              offline: bool = False) -> VerificationReport:
     """Run one suite (or "all") and report every check."""
     if suite not in SUITES:
         raise BadParams(f"unknown suite {suite!r}; choose from {SUITES}")
@@ -536,7 +532,7 @@ def run_suite(suite: str, *, max_n: int = 10, order: int = 20,
     # Gm1 has four leading zeros, so its run first fits at order 12
     if order < 12:
         raise BadParams("order must be at least 12")
-    checks = _suite_checks(suite, max_n, order, offline, refresh)
+    checks = _suite_checks(suite, max_n, order, offline)
     with sharing():
         results = [_run_check(entry) for entry in checks]
     return VerificationReport(suite, tuple(results))

@@ -737,6 +737,7 @@ BAD_REQUESTS = [
     (3, ["verify", "--suite", "imagined"]),
     (3, ["verify", "--suite", "paper-series", "--threads", "2"]),
     (3, ["verify", "--suite", "oeis", "--offline", "--order", "11"]),
+    (3, ["verify", "--refresh"]),
     (3, ["imagined"]),
 ]
 
@@ -800,7 +801,7 @@ HELP_WORDS = {
                   "down", "--list", "--count"],
     "map": ["--bijection", "psi", "phi", "--apply", "--invert"],
     "verify": ["--suite", "paper-series", "oracle", "bijections", "oeis",
-               "all", "--max-n", "--order", "--offline", "--refresh"],
+               "all", "--max-n", "--order", "--offline"],
 }
 
 
@@ -814,6 +815,11 @@ def test_help_names_every_flag_and_choice(capsys, command):
     words = set(re.findall(r"[\w-]+", out))
     formats = [] if command is None else ["--format", "plain", "json", "csv"]
     assert set(HELP_WORDS[command] + formats) <= words
+    # and no flag it does not take: the option syntax names only --flag
+    # and --help
+    assert {w for w in words if w.startswith("--")} == {
+        w for w in HELP_WORDS[command] + formats + ["--flag", "--help"]
+        if w.startswith("--")}
 
 
 @pytest.mark.parametrize("token", ["--order=5", "--=3", "-a b", "-1"])

@@ -1,4 +1,4 @@
-"""Sequence client: b-file parsing, the cache/network/fixture ladder, and
+"""Sequence client: b-file parsing, the network/cache/fixture ladder, and
 shift alignment of catalog series against sequence terms."""
 
 import pytest
@@ -102,31 +102,62 @@ def _network_down(url, timeout):
     raise OSError(f"cannot reach {url}")
 
 
-def test_fetch_prefers_cache(isolated_cache, monkeypatch):
+def _portal(url, timeout):
+    # a 200 answer from a proxy or captive portal: not a b-file
+    return "<html><body>Sign in to continue</body></html>\n"
+
+
+# a fetch that raises, and one whose body is not a b-file: both are failed
+# fetches, and the ladder falls back past them
+FAILED_FETCHES = pytest.mark.parametrize(
+    "get", [_network_down, _portal], ids=["network down", "not a b-file"])
+
+
+@FAILED_FETCHES
+def test_fetch_prefers_cache(isolated_cache, monkeypatch, get):
     isolated_cache.mkdir(parents=True)
     (isolated_cache / "A004148.txt").write_text("0 7\n1 8\n2 9\n")
-    monkeypatch.setattr(oeis, "_http_get", _network_down)
+    monkeypatch.setattr(oeis, "_http_get", get)
     record = fetch_sequence("A004148")
     assert record.source == "cache"
     assert record.terms == (7, 8, 9)
 
 
-def test_corrupt_cache_raises(isolated_cache, monkeypatch):
+@FAILED_FETCHES
+@pytest.mark.parametrize("entry", [b"0 7\nbroken line here\n",
+                                   b"0 7\n1 \xff8\n"],
+                         ids=["bad line", "not utf-8"])
+def test_corrupt_cache_raises(isolated_cache, monkeypatch, get, entry):
+    # a corrupt entry the ladder reaches raises, rather than passing
+    # silently to the fixture
     isolated_cache.mkdir(parents=True)
-    (isolated_cache / "A004148.txt").write_text("0 7\nbroken line here\n")
-    monkeypatch.setattr(oeis, "_http_get", _network_down)
-    with pytest.raises(ParseError):
+    (isolated_cache / "A004148.txt").write_bytes(entry)
+    monkeypatch.setattr(oeis, "_http_get", get)
+    with pytest.raises(ParseError, match="line 2"):
         fetch_sequence("A004148")
 
 
-def test_refresh_skips_cache(isolated_cache, monkeypatch):
+@FAILED_FETCHES
+def test_network_failure_falls_back_to_fixture(isolated_cache, monkeypatch,
+                                               get):
+    monkeypatch.setattr(oeis, "_http_get", get)
+    record = fetch_sequence("A004148")
+    assert record.source == "fixture"
+    assert record.terms == fetch_sequence("A004148", offline=True).terms
+    assert not isolated_cache.exists()
+
+
+def test_a_working_network_overrides_a_stale_cache(isolated_cache,
+                                                   monkeypatch):
+    # online, the network comes first: a stale cache entry is neither
+    # read nor kept once a fetch succeeds
     isolated_cache.mkdir(parents=True)
     (isolated_cache / "A004148.txt").write_text("0 7\n")
     monkeypatch.setattr(oeis, "_http_get", lambda url, timeout: "0 1\n1 1\n")
-    record = fetch_sequence("A004148", refresh=True)
+    record = fetch_sequence("A004148")
     assert record.source == "network"
     assert record.terms == (1, 1)
-    # the refreshed terms replaced the stale cache entry
+    # the fetched terms replaced the stale cache entry
     monkeypatch.setattr(oeis, "_http_get", _network_down)
     again = fetch_sequence("A004148")
     assert again.source == "cache"
@@ -145,15 +176,16 @@ def test_offline_reads_the_fixture_not_a_stale_cache(isolated_cache,
     record = fetch_sequence("A004148", offline=True)
     assert (record.source, record.terms) == ("fixture", fixture)
     assert verify.run_suite("oeis", offline=True).ok
-    # online, the cache comes first, and its wrong term fails both checks
-    # that cite A004148; every other id falls back to its fixture
+    # online with the network down, the cache comes before the fixture,
+    # and its wrong term fails both checks that cite A004148; every other
+    # id falls back to its fixture
     monkeypatch.setattr(oeis, "_http_get", _network_down)
     report = verify.run_suite("oeis")
     failed = [c.subject for c in report.checks if c.status == "fail"]
     assert failed == ["dap vs A004148", "minorized m=-1 vs A004148"]
 
 
-def test_network_populates_cache(monkeypatch):
+def test_network_populates_cache(isolated_cache, monkeypatch):
     calls = []
 
     def fake_get(url, timeout):
@@ -164,28 +196,77 @@ def test_network_populates_cache(monkeypatch):
     first = fetch_sequence("A051286")
     assert first.source == "network"
     assert "A051286" in calls[0] and "b051286.txt" in calls[0]
+    assert parse_bfile((isolated_cache / "A051286.txt").read_text()) == (5, 6)
+    # a working network is asked again; a failing one leaves the cache
+    assert fetch_sequence("A051286").source == "network"
+    assert len(calls) == 2
+    monkeypatch.setattr(oeis, "_http_get", _network_down)
     second = fetch_sequence("A051286")
     assert second.source == "cache"
     assert second.terms == first.terms == (5, 6)
-    assert len(calls) == 1
 
 
-def test_unknown_sequence_propagates(monkeypatch):
+def test_an_unwritable_cache_keeps_the_fetched_record(tmp_path, monkeypatch):
+    # the cache directory would sit under a regular file, so writing the
+    # cache raises NotADirectoryError; the fetch itself succeeded
+    (tmp_path / "plain").write_text("")
+    monkeypatch.setenv("AIRPOCKETS_OEIS_CACHE",
+                       str(tmp_path / "plain" / "oeis"))
+    monkeypatch.setattr(oeis, "_http_get", lambda url, timeout: "0 1\n1 3\n")
+    record = fetch_sequence("A004148")
+    assert (record.source, record.terms) == ("network", (1, 3))
+    assert list(tmp_path.iterdir()) == [tmp_path / "plain"]
+
+
+class _Response:
+    # what urlopen hands back: a context manager whose read() gives the
+    # body, or raises what a broken transfer raises
+    def __init__(self, read):
+        self.read = read
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+
+def _truncated():
+    import http.client
+
+    raise http.client.IncompleteRead(b"0 1\n", 40)
+
+
+@pytest.mark.parametrize("read", [lambda: b"\xff\xfe0 1\n", _truncated],
+                         ids=["not utf-8", "truncated"])
+def test_a_garbled_response_is_a_failed_fetch(monkeypatch, read):
+    # _http_get turns a body it cannot read into OSError, so the ladder
+    # falls back to the fixture instead of raising
+    import urllib.request
+
+    monkeypatch.setattr(urllib.request, "urlopen",
+                        lambda url, timeout: _Response(read))
+    with pytest.raises(OSError, match="bad response from"):
+        oeis._http_get("https://oeis.org/A004148/b004148.txt", 1.0)
+    assert fetch_sequence("A004148").source == "fixture"
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no cache", "cache"])
+def test_unknown_sequence_propagates(isolated_cache, monkeypatch, cached):
+    # an authoritative "no such sequence" is an answer, not a failed
+    # fetch: neither a cache entry nor a fixture may stand in for it
+    if cached:
+        isolated_cache.mkdir(parents=True)
+        (isolated_cache / "A004148.txt").write_text("0 7\n1 8\n")
+
     def fake_get(url, timeout):
         raise UnknownSequence(f"no b-file at {url}")
 
     monkeypatch.setattr(oeis, "_http_get", fake_get)
     with pytest.raises(UnknownSequence):
+        fetch_sequence("A004148")
+    with pytest.raises(UnknownSequence):
         fetch_sequence("A999999")
-
-
-def test_network_failure_falls_back_to_fixture(monkeypatch):
-    def fake_get(url, timeout):
-        raise OSError("connection refused")
-
-    monkeypatch.setattr(oeis, "_http_get", fake_get)
-    record = fetch_sequence("A004148")
-    assert record.source == "fixture"
 
 
 def test_nothing_available(monkeypatch):

@@ -102,7 +102,7 @@ def test_a_bumped_coefficient_fails_its_oeis_check(name, params, seq_id,
     record = oeis.fetch_sequence(seq_id, offline=True)
     shift = oeis.align_and_compare(series, record).shift
     subject = f"{verify._subject(name, params)} vs {seq_id}"
-    entry = next(e for e in verify._suite_checks("oeis", 10, 20, True, False)
+    entry = next(e for e in verify._suite_checks("oeis", 10, 20, True)
                  if e[0] == subject)
     first = max(0, -shift)
     for n in range(first + 1, min(21, len(record.terms) - shift)):
@@ -396,9 +396,10 @@ def test_a_run_builds_each_root_walk_and_record_once(monkeypatch):
     assert catalog._run.table is None
 
 
-def test_refresh_fetches_each_cited_sequence_once_per_run(monkeypatch):
-    # a stand-in network serving the bundled terms: --refresh goes to it
-    # for every id in every run, and only once per id in a run
+def test_an_online_run_fetches_each_cited_sequence_once(monkeypatch):
+    # a stand-in network serving the bundled terms: an online run asks it
+    # for every cited id, once per id in a run, and a warm cache saves no
+    # request in the next run
     urls = []
 
     def fake_get(url, timeout):
@@ -407,7 +408,7 @@ def test_refresh_fetches_each_cited_sequence_once_per_run(monkeypatch):
 
     monkeypatch.setattr(oeis, "_http_get", fake_get)
     for runs in (1, 2):
-        assert run_suite("oeis", refresh=True).ok
+        assert run_suite("oeis").ok
         assert len(urls) == runs * len(CITED_IDS)
     assert len(set(urls)) == len(CITED_IDS)
 
