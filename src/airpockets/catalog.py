@@ -14,8 +14,9 @@ one of two algebraic roots (the climb root s, the special-height root b);
 all their denominators have constant term ±1 once a power of 2 and of x
 is cleared.  The whole-path series are read off one table of closed
 forms in the kernel root, whose only series divisor is its radicand.
-Routes work on lists of Python ints, and each public evaluator builds a
-single TruncatedSeries at its boundary.  The product, quotient and power
+Routes work on lists of Python ints, and evaluate, the one way into the
+catalog, builds the TruncatedSeries a call returns; the gf_* and poly_*
+names are shorthands for it.  The product, quotient and power
 on those lists are series._mul, _div and _pow, the same ones
 TruncatedSeries uses.  The independent derivations that tie a family to
 a second route (the first-return equation and the band substitution
@@ -44,14 +45,13 @@ from __future__ import annotations
 import threading
 from collections import deque, namedtuple
 from contextlib import contextmanager
-from functools import partial, wraps
+from functools import partial
 from itertools import accumulate
 from operator import add, mul, sub
 
 from .errors import (
     BadParams,
     ConsistencyError,
-    IndexOutOfRange,
     OrderMismatch,
     SingularToOrder,
     UnknownName,
@@ -503,27 +503,10 @@ def _climb_from_kernel(order: int) -> list[int]:
     return _half(_over_x(_sub((1, 1, -1), w, order + 1), 1))
 
 
-def _series_route(route):
-    """The public face of an integer route: the same arguments, order
-    last, and one TruncatedSeries built from the coefficients.  The route
-    itself stays reachable as .ints for the catalog and the other routes."""
-
-    @wraps(route)
-    def series(*args) -> TruncatedSeries:
-        return TruncatedSeries(route(*args), args[-1])
-
-    series.ints = route
-    return series
-
-
 # ---------- the dap series and the whole-path family ----------
 
-@_series_route
-def gf_dap(order: int) -> list[int]:
-    """Nonempty axis-to-axis path counts, one coefficient per length.
-
-    The climb root less its constant term.
-    """
+def _dap(order: int) -> list[int]:
+    # nonempty axis-to-axis paths: the climb root less its constant term
     return _sub(_climb_root(order), (1,), order)
 
 
@@ -532,7 +515,8 @@ GDAP_NAMES = ("Gp1", "Gp2", "Gp", "Gm", "G", "Gm1", "Gm2", "f0", "g0")
 # name: (P, Q, a, b), the closed form y = (P + Q·W) / (2^a·x^b·R) in the
 # kernel root W and its radicand R = W^2.  Each is the kernel method's
 # closed form in W and 1/K = (1 + x - x^2 - W)/(2x), rationalised with
-# W^2 = R, so that R is the only series divisor.
+# W^2 = R, so that R is the only series divisor; prefix_pos_total, the
+# prefixes ending strictly above the axis, is (W - 1 - x + x^2)^2 / (4x·W).
 _CLOSED_FORMS = {
     "Gp1": ((), (0, 0, 1), 0, 0),
     "Gm2": ((), (0, 0, 1), 0, 0),
@@ -559,22 +543,6 @@ def _closed_form(name: str, order: int) -> list[int]:
     return _over_x(y, lift)
 
 
-@_series_route
-def gf_gdap(name: str, order: int) -> list[int]:
-    """One of the whole-path family series.
-
-    Gp1/Gp2/Gp: paths starting with an up step, split by last step (Gp
-    includes the empty path); Gm/Gm1/Gm2: starting with a down step, split
-    the same way; G: everything; f0/g0: nonempty paths split by last step
-    instead, so G = 1 + f0 + g0.  Each is a closed form (P + Q·W)/(2^a·R)
-    in the kernel root W and the radicand R = W^2.
-    """
-    if name not in GDAP_NAMES:
-        raise UnknownName(
-            f"no whole-path series named {name!r}; known: {', '.join(GDAP_NAMES)}")
-    return _closed_form(name, order)
-
-
 # ---------- prefix families ----------
 
 def _ordinate_factor(k: int, order: int) -> list[int]:
@@ -595,40 +563,22 @@ def _drop_factor(k: int, order: int) -> list[int]:
                         order + 1), 1)
 
 
-@_series_route
-def gf_prefix_positive(k: int, order: int) -> list[int]:
-    """Prefixes ending at positive ordinate k (both final-step kinds)."""
+def _prefix_positive(k: int, order: int) -> list[int]:
     if k < 1:
         raise ValueError("ordinate must be >= 1")
     f0 = _closed_form("f0", order)
     return _mul(_add(f0, (1,), order), _ordinate_factor(k, order), order)
 
 
-@_series_route
-def gf_prefix_positive_total(order: int) -> list[int]:
-    """Prefixes ending strictly above the axis, all ordinates pooled.
-
-    The radical closed form (W - 1 - x + x^2)^2 / (4x·W), rationalised to
-    (P + Q·W)/(2x·R) as the whole-path series are.
-    """
-    return _closed_form("prefix_pos_total", order)
-
-
-@_series_route
-def gf_prefix_negative(k: int, order: int) -> list[int]:
-    """Prefixes ending at negative ordinate k (both final-step kinds)."""
+def _prefix_negative(k: int, order: int) -> list[int]:
     if k > -1:
         raise ValueError("ordinate must be <= -1")
     g0 = _over_x(_closed_form("g0", order + 1), 1)
     return _mul(_drop_factor(k, order), _add(g0, (1,), order), order)
 
 
-@_series_route
-def gf_minorized(m: int, order: int) -> list[int]:
-    """Prefixes that never dip below the floor y = m (empty path included).
-
-    The kernel closed form (s^(-m) - s^(-1-m) - x^2) / x^3.
-    """
+def _minorized(m: int, order: int) -> list[int]:
+    # the kernel closed form (s^(-m) - s^(-1-m) - x^2) / x^3
     if m > 0:
         raise ValueError("floor must be <= 0")
     big = order + 3
@@ -656,27 +606,17 @@ def _det_and_gate(t: int, order: int) -> tuple[list[int], list[int]]:
     return det, gate
 
 
-@_series_route
-def poly_D(t: int, order: int) -> list[int]:
-    """Determinant polynomial of the height-(0..t) band system.
-
-    Computed by its three-term linear recurrence.
-    """
+def _band_det(t: int, order: int) -> list[int]:
     if t < 0:
         raise ValueError("band height must be >= 0")
     return _det_and_gate(t, order)[0]
 
 
-@_series_route
-def poly_N(k: int, t: int, order: int) -> list[int]:
-    """Cramer numerator polynomial for unknown k of the height-(0..t) band.
-
-    Unknowns 0..t are the f ordinates, t+1..2t+1 the g ordinates.  Built
-    from the determinant sweep: x^k·D_{t-k} for an f ordinate, and
-    x^(k-t-1)·N_{s+1}^s with s = 2t+1-k for a g ordinate.
-    """
+def _band_numerator(k: int, t: int, order: int) -> list[int]:
+    # from the determinant sweep: x^k·D_{t-k} for an f ordinate k <= t,
+    # and x^(k-t-1)·N_{s+1}^s with s = 2t+1-k for a g ordinate
     if t < 0 or not 0 <= k <= 2 * t + 1:
-        raise IndexOutOfRange(f"numerator index ({k}, {t}) outside 0..{2 * t + 1}")
+        raise ValueError(f"numerator index ({k}, {t}) outside 0..{2 * t + 1}")
     lift = k if k <= t else k - t - 1
     if lift > order:
         return []
@@ -718,59 +658,31 @@ def _confined(lo: int, hi: int, k: int,
     return [f for f, _ in steps], [g for _, g in steps]
 
 
-@_series_route
-def gf_bounded_0t(k: int, t: int, kind: str, order: int) -> list[int]:
-    """Prefixes confined to 0 <= y <= t ending at ordinate k.
-
-    kind "f" selects the up-ending series (empty path included at k = 0),
-    kind "g" the down-ending series; g at k = 0 counts the nonempty
-    confined paths that return to the axis.  Both come from one walk.
-    """
+def _low_band(k: int, t: int, order: int) -> tuple[list[int], list[int]]:
+    # (f_k, g_k) of the band 0 <= y <= t: f ends with an up step (the empty
+    # path included at k = 0), g with a down step
     if t < 1:
         raise ValueError("band height must be >= 1")
-    if kind not in ("f", "g"):
-        raise ValueError('kind must be "f" or "g"')
     if not 0 <= k <= t:
-        raise IndexOutOfRange(f"ordinate {k} outside 0..{t}")
-    f, g = _confined(0, t, k, order)
-    return f if kind == "f" else g
+        raise ValueError(f"ordinate {k} outside 0..{t}")
+    return _confined(0, t, k, order)
 
 
-@_series_route
-def gf_bounded_sym(t: int, order: int) -> list[int]:
-    """Paths confined to -t <= y <= t that end on the axis (empty included).
-
-    The sum of the two axis unknowns of one walk on the centered band.
-    """
+def _centered_band(k: int, t: int,
+                   order: int) -> tuple[list[int], list[int]]:
+    # (f_k, g_k) of the band -t <= y <= t
     if t < 1:
         raise ValueError("band half-height must be >= 1")
-    return list(map(add, *_confined(-t, t, 0, order)))
-
-
-@_series_route
-def gf_bounded_sym_ordinate(k: int, t: int, kind: str,
-                            order: int) -> list[int]:
-    """Per-ordinate series of the centered band, by forward substitution
-    on the band system, one coefficient of every unknown per step."""
-    if t < 1:
-        raise ValueError("band half-height must be >= 1")
-    if kind not in ("f", "g"):
-        raise ValueError('kind must be "f" or "g"')
     if not -t <= k <= t:
-        raise IndexOutOfRange(f"ordinate {k} outside -{t}..{t}")
-    f, g = _confined(-t, t, k, order)
-    return f if kind == "f" else g
+        raise ValueError(f"ordinate {k} outside -{t}..{t}")
+    return _confined(-t, t, k, order)
 
 
 # ---------- the special-height family ----------
 
-@_series_route
-def gf_H(order: int) -> list[int]:
-    """Length counts of the special-height family (dominating-arch rule).
-
-    The root b of x^2·b^2 - (1-x^3)·b + 1 = 0 that is a power series:
-    b = (1 - x^3 - C^(1/2)) / (2x^2), with C the ceiling radicand.
-    """
+def _special_heights(order: int) -> list[int]:
+    # the root b of x^2·b^2 - (1-x^3)·b + 1 = 0 that is a power series:
+    # b = (1 - x^3 - C^(1/2)) / (2x^2), with C the ceiling radicand
     c = _shared(_sqrt, CEILING_RADICAND, order + 2)
     return _half(_over_x(_sub((1, 0, 0, -1), c, order + 2), 2))
 
@@ -793,21 +705,15 @@ def _ceiling_fractions(k: int, order: int):
     return below, level
 
 
-@_series_route
-def gf_H_bounded(k: int, order: int) -> list[int]:
-    """Special-height members of height at most k.
-
-    Heights above the length are unreachable, so the result agrees with
-    the full series through min(order, k+1).
-    """
+def _heights_at_most(k: int, order: int) -> list[int]:
+    # heights above the length are unreachable, so this agrees with the
+    # full series through min(order, k+1)
     if k < 0:
         raise ValueError("height ceiling must be >= 0")
     return _div(*_ceiling_fractions(k, order)[1], order)
 
 
-@_series_route
-def gf_H_exact(k: int, order: int) -> list[int]:
-    """Special-height members of height exactly k."""
+def _heights_exactly(k: int, order: int) -> list[int]:
     if k < 0:
         raise ValueError("height must be >= 0")
     below, level = _ceiling_fractions(k, order)
@@ -827,8 +733,8 @@ _Entry = namedtuple("_Entry", "params fn summary")
 
 
 CATALOG = {
-    "dap": _Entry((), gf_dap.ints, "axis-to-axis paths by length"),
-    "P": _Entry((), lambda order: _times_x(gf_dap.ints(order), 1, order),
+    "dap": _Entry((), _dap, "axis-to-axis paths by length"),
+    "P": _Entry((), lambda order: _times_x(_dap(order), 1, order),
                 "axis-to-axis paths, length shifted up by one"),
     "W": _Entry((), _kernel_root, "square root of the kernel discriminant"),
     "G": _Entry((), partial(_closed_form, "G"), "all whole paths"),
@@ -853,42 +759,38 @@ CATALOG = {
                  "climb factor to ordinate k, never touching down again"),
     "Rk": _Entry(("k",), _drop_factor,
                  "drop factor to negative ordinate k"),
-    "prefix_pos": _Entry(("k",), gf_prefix_positive.ints,
+    "prefix_pos": _Entry(("k",), _prefix_positive,
                          "prefixes ending at positive ordinate k"),
-    "prefix_pos_total": _Entry((), gf_prefix_positive_total.ints,
+    "prefix_pos_total": _Entry((), partial(_closed_form, "prefix_pos_total"),
                                "prefixes ending strictly above the axis"),
-    "prefix_neg": _Entry(("k",), gf_prefix_negative.ints,
+    "prefix_neg": _Entry(("k",), _prefix_negative,
                          "prefixes ending at negative ordinate k"),
-    "minorized": _Entry(("m",), gf_minorized.ints,
+    "minorized": _Entry(("m",), _minorized,
                         "prefixes floored at y = m, empty included"),
-    "D": _Entry(("t",), poly_D.ints, "band determinant polynomial"),
-    "N": _Entry(("k", "t"), poly_N.ints, "band Cramer numerator polynomial"),
-    "fkt": _Entry(("k", "t"),
-                  lambda k, t, order: gf_bounded_0t.ints(k, t, "f", order),
+    "D": _Entry(("t",), _band_det, "band determinant polynomial"),
+    "N": _Entry(("k", "t"), _band_numerator,
+                "band Cramer numerator polynomial"),
+    "fkt": _Entry(("k", "t"), lambda k, t, order: _low_band(k, t, order)[0],
                   "confined prefixes ending up at ordinate k"),
-    "gkt": _Entry(("k", "t"),
-                  lambda k, t, order: gf_bounded_0t.ints(k, t, "g", order),
+    "gkt": _Entry(("k", "t"), lambda k, t, order: _low_band(k, t, order)[1],
                   "confined prefixes ending down at ordinate k"),
-    "f0t": _Entry(("t",),
-                  lambda t, order: gf_bounded_0t.ints(0, t, "f", order),
+    "f0t": _Entry(("t",), lambda t, order: _low_band(0, t, order)[0],
                   "confined paths ending up on the axis, plus empty"),
-    "g0t": _Entry(("t",),
-                  lambda t, order: gf_bounded_0t.ints(0, t, "g", order),
+    "g0t": _Entry(("t",), lambda t, order: _low_band(0, t, order)[1],
                   "confined paths returning to the axis with a down step"),
-    "sym": _Entry(("t",), gf_bounded_sym.ints,
+    "sym": _Entry(("t",),
+                  lambda t, order: list(map(add, *_centered_band(0, t, order))),
                   "paths confined to |y| <= t ending on the axis"),
     "sym_f": _Entry(("k", "t"),
-                    lambda k, t, order:
-                        gf_bounded_sym_ordinate.ints(k, t, "f", order),
+                    lambda k, t, order: _centered_band(k, t, order)[0],
                     "centered-band prefixes ending up at ordinate k"),
     "sym_g": _Entry(("k", "t"),
-                    lambda k, t, order:
-                        gf_bounded_sym_ordinate.ints(k, t, "g", order),
+                    lambda k, t, order: _centered_band(k, t, order)[1],
                     "centered-band prefixes ending down at ordinate k"),
-    "B": _Entry((), gf_H.ints, "special-height family by length"),
-    "Bk": _Entry(("k",), gf_H_bounded.ints,
+    "B": _Entry((), _special_heights, "special-height family by length"),
+    "Bk": _Entry(("k",), _heights_at_most,
                  "special-height members of height at most k"),
-    "Ak": _Entry(("k",), gf_H_exact.ints,
+    "Ak": _Entry(("k",), _heights_exactly,
                  "special-height members of height exactly k"),
 }
 
@@ -901,8 +803,9 @@ def evaluate(name: str, order: int, k: int | None = None,
              t: int | None = None, m: int | None = None) -> NamedSeries:
     """Look up a catalog name and evaluate it at the given order.
 
-    Raises UnknownName for a name outside the catalog and BadParams when
-    the parameters do not match the entry (missing, extra, out of range).
+    The one evaluator: every other way into the catalog calls it.  Raises
+    UnknownName for a name outside the catalog and BadParams when the
+    parameters do not match the entry (missing, extra, out of range).
     """
     entry = CATALOG.get(name)
     if entry is None:
@@ -921,3 +824,50 @@ def evaluate(name: str, order: int, k: int | None = None,
     except ValueError as exc:
         raise BadParams(str(exc)) from None
     return NamedSeries(name, tuple(args), TruncatedSeries(coeffs, order))
+
+
+# ---------- shorthands for evaluate ----------
+
+def gf_dap(order: int) -> TruncatedSeries:
+    """Nonempty axis-to-axis path counts, one coefficient per length."""
+    return evaluate("dap", order).series
+
+
+def gf_gdap(name: str, order: int) -> TruncatedSeries:
+    """One of the whole-path family series.
+
+    Gp1/Gp2/Gp: paths starting with an up step, split by last step (Gp
+    includes the empty path); Gm/Gm1/Gm2: starting with a down step, split
+    the same way; G: everything; f0/g0: nonempty paths split by last step
+    instead, so G = 1 + f0 + g0.
+    """
+    if name not in GDAP_NAMES:
+        raise UnknownName(
+            f"no whole-path series named {name!r}; known: {', '.join(GDAP_NAMES)}")
+    return evaluate(name, order).series
+
+
+def gf_prefix_positive(k: int, order: int) -> TruncatedSeries:
+    """Prefixes ending at positive ordinate k (both final-step kinds)."""
+    return evaluate("prefix_pos", order, k=k).series
+
+
+def gf_prefix_negative(k: int, order: int) -> TruncatedSeries:
+    """Prefixes ending at negative ordinate k (both final-step kinds)."""
+    return evaluate("prefix_neg", order, k=k).series
+
+
+def gf_minorized(m: int, order: int) -> TruncatedSeries:
+    """Prefixes that never dip below the floor y = m (empty path included)."""
+    return evaluate("minorized", order, m=m).series
+
+
+def poly_D(t: int, order: int) -> TruncatedSeries:
+    """Determinant polynomial of the height-(0..t) band system."""
+    return evaluate("D", order, t=t).series
+
+
+def poly_N(k: int, t: int, order: int) -> TruncatedSeries:
+    """Cramer numerator polynomial for unknown k of the height-(0..t) band:
+    unknowns 0..t are the f ordinates, t+1..2t+1 the g ordinates."""
+    return evaluate("N", order, k=k, t=t).series

@@ -112,7 +112,7 @@ FAMILY_KINDS = {
     "prime": "prime",
     "prefix": "prefix_gdap",
     "H": "special_h",
-    "motzkin": "motzkin_avoid",
+    "motzkin": None,    # its own walker and counter, not a FamilySpec
 }
 
 
@@ -181,7 +181,7 @@ def _cmd_enumerate(args) -> int:
     for flag in ("min_y", "max_y", "end_ordinate", "end_step", "start_step"):
         if getattr(args, flag) is not None:
             fields[flag] = getattr(args, flag)
-    if kind == "motzkin_avoid":
+    if args.family == "motzkin":
         if len(fields) > 1:
             raise InfeasibleSpec(
                 "the motzkin family takes no window or endpoint flags")

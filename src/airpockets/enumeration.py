@@ -36,8 +36,7 @@ from .errors import BadParams, InfeasibleSpec
 from .paths import UP, LatticePath, classify, parse_path
 
 PATH_KINDS = ("gdap", "dap", "prime", "prefix_gdap")
-KINDS = PATH_KINDS + (
-    "special_h", "motzkin_avoid", "composition_alt", "composition_alt_odd_even")
+KINDS = PATH_KINDS + ("special_h",)
 
 
 # the end_ordinate of a prefix family that pools every end above the axis
@@ -104,11 +103,6 @@ def _check_spec(n: int, spec: FamilySpec, reach: bool = True):
                ("min_y", "max_y", "end_ordinate", "end_step", "start_step")):
             raise InfeasibleSpec(
                 "the special-height family takes no extra constraints")
-    if spec.kind in ("motzkin_avoid",
-                     "composition_alt", "composition_alt_odd_even"):
-        raise InfeasibleSpec(
-            f"{spec.kind} members are not lattice paths here; use "
-            "enum_motzkin_avoiding or enum_compositions")
 
 
 def _window(n: int, spec: FamilySpec) -> tuple[list[int], list[int]]:
@@ -515,7 +509,7 @@ def _motzkin_moves(h, last):
 
 
 def _motzkin_blocks(n: int) -> Iterator[tuple[str, list[str]]]:
-    """The words of iter_motzkin_avoiding(n) as _blocks; the state is
+    """The words of enum_motzkin_avoiding(n) as _blocks; the state is
     (height, last step)."""
     if n < 0:
         raise BadParams("length must be nonnegative")
@@ -528,19 +522,14 @@ def _motzkin_blocks(n: int) -> Iterator[tuple[str, list[str]]]:
     yield from _blocks(n, steps, (0, ""))
 
 
-def iter_motzkin_avoiding(n: int) -> Iterator[str]:
+def enum_motzkin_avoiding(n: int) -> list[str]:
     """Motzkin paths whose flat steps each follow a down-step and precede a
-    down-step or the end, one at a time (U before D before H).
+    down-step or the end, listed with U before D before H.
 
     Equivalently: no factor UH, HU, or HH, and no leading flat step (the
     leading-H clause only matters at length 1, where HU/HH cannot bite).
     """
-    return _texts(_motzkin_blocks(n))
-
-
-def enum_motzkin_avoiding(n: int) -> list[str]:
-    """iter_motzkin_avoiding(n) as a list."""
-    return list(iter_motzkin_avoiding(n))
+    return list(_texts(_motzkin_blocks(n)))
 
 
 def count_motzkin_avoiding(n: int) -> int:
@@ -569,9 +558,9 @@ def enum_compositions(n: int, kind: str) -> list[tuple[int, ...]]:
     part is even (empty at n = 0).
     """
     if n < 0:
-        raise ValueError("composition target must be nonnegative")
+        raise BadParams("composition target must be nonnegative")
     if kind not in ("alt", "alt_odd_even"):
-        raise ValueError(f"unknown composition kind {kind!r}")
+        raise BadParams(f"unknown composition kind {kind!r}")
     if n == 0:
         return [()] if kind == "alt" else []
     first_parity = 1 if kind == "alt_odd_even" else None

@@ -95,10 +95,6 @@ class BadParams(InputError):
     """Parameters are missing, unexpected, or out of range."""
 
 
-class IndexOutOfRange(BadParams):
-    """Numerator index outside 0..2t+1."""
-
-
 # ---------- bijections ----------
 
 class NotInFamily(DomainError):

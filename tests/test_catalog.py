@@ -2,6 +2,7 @@
 closed forms, and its own dual-route plumbing (determinants, band systems)."""
 
 import json
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -21,17 +22,11 @@ from airpockets.catalog import (
     band_poly_matrix,
     cramer_numerators,
     evaluate,
-    gf_H,
-    gf_H_bounded,
-    gf_bounded_0t,
-    gf_bounded_sym,
-    gf_bounded_sym_ordinate,
     gf_dap,
     gf_gdap,
     gf_minorized,
     gf_prefix_negative,
     gf_prefix_positive,
-    gf_prefix_positive_total,
     poly_D,
     poly_N,
     poly_det,
@@ -47,8 +42,8 @@ from airpockets.enumeration import (
 from airpockets.errors import (
     BadParams,
     ConsistencyError,
-    IndexOutOfRange,
     InfeasibleSpec,
+    InputError,
     NonInvertible,
     OrderMismatch,
     SingularToOrder,
@@ -611,11 +606,12 @@ def test_prefix_positive_rejects_axis():
 
 
 def test_prefix_positive_total_frozen():
-    assert ints(gf_prefix_positive_total(10)) == ref.PREFIX_POSITIVE_COUNTS
+    assert ints(evaluate("prefix_pos_total", 10).series) \
+        == ref.PREFIX_POSITIVE_COUNTS
 
 
 def test_prefix_positive_total_is_ordinate_sum():
-    total = gf_prefix_positive_total(9)
+    total = evaluate("prefix_pos_total", 9).series
     acc = TruncatedSeries([], 9)
     for k in range(1, 10):
         acc = acc + gf_prefix_positive(k, 9)
@@ -690,12 +686,10 @@ def test_num_polynomials_frozen(k, t):
 
 
 def test_num_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
-        poly_N(-1, 2, 5)
-    with pytest.raises(IndexOutOfRange):
-        poly_N(6, 2, 5)
-    with pytest.raises(IndexOutOfRange):
-        poly_N(0, -1, 5)
+    for k, t, top in ((-1, 2, 5), (6, 2, 5), (0, -1, -1)):
+        message = f"numerator index ({k}, {t}) outside 0..{top}"
+        with pytest.raises(BadParams, match=f"^{re.escape(message)}$"):
+            poly_N(k, t, 5)
 
 
 # ---------- height-limited paths ----------
@@ -703,12 +697,12 @@ def test_num_index_out_of_range():
 @pytest.mark.parametrize("t", sorted(G0T_RATIONALS))
 def test_bounded_axis_rationals(t):
     num, den = G0T_RATIONALS[t]
-    assert gf_bounded_0t(0, t, "g", 12) == ratio(num, den, 12)
+    assert evaluate("g0t", 12, t=t).series == ratio(num, den, 12)
 
 
 @pytest.mark.parametrize("t", sorted(ref.BAND_LOW_COUNTS))
 def test_bounded_axis_frozen(t):
-    assert ints(gf_bounded_0t(0, t, "g", 10)) == ref.BAND_LOW_COUNTS[t]
+    assert ints(evaluate("g0t", 10, t=t).series) == ref.BAND_LOW_COUNTS[t]
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -718,8 +712,8 @@ def test_bounded_per_ordinate_against_oracle(t):
                     end_ordinate=k, end_step="up")
         if k == 0:
             up = (up[0] + 1,) + up[1:]  # the empty prefix sits in f_0
-        assert ints(gf_bounded_0t(k, t, "f", 9)) == up
-        assert ints(gf_bounded_0t(k, t, "g", 9)) == counts(
+        assert ints(evaluate("fkt", 9, k=k, t=t).series) == up
+        assert ints(evaluate("gkt", 9, k=k, t=t).series) == counts(
             9, kind="prefix_gdap", min_y=0, max_y=t,
             end_ordinate=k, end_step="down")
 
@@ -728,10 +722,10 @@ def test_bounded_per_ordinate_against_oracle(t):
 def test_bounded_matches_its_cramer_quotients(t):
     # N_col / D_t, each factor from its own sweep
     for order in (5, 2 * t, 4 * t + 3):
-        for kind, offset in (("f", 0), ("g", t + 1)):
+        for name, offset in (("fkt", 0), ("gkt", t + 1)):
             for k in range(t + 1):
                 quotient = poly_N(offset + k, t, order) / poly_D(t, order)
-                assert gf_bounded_0t(k, t, kind, order) == quotient
+                assert evaluate(name, order, k=k, t=t).series == quotient
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4])
@@ -739,17 +733,15 @@ def test_bounded_matches_cramer_quotients(t):
     # the catalog's forward substitution against the band elimination
     solved = solve_series_system(*lifted_band(0, t, 30))
     for k in range(t + 1):
-        assert gf_bounded_0t(k, t, "f", 30) == solved[k]
-        assert gf_bounded_0t(k, t, "g", 30) == solved[t + 1 + k]
+        assert evaluate("fkt", 30, k=k, t=t).series == solved[k]
+        assert evaluate("gkt", 30, k=k, t=t).series == solved[t + 1 + k]
 
 
 def test_bounded_rejects_bad_params():
-    with pytest.raises(IndexOutOfRange):
-        gf_bounded_0t(3, 2, "f", 5)
-    with pytest.raises(ValueError):
-        gf_bounded_0t(0, 0, "f", 5)
-    with pytest.raises(ValueError):
-        gf_bounded_0t(0, 2, "h", 5)
+    with pytest.raises(BadParams, match=r"^ordinate 3 outside 0\.\.2$"):
+        evaluate("fkt", 5, k=3, t=2)
+    with pytest.raises(BadParams, match="^band height must be >= 1$"):
+        evaluate("fkt", 5, k=0, t=0)
 
 
 # ---------- centered bands ----------
@@ -757,12 +749,12 @@ def test_bounded_rejects_bad_params():
 @pytest.mark.parametrize("t", sorted(SYM_RATIONALS))
 def test_sym_axis_rationals(t):
     num, den = SYM_RATIONALS[t]
-    assert gf_bounded_sym(t, 12) == ratio(num, den, 12)
+    assert evaluate("sym", 12, t=t).series == ratio(num, den, 12)
 
 
 @pytest.mark.parametrize("t", sorted(ref.BAND_SYM_COUNTS))
 def test_sym_frozen(t):
-    assert ints(gf_bounded_sym(t, 10)) == ref.BAND_SYM_COUNTS[t]
+    assert ints(evaluate("sym", 10, t=t).series) == ref.BAND_SYM_COUNTS[t]
 
 
 @pytest.mark.parametrize("t", [1, 2, 3, 4, 5])
@@ -795,8 +787,8 @@ def test_sym_per_ordinate_against_oracle(t):
                     end_ordinate=k, end_step="up")
         if k == 0:
             up = (up[0] + 1,) + up[1:]
-        assert ints(gf_bounded_sym_ordinate(k, t, "f", 9)) == up
-        assert ints(gf_bounded_sym_ordinate(k, t, "g", 9)) == counts(
+        assert ints(evaluate("sym_f", 9, k=k, t=t).series) == up
+        assert ints(evaluate("sym_g", 9, k=k, t=t).series) == counts(
             9, kind="prefix_gdap", min_y=-t, max_y=t,
             end_ordinate=k, end_step="down")
 
@@ -817,9 +809,9 @@ def test_band_walk_matches_the_band_elimination(lo, hi):
 
 
 def test_sym_total_is_axis_sum():
-    total = gf_bounded_sym(2, 12)
-    f0 = gf_bounded_sym_ordinate(0, 2, "f", 12)
-    g0 = gf_bounded_sym_ordinate(0, 2, "g", 12)
+    total = evaluate("sym", 12, t=2).series
+    f0 = evaluate("sym_f", 12, k=0, t=2).series
+    g0 = evaluate("sym_g", 12, k=0, t=2).series
     assert total == f0 + g0
 
 
@@ -829,7 +821,7 @@ def test_sym_one_sweep_matches_its_closed_form(t):
     for order in (5, 2 * t, 4 * t + 3):
         num = poly_D(t - 1, order) * (poly_D(t, order)
                                       + poly_N(t + 1, t, order))
-        assert gf_bounded_sym(t, order) == num / poly_D(2 * t, order)
+        assert evaluate("sym", order, t=t).series == num / poly_D(2 * t, order)
 
 
 # ---------- the reachable window ----------
@@ -879,8 +871,8 @@ def test_confined_window_is_not_a_clamp_of_the_height():
     # t = 25 admits paths that rise above 5, or dip below -5 and climb
     # back, before they end at -5 by length 12: the window comes from k
     # and the order, not from clamping t
-    narrow = gf_bounded_sym_ordinate(-5, 5, "f", 12)
-    wide = gf_bounded_sym_ordinate(-5, 25, "f", 12)
+    narrow = evaluate("sym_f", 12, k=-5, t=5).series
+    wide = evaluate("sym_f", 12, k=-5, t=25).series
     assert narrow != wide
     assert ints(wide) == _confined_brute("sym_f", -5, 25, 12)
 
@@ -896,45 +888,46 @@ def test_confined_height_past_the_order_is_cheap():
 
 
 def test_sym_rejects_bad_params():
-    with pytest.raises(ValueError):
-        gf_bounded_sym(0, 5)
-    with pytest.raises(IndexOutOfRange):
-        gf_bounded_sym_ordinate(3, 2, "f", 5)
+    with pytest.raises(BadParams, match="^band half-height must be >= 1$"):
+        evaluate("sym", 5, t=0)
+    with pytest.raises(BadParams, match=r"^ordinate 3 outside -2\.\.2$"):
+        evaluate("sym_f", 5, k=3, t=2)
 
 
 # ---------- the special-height family ----------
 
 def test_special_height_frozen():
-    assert ints(gf_H(12)) == ref.SPECIAL_H_COUNTS
+    assert ints(evaluate("B", 12).series) == ref.SPECIAL_H_COUNTS
 
 
 def test_special_height_quadratic():
-    b = gf_H(30)
+    b = evaluate("B", 30).series
     lhs = 2 * b.shift(2) - TruncatedSeries((1, 0, 0, -1), 30)
     assert lhs * lhs == TruncatedSeries((1, 0, -4, -2, 0, 0, 1), 30)
 
 
 def test_special_height_against_enumerator():
-    got = ints(gf_H(12))
+    got = ints(evaluate("B", 12).series)
     assert got == tuple(len(enum_h(n)) for n in range(13))
 
 
 def test_ceiling_zero_is_empty_only():
-    assert ints(gf_H_bounded(0, 10)) == (1,) + (0,) * 10
+    assert ints(evaluate("Bk", 10, k=0).series) == (1,) + (0,) * 10
 
 
 def test_ceiling_one_alternates():
-    assert ints(gf_H_bounded(1, 10)) == (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
+    assert ints(evaluate("Bk", 10, k=1).series) \
+        == (1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 1)
 
 
 def test_ceiling_agrees_with_full_series_low_down():
-    b = gf_H(12)
+    b = evaluate("B", 12).series
     for k in range(1, 6):
-        assert gf_H_bounded(k, 12).agrees_through(b, k + 1)
+        assert evaluate("Bk", 12, k=k).series.agrees_through(b, k + 1)
 
 
 def test_ceiling_heights_nest():
-    lower, higher = gf_H_bounded(3, 12), gf_H_bounded(4, 12)
+    lower, higher = (evaluate("Bk", 12, k=k).series for k in (3, 4))
     assert all(a <= b for a, b in zip(ints(lower), ints(higher)))
 
 
@@ -942,7 +935,7 @@ def test_ceiling_slices_sum():
     total = TruncatedSeries([], 10)
     for k in range(5):
         total = total + evaluate("Ak", 10, k=k).series
-    assert total == gf_H_bounded(4, 10)
+    assert total == evaluate("Bk", 10, k=4).series
 
 
 def test_high_ceilings_are_cheap():
@@ -966,8 +959,8 @@ def test_whole_path_closed_forms_are_cheap():
 
 
 def test_ceiling_rejects_negative():
-    with pytest.raises(ValueError):
-        gf_H_bounded(-1, 5)
+    with pytest.raises(BadParams, match="^height ceiling must be >= 0$"):
+        evaluate("Bk", 5, k=-1)
 
 
 @pytest.mark.parametrize("order", [10, 33, 60])
@@ -995,27 +988,36 @@ def test_ceiling_levels_past_the_order_match_the_uncapped_loop(order):
 
 # ---------- the catalog surface ----------
 
-def test_series_route_signatures_name_their_parameters():
+def test_shorthand_signatures_name_their_parameters():
     from inspect import signature
 
-    routes = {name: tuple(signature(fn).parameters)
-              for name, fn in vars(catalog).items() if hasattr(fn, "ints")}
-    assert routes == {
+    shorthands = {name: tuple(signature(fn).parameters)
+                  for name, fn in vars(catalog).items()
+                  if name.startswith(("gf_", "poly_")) and name != "poly_det"}
+    assert shorthands == {
         "gf_dap": ("order",),
         "gf_gdap": ("name", "order"),
         "gf_prefix_positive": ("k", "order"),
-        "gf_prefix_positive_total": ("order",),
         "gf_prefix_negative": ("k", "order"),
         "gf_minorized": ("m", "order"),
         "poly_D": ("t", "order"),
         "poly_N": ("k", "t", "order"),
-        "gf_bounded_0t": ("k", "t", "kind", "order"),
-        "gf_bounded_sym": ("t", "order"),
-        "gf_bounded_sym_ordinate": ("k", "t", "kind", "order"),
-        "gf_H": ("order",),
-        "gf_H_bounded": ("k", "order"),
-        "gf_H_exact": ("k", "order"),
     }
+
+
+def test_shorthands_raise_what_evaluate_raises():
+    # each shorthand is one call of evaluate, so a bad argument is an
+    # input error (exit 3) with the route's message, never a bare ValueError
+    for call, message in [
+            (lambda: gf_dap(-1), "order must be nonnegative"),
+            (lambda: gf_gdap("G", -1), "order must be nonnegative"),
+            (lambda: gf_prefix_positive(0, 5), "ordinate must be >= 1"),
+            (lambda: gf_prefix_negative(0, 5), "ordinate must be <= -1"),
+            (lambda: gf_minorized(1, 5), "floor must be <= 0"),
+            (lambda: poly_D(-1, 5), "band height must be >= 0"),
+            (lambda: poly_N(6, 2, 5), "numerator index (6, 2) outside 0..5")]:
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_catalog_names_are_sorted_and_complete():

@@ -673,7 +673,7 @@ def test_an_internal_error_is_not_given_an_exit_code(monkeypatch):
 
 
 CATEGORIES = {
-    "input": {"BadParams", "IndexOutOfRange", "InfeasibleSpec"},
+    "input": {"BadParams", "InfeasibleSpec"},
     "domain": {"MalformedToken", "ConsecutiveDowns", "NotDAP", "NotPrime",
                "BadEnds", "NotInFamily", "NotAlternating", "NotInCPrime"},
     "unknown name": {"UnknownName"},

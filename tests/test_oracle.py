@@ -240,7 +240,7 @@ def test_count_refuses_an_end_out_of_reach(n, spec):
     (5, FamilySpec("prefix_gdap"), InfeasibleSpec),
     (5, FamilySpec("prefix_gdap", max_y=3), InfeasibleSpec),
     (5, FamilySpec("special_h", max_y=3), InfeasibleSpec),
-    (5, FamilySpec("motzkin_avoid"), InfeasibleSpec),
+    (5, FamilySpec("motzkin_avoid"), BadParams),
     (5, FamilySpec("gdap", end_ordinate=POSITIVE), InfeasibleSpec),
 ])
 def test_count_upto_rejects_what_count_rejects(n, spec, error):
@@ -567,7 +567,7 @@ def test_infeasible_specs():
         enum_paths(4, FamilySpec("dap", end_ordinate=2))
     with pytest.raises(InfeasibleSpec):
         enum_paths(4, FamilySpec("prefix_gdap", min_y=-1, end_ordinate=-3))
-    with pytest.raises(InfeasibleSpec):
+    with pytest.raises(BadParams, match="unknown family kind 'motzkin_avoid'"):
         enum_paths(4, FamilySpec("motzkin_avoid"))
     with pytest.raises(InfeasibleSpec):
         enum_paths(4, FamilySpec("special_h", max_y=3))
@@ -576,6 +576,15 @@ def test_infeasible_specs():
     with pytest.raises(ValueError):
         enum_paths(-1, GDAP)
     with pytest.raises(ValueError):
+        enum_compositions(3, "weird")
+
+
+def test_compositions_reject_bad_requests_as_bad_params():
+    # an input error (exit 3), as its neighbours raise, not a bare ValueError
+    with pytest.raises(BadParams,
+                       match="composition target must be nonnegative"):
+        enum_compositions(-1, "alt")
+    with pytest.raises(BadParams, match="unknown composition kind 'weird'"):
         enum_compositions(3, "weird")
 
 
